@@ -14,13 +14,13 @@ The solvers run in O(N log N) time and never form a volumetric matrix; the
 `oracle` module provides an independent dense reference for verification.
 """
 
-from ._tridiag import SingularBlock
 from .assembly import (CorrectionMatrix, Pencil1D, PencilDifference,
                        assemble_pencil, assemble_periodic_pencil,
                        build_correction, build_operator_A, build_operator_B,
                        pencil_difference)
-from .core import (BoundaryKind, Grid, KroneckerOperator, TriCornerMatrix,
-                   kron_apply, lex_index, tune_allocator, unlex_index)
+from .core import (BoundaryKind, Grid, KroneckerOperator, SingularBlock,
+                   TriCornerMatrix, kron_apply, lex_index, tune_allocator,
+                   unlex_index)
 from .oracle import (DenseProblem, SizeLimit, dense_eigensolve_pencil,
                      dense_partial_solution, dense_problem, dense_solve)
 from .solver2d import (PartialSolution, SolverPlan2D, plan2d,
@@ -31,7 +31,7 @@ from .spectral import (EigenBasis, EigensolverFailure, LineTransformPlan,
                        NormalizationFailure, boundary_restricted_product,
                        circulant_eigenbasis, circulant_eigenvalues,
                        circulant_mass_eigenvalues, clear_eigen_cache,
-                       dft_entry, forward_line_transform,
+                       dct1_eigen, dft_entry, forward_line_transform,
                        inverse_line_transform, solve_pencil_eigen)
 
 __version__ = "0.1.0"
@@ -44,7 +44,8 @@ __all__ = [
     "build_operator_A", "build_operator_B", "build_correction",
     "EigenBasis", "LineTransformPlan", "EigensolverFailure",
     "NormalizationFailure", "circulant_eigenvalues",
-    "circulant_mass_eigenvalues", "circulant_eigenbasis", "dft_entry",
+    "circulant_mass_eigenvalues", "circulant_eigenbasis", "dct1_eigen",
+    "dft_entry",
     "solve_pencil_eigen", "clear_eigen_cache", "forward_line_transform",
     "inverse_line_transform", "boundary_restricted_product",
     "SolverPlan2D", "PartialSolution", "SingularBlock", "plan2d", "solve2d",

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-PIVOT_RTOL = 1e-14
+from .core import PIVOT_RTOL, SingularBlock
 
 try:
     from numba import njit
@@ -34,14 +34,6 @@ except ImportError:  # pragma: no cover - exercised via the forced fallback test
             return fn
 
         return wrap
-
-
-class SingularBlock(RuntimeError):
-    """A diagonal block of the transformed system is numerically singular."""
-
-    def __init__(self, message, block=None):
-        super().__init__(message)
-        self.block = block
 
 
 class BlockFactors(NamedTuple):

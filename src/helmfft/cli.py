@@ -21,9 +21,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ._tridiag import SingularBlock
 from .assembly import build_operator_A
-from .core import BoundaryKind, Grid, kron_apply, tune_allocator
+from .core import BoundaryKind, Grid, SingularBlock, kron_apply, tune_allocator
 from .oracle import SizeLimit, dense_problem, dense_solve
 from .solver2d import plan2d, solve2d
 from .solver3d import plan3d, solve3d
@@ -55,7 +54,6 @@ class RunConfig:
     threads: int = 0                # 0 = auto
     refine: int = 1
     sizes: str | None = None        # bench sweep, comma-separated n values
-    cache_inner: bool = False
 
     def grid(self, n: int | None = None) -> Grid:
         if n is not None:
@@ -145,7 +143,7 @@ def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
     else:
         if bc != BoundaryKind.ABSORBING:
             raise ConfigError("the 3D driver supports only absorbing x_1 ends")
-        plan = plan3d(grid, config.omega, cache_inner=config.cache_inner)
+        plan = plan3d(grid, config.omega)
     init_seconds = time.perf_counter() - t0
 
     f = make_rhs(config, grid)
@@ -321,7 +319,6 @@ def _load_config_file(path: str) -> dict:
 
 _INT_KEYS = {"d", "n1", "n2", "n3", "repeats", "threads", "refine"}
 _FLOAT_KEYS = {"omega"}
-_BOOL_KEYS = {"cache_inner"}
 
 
 def _config_from(file_values: dict, args: argparse.Namespace) -> RunConfig:
@@ -335,8 +332,6 @@ def _config_from(file_values: dict, args: argparse.Namespace) -> RunConfig:
                 val = int(val)
             elif key in _FLOAT_KEYS:
                 val = float(val)
-            elif key in _BOOL_KEYS:
-                val = val.lower() in ("1", "true", "yes")
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {val!r}") from None
         config = replace(config, **{key: val})
@@ -375,9 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
         add_run_flags(p)
         if mode == "bench":
             p.add_argument("--sizes", help="comma-separated n list, e.g. 257,513,1025")
-        if mode != "bench" and mode == "solve":
-            p.add_argument("--cache-inner", dest="cache_inner", action="store_const",
-                           const=True, help="cache inner 3D block factors (2N memory)")
 
     p = sub.add_parser("slope", help="fit the log-log solve-time slope of a bench file")
     p.add_argument("results", help="CSV or JSON file produced by bench")

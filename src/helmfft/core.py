@@ -16,6 +16,18 @@ from enum import Enum
 
 import numpy as np
 
+# Relative size below which a pivot or eigenvalue of a diagonal block counts
+# as singular.
+PIVOT_RTOL = 1e-14
+
+
+class SingularBlock(RuntimeError):
+    """A diagonal block of the transformed system is numerically singular."""
+
+    def __init__(self, message, block=None):
+        super().__init__(message)
+        self.block = block
+
 
 class BoundaryKind(Enum):
     ABSORBING = "absorbing"

@@ -1,8 +1,8 @@
 """Three-step fast solver for the 2D separable Helmholtz system.
 
 Solves ``((K_1 - sigma M_1) ox M_2 + M_1 ox K_2) u = f`` where the x_1 pencil
-carries absorbing (standalone problem, sigma = omega^2) or Neumann boundary
-rows (inner blocks of the 3D solver, sigma an arbitrary complex shift).
+carries absorbing (sigma = omega^2) or Neumann boundary rows (sigma an
+arbitrary complex shift).
 
 Step 1 solves the periodic auxiliary problem for the boundary-plane values
 v_b only, step 2 solves the original operator for the boundary correction w_b
@@ -80,8 +80,7 @@ def plan2d(grid: Grid, omega_or_shift, bc_x1: BoundaryKind = BoundaryKind.ABSORB
 
     With absorbing x_1 ends the second argument is the (real) wave number and
     the operator shift is omega^2; with Neumann ends it is taken directly as
-    the complex shift sigma, which is how the 3D solver drives its inner
-    blocks.  Raises SingularBlock for a resonant shift.
+    the complex shift sigma.  Raises SingularBlock for a resonant shift.
     """
     if grid.dims != 2:
         raise ValueError("plan2d needs a 2D grid")

@@ -1,17 +1,22 @@
 """Three-step fast solver for the 3D separable Helmholtz system.
 
-The x_1 direction is diagonalized exactly as in 2D, which leaves the n_1
-diagonal blocks of the transformed systems.  Each block is itself a separable
-(n_2 x n_3) problem with a per-block shift p = omega^2 - Lambda_{1,l}, and all
-n_1 of them are solved by one batched application of the shift-parameterized
-2D method: transform along x_2, tridiagonal sweeps along x_3, partial-solution
-correction over the x_2 boundary planes.  No factor of volumetric size is
-kept in the plan; the inner pivots are factored on the fly per solve (an
-optional cache toggle trades 2N scratch memory for repeated factorization).
+The x_1 direction runs the paper's three steps as in 2D: the periodic
+auxiliary problem is diagonalized by the FFT, the absorbing one by its dense
+eigenbasis, and the boundary-plane correction joins them.  The cross
+directions x_2 and x_3 carry uniform Neumann pencils, which DCT-I
+diagonalizes in closed form (``spectral.dct1_eigen``), so every transformed
+x_1 block is a diagonal system.  This departs from the paper, which solves
+the blocks by the same three-step method recursively; the closed form needs
+no inner factorization and adds no error of its own.
 
-Work arrays live in (n_3, n_1, n_2) layout: the outer transform runs along
-axis 1, the inner transform along contiguous rows (axis 2), and the
-tridiagonal sweeps over contiguous axis-0 slabs.
+All work runs in the caller's (n1, n2, n3) layout.  With E the diagonal that
+doubles both end entries of a direction, V^T x = dct1(E x) / 2 and
+V y = dct1(E y) / 2.  So over x_2 and x_3 the pipeline keeps right-hand
+sides as dct1(E x) = 4 V^T x and solutions as E V^-1 y, whose back transform
+is a bare dct1 / 4.  Block l with coefficient c = Lambda_{1,l} - omega^2 is
+then a divide by rho (c + lam_2 + lam_3), with rho_jk = w_2j w_3k and
+w = 2 D / E = h (n-1) (2 + cos theta) / 3.  The divisors are formed a few
+x_1 slabs at a time from the 1D arrays; none of volumetric size is stored.
 """
 
 from __future__ import annotations
@@ -21,16 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from . import _tridiag
-from .assembly import (CorrectionMatrix, Pencil1D, assemble_pencil,
-                       assemble_periodic_pencil, build_correction,
-                       pencil_difference, _shifted)
-from .core import BoundaryKind, Grid
+from .assembly import (Pencil1D, PencilDifference, assemble_pencil,
+                       assemble_periodic_pencil, pencil_difference, _shifted)
+from .core import PIVOT_RTOL, BoundaryKind, Grid, SingularBlock
 from .solver2d import REFINE_STOP_RTOL
-from .spectral import EigenBasis, circulant_eigenbasis, solve_pencil_eigen
+from .spectral import (EigenBasis, circulant_eigenbasis, dct1_eigen,
+                       solve_pencil_eigen)
+
+# complex scalars of divisor scratch per slab chunk (at least one x_1 slab)
+_SLAB_SCRATCH = 1 << 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverPlan3D:
     """Immutable precomputed state for the 3D solver; build with plan3d."""
 
@@ -39,28 +46,26 @@ class SolverPlan3D:
     pencil_x1: Pencil1D
     pencil_x1_periodic: Pencil1D
     pencil_x2: Pencil1D
-    pencil_x2_periodic: Pencil1D
     pencil_x3: Pencil1D
     basis_numeric_x1: EigenBasis
     basis_circulant_x1: EigenBasis
-    basis_numeric_x2: EigenBasis
-    basis_circulant_x2: EigenBasis
-    correction: CorrectionMatrix        # outer C_bb(omega^2) over the x2 x x3 plane
+    lambdas_x2: np.ndarray              # closed-form DCT-I eigenvalues
+    lambdas_x3: np.ndarray
+    diff_x1: PencilDifference           # corner blocks of periodic - absorbing x1
     shifts_A: np.ndarray                # p_A,l = omega^2 - Lambda^A_{1,l}
     shifts_B: np.ndarray                # p_B,l = omega^2 - Lambda^B_{1,l}
-    cache_inner: bool = False
+    _w2: np.ndarray = field(repr=False, default=None)
+    _w3: np.ndarray = field(repr=False, default=None)
     _RW1: np.ndarray = field(repr=False, default=None)
     _RW1c: np.ndarray = field(repr=False, default=None)
     _RV1: np.ndarray = field(repr=False, default=None)
-    _RW2: np.ndarray = field(repr=False, default=None)
-    _RW2c: np.ndarray = field(repr=False, default=None)
-    _RV2: np.ndarray = field(repr=False, default=None)
     _s1: np.ndarray = field(repr=False, default=None)
-    _s2: np.ndarray = field(repr=False, default=None)
-    _dk2: np.ndarray = field(repr=False, default=None)
-    _dm2: np.ndarray = field(repr=False, default=None)
     _K1w: object = field(repr=False, default=None)    # K_1 - omega^2 M_1
-    _inner_cache: dict = field(repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        for val in vars(self).values():
+            if isinstance(val, np.ndarray):
+                val.flags.writeable = False
 
     @property
     def n1(self):
@@ -75,8 +80,35 @@ class SolverPlan3D:
         return self.grid.n[2]
 
 
-def plan3d(grid: Grid, omega: float, cache_inner: bool = False) -> SolverPlan3D:
-    """Eigenbases for x_1 and x_2, shifts and corrections; O(n1^2 + n2^2) memory."""
+def _mass_weights(D):
+    w = D.copy()
+    w[1:-1] *= 2.0
+    return w
+
+
+def _check_resonance(shifts, lam2, lam3, which):
+    """Raise SingularBlock if some block eigenvalue lam_2 + lam_3 - p_l is tiny.
+
+    Relative to the block's largest eigenvalue, as the 2D pivot guard.  The
+    n2 n3 real sums are sorted once; each shift is located by bisection.
+    """
+    sums = np.sort(np.add.outer(lam2, lam3), axis=None)
+    i = np.clip(np.searchsorted(sums, shifts.real), 1, sums.size - 1)
+    gap = np.minimum(np.abs(sums[i - 1] - shifts), np.abs(sums[i] - shifts))
+    scale = np.maximum(np.abs(sums[0] - shifts), np.abs(sums[-1] - shifts))
+    bad = gap < PIVOT_RTOL * scale
+    if bad.any():
+        l = int(np.argmax(bad))
+        raise SingularBlock(
+            f"near-singular {which} block {l} (resonant shift); "
+            f"min |eigenvalue| {gap[l]:.3e}", block=l)
+
+
+def plan3d(grid: Grid, omega: float) -> SolverPlan3D:
+    """One dense x_1 eigensolve plus closed forms; O(n1^2 + n2 + n3) memory.
+
+    Raises SingularBlock if a transformed block is resonant.
+    """
     if grid.dims != 3:
         raise ValueError("plan3d needs a 3D grid")
     omega = float(omega)
@@ -86,176 +118,106 @@ def plan3d(grid: Grid, omega: float, cache_inner: bool = False) -> SolverPlan3D:
     p1 = assemble_pencil(n1, h1, omega, BoundaryKind.ABSORBING)
     p1B = assemble_periodic_pencil(n1, h1)
     p2 = assemble_pencil(n2, h2)
-    p2B = assemble_periodic_pencil(n2, h2)
     p3 = assemble_pencil(n3, h3)
 
     v1 = solve_pencil_eigen(p1)
     w1 = circulant_eigenbasis(p1B)
-    v2 = solve_pencil_eigen(p2)
-    w2 = circulant_eigenbasis(p2B)
+    lam2, D2 = dct1_eigen(p2)
+    lam3, D3 = dct1_eigen(p3)
+    shifts_A, shifts_B = sigma - v1.lambdas, sigma - w1.lambdas
+    _check_resonance(shifts_B, lam2, lam3, "B")
+    _check_resonance(shifts_A, lam2, lam3, "A")
 
-    corr = build_correction(pencil_difference(p1, p1B), [p2, p3], sigma)
-    diff2 = pencil_difference(p2, p2B)
     RW1 = w1.boundary_rows()
-    RW2 = w2.boundary_rows()
-
     return SolverPlan3D(
         grid=grid, omega=omega,
-        pencil_x1=p1, pencil_x1_periodic=p1B,
-        pencil_x2=p2, pencil_x2_periodic=p2B, pencil_x3=p3,
+        pencil_x1=p1, pencil_x1_periodic=p1B, pencil_x2=p2, pencil_x3=p3,
         basis_numeric_x1=v1, basis_circulant_x1=w1,
-        basis_numeric_x2=v2, basis_circulant_x2=w2,
-        correction=corr,
-        shifts_A=sigma - v1.lambdas, shifts_B=sigma - w1.lambdas,
-        cache_inner=cache_inner,
+        lambdas_x2=lam2, lambdas_x3=lam3,
+        diff_x1=pencil_difference(p1, p1B),
+        shifts_A=shifts_A, shifts_B=shifts_B,
+        _w2=_mass_weights(D2), _w3=_mass_weights(D3),
         _RW1=RW1, _RW1c=np.conj(RW1), _RV1=v1.boundary_rows(),
-        _RW2=RW2, _RW2c=np.conj(RW2), _RV2=v2.boundary_rows(),
-        _s1=w1.scales, _s2=w2.scales,
-        _dk2=diff2.dk, _dm2=diff2.dm,
+        _s1=w1.scales,
         _K1w=_shifted(p1.K, p1.M, -sigma),
     )
 
 
-# -- inner batched 2D solver --------------------------------------------------
+# -- cross-direction transforms and diagonal solves --------------------------
 
-def _inner_factors(plan, which, coeff):
-    if plan.cache_inner:
-        fac = plan._inner_cache.get(which)
-        if fac is None:
-            fac = _tridiag.factor_blocks(coeff, plan.pencil_x3.K, plan.pencil_x3.M)
-            plan._inner_cache[which] = fac
-        return fac
-    return _tridiag.factor_blocks(coeff, plan.pencil_x3.K, plan.pencil_x3.M)
+def _to_internal(plan, f):
+    return np.array(f, dtype=np.complex128).reshape(plan.grid.shape)
 
 
-def _inner_corr(plan, shifts, vb):
-    """Inner C_bb(p_l) on x_2 boundary data; vb has shape (n3, n1, 2)."""
-    p3 = plan.pencil_x3
-    Mv = p3.M.apply(vb, axis=0)
-    Kv = p3.K.apply(vb, axis=0)
-    c = Mv @ plan._dk2 + Kv @ plan._dm2
-    c -= shifts[None, :, None] * (Mv @ plan._dm2)
+def _dct23(X, workers, scale_ends):
+    """DCT-I over x_2 and x_3 in place, after doubling the end planes (E)."""
+    if scale_ends:
+        X[:, 0] *= 2.0
+        X[:, -1] *= 2.0
+        X[:, :, 0] *= 2.0
+        X[:, :, -1] *= 2.0
+    scipy.fft.dctn(X, type=1, axes=(1, 2), overwrite_x=True, workers=workers)
+
+
+def _cross_planes(plan):
+    """rho = w2 w3 and lam2 + lam3 over the x_2 x x_3 plane."""
+    return (np.multiply.outer(plan._w2, plan._w3),
+            np.add.outer(plan.lambdas_x2, plan.lambdas_x3))
+
+
+def _slabs(plan):
+    step = max(1, _SLAB_SCRATCH // (plan.n2 * plan.n3))
+    return [slice(a, min(a + step, plan.n1)) for a in range(0, plan.n1, step)]
+
+
+def _divisor(shifts, rho, lam):
+    """rho (lam - p_l) for the slabs of shifts; shape (len(shifts), n2, n3)."""
+    d = lam - shifts[:, None, None]
+    d *= rho
+    return d
+
+
+def _boundary_corr(plan, vb, rho, lam):
+    """Outer C_bb(omega^2) per cross mode: rho ((dk - omega^2 dm) + dm lam)."""
+    dk, dm = plan.diff_x1.dk, plan.diff_x1.dm
+    sigma = plan.omega ** 2
+    c = np.tensordot(dk - sigma * dm, vb, axes=1)
+    c += lam * np.tensordot(dm, vb, axes=1)
+    c *= rho
     return c
 
 
-def _solve_blocks_internal(plan, which, W, workers=None):
-    """Batched inner 2D solves: one per x_1 mode, shifts p_{which,l}.
+def _pipeline3d(plan, F, workers=None):
+    """Bare three-step solve of A u = F; F (n1, n2, n3) is overwritten.
 
-    W is the transformed right-hand side in (n3, n1, n2) layout; returns the
-    block-system solution in the same layout.  Passing W as a one-element
-    list transfers ownership: the input buffer is released right after its
-    transform, which keeps the peak live set within the memory contract.
+    Returns the solution, in the buffer of F.
     """
-    try:
-        shifts = {"A": plan.shifts_A, "B": plan.shifts_B}[which]
-    except KeyError:
-        raise ValueError(f"which must be 'A' or 'B', got {which!r}") from None
-    p3 = plan.pencil_x3
-    lamB2 = plan.basis_circulant_x2.lambdas
-    lamV2 = plan.basis_numeric_x2.lambdas
-    coeffB = lamB2[None, :] - shifts[:, None]     # (n1, n2)
-    coeffA = lamV2[None, :] - shifts[:, None]
-
-    Warr = W.pop() if isinstance(W, list) else W
-    ghat = scipy.fft.fft(Warr, axis=2, workers=workers)
-    del Warr, W
-    ghat *= plan._s2[None, None, :]
-
-    fac = _inner_factors(plan, (which, "B"), coeffB)
-    z = ghat.copy()
-    _tridiag.solve_blocks(fac, p3.K, p3.M, z)
-    vb = z @ plan._RW2.T                          # (n3, n1, 2)
-    del z
-    if not plan.cache_inner:
-        del fac
-
-    g = _inner_corr(plan, shifts, vb) @ plan._RV2
-    facA = _inner_factors(plan, (which, "A"), coeffA)
-    _tridiag.solve_blocks(facA, p3.K, p3.M, g)
-    wb = g @ plan._RV2.T
-    del g, facA
-
-    vb += wb
-    ghat += _inner_corr(plan, shifts, vb) @ plan._RW2c
-    # refactor the B blocks rather than keep a second factor array alive
-    fac = _inner_factors(plan, (which, "B"), coeffB)
-    _tridiag.solve_blocks(fac, p3.K, p3.M, ghat)
-    del fac
-    ghat *= plan._s2[None, None, :]
-    out = scipy.fft.ifft(ghat, axis=2, workers=workers)
-    out *= plan.n2
-    return out
-
-
-# -- outer three-step solver ---------------------------------------------------
-
-def _to_internal(plan, f):
-    F = np.asarray(f, dtype=np.complex128).reshape(plan.grid.shape)
-    return np.ascontiguousarray(np.moveaxis(F, 2, 0))
-
-
-def _from_internal(W):
-    return np.ascontiguousarray(np.moveaxis(W, 0, 2)).reshape(-1)
-
-
-def _outer_corr(plan, vb):
-    """Outer C_bb(omega^2) on x_1 boundary data; vb has shape (n3, 2, n2)."""
-    c = plan.correction
-    p2, p3 = plan.pencil_x2, plan.pencil_x3
-    Mv = p3.M.apply(p2.M.apply(vb, axis=2), axis=0)
-    Kv = p3.M.apply(p2.K.apply(vb, axis=2), axis=0)
-    Kv += p3.K.apply(p2.M.apply(vb, axis=2), axis=0)
-    out = np.einsum("ef,zfm->zem", c.dk - c.sigma * c.dm, Mv)
-    out += np.einsum("ef,zfm->zem", c.dm, Kv)
-    return out
-
-
-def _pipeline3d(plan, W, workers=None):
-    # one-element lists transfer buffer ownership to the callee (freed after
-    # its transform); a bare array is left untouched
-    Warr = W.pop() if isinstance(W, list) else W
-    what = scipy.fft.fft(Warr, axis=1, workers=workers)
-    del Warr, W
-    what *= plan._s1[None, :, None]
-    z1 = _solve_blocks_internal(plan, "B", what, workers)
-    vb = np.einsum("el,zlm->zem", plan._RW1, z1)
-    del z1
-    g = np.einsum("el,zem->zlm", plan._RV1, _outer_corr(plan, vb))
-    holder = [g]
-    del g
-    z2 = _solve_blocks_internal(plan, "A", holder, workers)
-    wb = np.einsum("el,zlm->zem", plan._RV1, z2)
-    del z2
-    vb += wb
-    what += np.einsum("el,zem->zlm", plan._RW1c, _outer_corr(plan, vb))
-    holder = [what]
-    del what
-    z3 = _solve_blocks_internal(plan, "B", holder, workers)
-    z3 *= plan._s1[None, :, None]
-    u = scipy.fft.ifft(z3, axis=1, workers=workers)
-    u *= plan.n1
-    return u
-
-
-def _op_terms(plan):
-    """Per-direction factors of A in (x3, x1, x2) = (axis 0, 1, 2) order."""
-    p1, p2, p3 = plan.pencil_x1, plan.pencil_x2, plan.pencil_x3
-    return ((p3.M, plan._K1w, p2.M),
-            (p3.M, p1.M, p2.K),
-            (p3.K, p1.M, p2.M))
-
-
-def _apply_op_internal(plan, U):
-    """Matrix-free A applied in (n3, n1, n2) layout; two scratch buffers."""
-    y = np.zeros_like(U)
-    a = np.empty_like(U)
-    b = np.empty_like(U)
-    for F3, F1, F2 in _op_terms(plan):
-        F3.apply(U, axis=0, out=a)
-        F2.apply(a, axis=2, out=b)
-        F1.apply(b, axis=1, out=a)
-        y += a
-    return y
+    F = scipy.fft.fft(F, axis=0, overwrite_x=True, workers=workers)
+    _dct23(F, workers, scale_ends=True)
+    rho, lam = _cross_planes(plan)
+    slabs = _slabs(plan)
+    # step 1: boundary values of the auxiliary solution
+    vb = np.zeros((2, plan.n2, plan.n3), dtype=np.complex128)
+    for s in slabs:
+        Fs = F[s]
+        Fs *= plan._s1[s, None, None]
+        vb += np.tensordot(plan._RW1[:, s], Fs / _divisor(plan.shifts_B[s], rho, lam),
+                           axes=1)
+    # step 2: boundary correction through the absorbing blocks
+    c = _boundary_corr(plan, vb, rho, lam)
+    for s in slabs:
+        g = np.tensordot(plan._RV1[:, s].T, c, axes=1)
+        g /= _divisor(plan.shifts_A[s], rho, lam)
+        vb += np.tensordot(plan._RV1[:, s], g, axes=1)
+    # step 3: corrected auxiliary solve, folded with the x_1 synthesis scales
+    c = _boundary_corr(plan, vb, rho, lam)
+    scale = plan._s1 * (plan.n1 / 4.0)
+    for s in slabs:
+        Fs = F[s]
+        Fs += np.tensordot(plan._RW1c[:, s].T, c, axes=1)
+        Fs *= scale[s, None, None] / _divisor(plan.shifts_B[s], rho, lam)
+    _dct23(F, workers, scale_ends=False)
+    return scipy.fft.ifft(F, axis=0, overwrite_x=True, workers=workers)
 
 
 def solve_block_system(plan: SolverPlan3D, which: str, rhs: np.ndarray,
@@ -263,25 +225,43 @@ def solve_block_system(plan: SolverPlan3D, which: str, rhs: np.ndarray,
     """Solve the transformed block system H_A or H_B for a spectral vector.
 
     rhs is in x_1 spectral space, lexicographic order.  Block l is the
-    n_2 x n_3 separable problem with shift p_{which,l}, and all blocks are
-    solved in one batched inner 2D pass.
+    n_2 x n_3 separable problem with shift p_{which,l}; it is diagonal in the
+    DCT-I basis of x_2 and x_3.
     """
     key = which.upper().removeprefix("H_")
-    holder = [_to_internal(plan, rhs)]
-    out = _solve_blocks_internal(plan, key, holder, workers)
-    return _from_internal(out)
+    try:
+        shifts = {"A": plan.shifts_A, "B": plan.shifts_B}[key]
+    except KeyError:
+        raise ValueError(f"which must be 'A' or 'B', got {which!r}") from None
+    X = _to_internal(plan, rhs)
+    _dct23(X, workers, scale_ends=True)
+    rho, lam = _cross_planes(plan)
+    for s in _slabs(plan):
+        X[s] /= 4.0 * _divisor(shifts[s], rho, lam)
+    _dct23(X, workers, scale_ends=False)
+    return X.reshape(-1)
+
+
+# -- matrix-free residual and refinement --------------------------------------
+
+def _op_terms(plan):
+    """Per-direction factors of A in (x1, x2, x3) = (axis 0, 1, 2) order."""
+    p1, p2, p3 = plan.pencil_x1, plan.pencil_x2, plan.pencil_x3
+    return ((plan._K1w, p2.M, p3.M),
+            (p1.M, p2.K, p3.M),
+            (p1.M, p2.M, p3.K))
 
 
 def _residual_internal(plan, f, U):
-    """f (caller layout) minus A U (internal layout), term by term with two
-    scratch buffers so the live set stays at U + R + 2 arrays."""
+    """f minus A U, term by term with two scratch buffers so the live set
+    stays at U + R + 2 arrays."""
     R = _to_internal(plan, f)
     a = np.empty_like(U)
     b = np.empty_like(U)
-    for F3, F1, F2 in _op_terms(plan):
-        F3.apply(U, axis=0, out=a)
-        F2.apply(a, axis=2, out=b)
-        F1.apply(b, axis=1, out=a)
+    for F1, F2, F3 in _op_terms(plan):
+        F1.apply(U, axis=0, out=a)
+        F2.apply(a, axis=1, out=b)
+        F3.apply(b, axis=2, out=a)
         R -= a
     return R
 
@@ -293,7 +273,7 @@ def solve3d(plan: SolverPlan3D, f: np.ndarray, refine: int = 1,
     Never holds more than about five field-sized scratch arrays at once; the
     internal copy of f is rebuilt from the caller's buffer when needed.
     """
-    U = _pipeline3d(plan, [_to_internal(plan, f)], workers)
+    U = _pipeline3d(plan, _to_internal(plan, f), workers)
     if refine > 0:
         fnorm = np.linalg.norm(f)
         R = _residual_internal(plan, f, U)
@@ -301,9 +281,8 @@ def solve3d(plan: SolverPlan3D, f: np.ndarray, refine: int = 1,
         for _ in range(refine):
             if best <= REFINE_STOP_RTOL * fnorm:
                 break
-            holder = [R]
+            delta = _pipeline3d(plan, R, workers)
             del R
-            delta = _pipeline3d(plan, holder, workers)
             delta += U
             R = _residual_internal(plan, f, delta)
             nrm = np.linalg.norm(R)
@@ -311,4 +290,4 @@ def solve3d(plan: SolverPlan3D, f: np.ndarray, refine: int = 1,
                 break
             U, best = delta, nrm
             del delta
-    return _from_internal(U)
+    return U.reshape(-1)

@@ -1,5 +1,5 @@
-"""Eigen-infrastructure: circulant closed forms, the complex-symmetric pencil
-eigensolver, normalization, and the batched line transforms.
+"""Eigen-infrastructure: circulant and DCT-I closed forms, the complex-symmetric
+pencil eigensolver, normalization, and the batched line transforms.
 
 Conventions (validated end-to-end against the dense oracle):
 
@@ -118,6 +118,31 @@ def circulant_eigenbasis(pencil: Pencil1D) -> EigenBasis:
     lam, mu = _circulant_pair(pencil)
     scales = 1.0 / np.sqrt(pencil.n * mu)
     return EigenBasis(n=pencil.n, kind="circulant", lambdas=lam, scales=scales)
+
+
+def dct1_eigen(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigendata (lambda, D) of a uniform Neumann pencil.
+
+    DCT-I diagonalizes it exactly (G. Strang, "The discrete cosine
+    transform", SIAM Review 41 (1999) 135-147): with theta_k = k pi/(n-1) and
+    V_jk = cos(j theta_k), K V = M V diag(lambda) and V^T M V = diag(D), where
+
+        lambda_k = 6 (1 - cos theta_k) / (h^2 (2 + cos theta_k)),
+        D_k = h (n-1) (2 + cos theta_k) / 3, halved for 0 < k < n-1.
+
+    V^T x is ``scipy.fft.dct(x, type=1)`` of x with its interior entries
+    halved, and V is symmetric.
+    """
+    if pencil.bc != BoundaryKind.NEUMANN:
+        raise ValueError("the DCT-I closed form needs a Neumann pencil")
+    n, h = pencil.n, pencil.h
+    theta = np.pi * np.arange(n) / (n - 1)
+    c = np.cos(theta)
+    # 1 - cos theta as 2 sin^2(theta / 2): no cancellation for small theta
+    lam = 12.0 * np.sin(theta / 2.0) ** 2 / (h * h * (2.0 + c))
+    D = h * (n - 1) * (2.0 + c) / 3.0
+    D[1:-1] /= 2.0
+    return lam, D
 
 
 _EIGEN_CACHE: dict = {}

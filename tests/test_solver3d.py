@@ -1,22 +1,62 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+import scipy.fft
 
-from helmfft import (Grid, assemble_periodic_pencil,
-                     build_operator_A, circulant_eigenvalues,
+from helmfft import (Grid, SingularBlock, assemble_pencil,
+                     assemble_periodic_pencil, build_operator_A,
+                     circulant_eigenvalues, dct1_eigen,
                      dense_eigensolve_pencil, dense_problem, dense_solve,
                      kron_apply, plan3d, solve3d, solve_block_system)
+from helmfft.cli import main as cli_main
 from conftest import rand_field, relerr
 
 
 def test_plan_circulant_eigenvalues_match_dense():
     g = Grid((3, 4, 5))
     plan = plan3d(g, 2 * np.pi)
-    for pencil, basis in ((plan.pencil_x1_periodic, plan.basis_circulant_x1),
-                          (plan.pencil_x2_periodic, plan.basis_circulant_x2)):
+    pairs = ((plan.pencil_x1_periodic, plan.basis_circulant_x1.lambdas),
+             (plan.pencil_x2, plan.lambdas_x2),
+             (plan.pencil_x3, plan.lambdas_x3))
+    for pencil, lam in pairs:
         ref, _ = dense_eigensolve_pencil(pencil.K.dense(), pencil.M.dense())
-        got = np.sort_complex(basis.lambdas)
+        got = np.sort_complex(lam)
         assert np.allclose(np.sort_complex(ref), got,
                            atol=1e-10 * max(1.0, np.abs(got).max()))
+
+
+@pytest.mark.parametrize("n", range(3, 66))
+def test_dct1_closed_form_matches_dense(n):
+    p = assemble_pencil(n, 1.0 / (n - 1))
+    lam, D = dct1_eigen(p)
+    ref, _ = dense_eigensolve_pencil(p.K.dense(), p.M.dense())
+    scale = max(1.0, lam.max())
+    assert np.abs(np.sort(ref.real) - np.sort(lam)).max() <= 1e-10 * scale
+    assert np.abs(ref.imag).max() <= 1e-10 * scale
+    V = np.cos(np.outer(np.arange(n), np.pi * np.arange(n) / (n - 1)))
+    M, K = p.M.dense().real, p.K.dense().real
+    assert np.abs(V.T @ M @ V - np.diag(D)).max() <= 1e-12 * D.max()
+    assert np.abs(V.T @ K @ V - np.diag(D * lam)).max() <= 1e-10 * scale
+    # V^T x is the DCT-I of x with its interior entries halved
+    x = np.random.default_rng(n).standard_normal(n)
+    xh = x.copy()
+    xh[1:-1] /= 2
+    assert np.allclose(scipy.fft.dct(xh, type=1), V.T @ x, rtol=0, atol=1e-12 * n)
+
+
+def test_dct1_eigenvalues_accurate_at_small_angles():
+    # The low modes sit next to the wave number, where the shifted divisors
+    # are smallest; lambda_k must not lose digits to 1 - cos(theta_k).
+    n = 4097
+    h = 1.0 / (n - 1)
+    lam, _ = dct1_eigen(assemble_pencil(n, h))
+    theta = np.pi * np.arange(1, 9) / (n - 1)
+    one_minus_cos = theta**2 / 2 - theta**4 / 24 + theta**6 / 720
+    ref = 6.0 * one_minus_cos / (h * h * (2.0 + np.cos(theta)))
+    assert np.abs(lam[1:9] / ref - 1.0).max() <= 1e-14
 
 
 def test_plan_memory_is_subvolumetric():
@@ -105,12 +145,58 @@ def test_solve3d_paper_rhs_residual():
     assert relerr(u, dense_solve(dense_problem(g, omega), "A", f).u) <= 1e-9
 
 
-def test_solve3d_cache_inner_equivalent():
+def test_solve3d_shared_plan_across_threads():
     g = Grid((5, 4, 3))
-    f = rand_field(g, 17)
-    u1 = solve3d(plan3d(g, 2 * np.pi), f)
-    u2 = solve3d(plan3d(g, 2 * np.pi, cache_inner=True), f)
-    assert np.linalg.norm(u1 - u2) <= 1e-12 * np.linalg.norm(u1)
+    plan = plan3d(g, 2 * np.pi)
+    arrays = {name: val.copy() for name, val in vars(plan).items()
+              if isinstance(val, np.ndarray)}
+    fs = [rand_field(g, 17 + k) for k in range(4)]
+    serial = [solve3d(plan, f) for f in fs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve3d, plan, f) for f in fs * 4]
+            shared = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for u, ref in zip(shared, serial * 4):
+        assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
+    for name, val in arrays.items():
+        assert np.array_equal(getattr(plan, name), val), name
+    with pytest.raises(FrozenInstanceError):
+        plan.omega = 1.0
+
+
+@pytest.mark.parametrize("shape", [(9, 5, 7), (5, 9, 3), (3, 3, 3)])
+@pytest.mark.parametrize("omega", [1.0, 2 * np.pi])
+def test_solve3d_bare_pipeline_is_direct(shape, omega):
+    # without refinement the closed-form cross solves leave only roundoff
+    g = Grid(shape)
+    f = rand_field(g, 23)
+    u = solve3d(plan3d(g, omega), f, refine=0)
+    assert relerr(u, dense_solve(dense_problem(g, omega), "A", f).u) <= 1e-9
+
+
+def _resonant_omega(shape):
+    # periodic x_1 mode 0 (eigenvalue 0) plus cross mode (1, 0)
+    lam2, _ = dct1_eigen(assemble_pencil(shape[1], 1.0 / (shape[1] - 1)))
+    return float(np.sqrt(lam2[1]))
+
+
+def test_plan3d_raises_at_resonance():
+    shape = (4, 5, 6)
+    with pytest.raises(SingularBlock) as info:
+        plan3d(Grid(shape), _resonant_omega(shape))
+    assert info.value.block == 0
+    plan3d(Grid(shape), 1.01 * _resonant_omega(shape))
+
+
+def test_cli_3d_resonance_exit_code():
+    shape = (4, 5, 6)
+    rc = cli_main(["solve", "--d", "3", "--n1", "4", "--n2", "5", "--n3", "6",
+                   "--omega", repr(_resonant_omega(shape)), "--repeats", "1"])
+    assert rc == 3
 
 
 def test_solve3d_shift_sets():
