@@ -27,12 +27,9 @@ from .solver2d import (PartialSolution, SolverPlan2D, plan2d,
                        solve2d, solve_aux_partial, solve_correction,
                        solve_final)
 from .solver3d import SolverPlan3D, plan3d, solve3d, solve_block_system
-from .spectral import (EigenBasis, EigensolverFailure, LineTransformPlan,
-                       NormalizationFailure, boundary_restricted_product,
+from .spectral import (EigenBasis, EigensolverFailure, NormalizationFailure,
                        circulant_eigenbasis, circulant_eigenvalues,
-                       circulant_mass_eigenvalues, clear_eigen_cache,
-                       dct1_eigen, dft_entry, forward_line_transform,
-                       inverse_line_transform, solve_pencil_eigen)
+                       clear_eigen_cache, dct1_eigen, solve_pencil_eigen)
 
 __version__ = "0.1.0"
 
@@ -42,12 +39,10 @@ __all__ = [
     "Pencil1D", "PencilDifference", "CorrectionMatrix",
     "assemble_pencil", "assemble_periodic_pencil", "pencil_difference",
     "build_operator_A", "build_operator_B", "build_correction",
-    "EigenBasis", "LineTransformPlan", "EigensolverFailure",
+    "EigenBasis", "EigensolverFailure",
     "NormalizationFailure", "circulant_eigenvalues",
-    "circulant_mass_eigenvalues", "circulant_eigenbasis", "dct1_eigen",
-    "dft_entry",
-    "solve_pencil_eigen", "clear_eigen_cache", "forward_line_transform",
-    "inverse_line_transform", "boundary_restricted_product",
+    "circulant_eigenbasis", "dct1_eigen",
+    "solve_pencil_eigen", "clear_eigen_cache",
     "SolverPlan2D", "PartialSolution", "SingularBlock", "plan2d", "solve2d",
     "solve_aux_partial", "solve_correction", "solve_final",
     "SolverPlan3D", "plan3d", "solve3d", "solve_block_system",

@@ -117,11 +117,11 @@ def direction_pencils(grid: Grid, omega: float,
     return out
 
 
-def _separable_terms(p1: Pencil1D, cross: list[Pencil1D], omega: float):
-    """Terms of (K_1 - omega^2 M_1) ox M_rest + M_1 ox (sum K_j ox M_rest)."""
+def _separable_terms(p1: Pencil1D, cross: list[Pencil1D], sigma: complex):
+    """Terms of (K_1 - sigma M_1) ox M_rest + M_1 ox (sum K_j ox M_rest)."""
     d = 1 + len(cross)
-    K1w = _shifted(p1.K, p1.M, -omega ** 2)
-    terms = [(1.0 + 0j, tuple([K1w] + [p.M for p in cross]))]
+    K1s = _shifted(p1.K, p1.M, -sigma)
+    terms = [(1.0 + 0j, tuple([K1s] + [p.M for p in cross]))]
     for j, pj in enumerate(cross):
         factors = [p1.M]
         for i, p in enumerate(cross):
@@ -135,14 +135,14 @@ def build_operator_A(grid: Grid, omega: float,
                      bc_x1: BoundaryKind = BoundaryKind.ABSORBING) -> KroneckerOperator:
     """The discrete Helmholtz operator with bc_x1 on the x_1 ends."""
     pencils = direction_pencils(grid, omega, bc_x1)
-    return KroneckerOperator(grid, _separable_terms(pencils[0], pencils[1:], omega))
+    return KroneckerOperator(grid, _separable_terms(pencils[0], pencils[1:], omega ** 2))
 
 
 def build_operator_B(grid: Grid, omega: float) -> KroneckerOperator:
     """Auxiliary operator: x_1 pencil replaced by its periodic counterpart."""
     p1 = assemble_periodic_pencil(grid.n[0], grid.h[0])
     cross = [assemble_pencil(grid.n[j], grid.h[j]) for j in range(1, grid.dims)]
-    return KroneckerOperator(grid, _separable_terms(p1, cross, omega))
+    return KroneckerOperator(grid, _separable_terms(p1, cross, omega ** 2))
 
 
 class CorrectionMatrix:

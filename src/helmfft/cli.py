@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .assembly import build_operator_A
-from .core import BoundaryKind, Grid, SingularBlock, kron_apply, tune_allocator
+from .core import BoundaryKind, Grid, SingularBlock, residual, tune_allocator
 from .oracle import SizeLimit, dense_problem, dense_solve
 from .solver2d import plan2d, solve2d
 from .solver3d import plan3d, solve3d
@@ -30,8 +29,6 @@ from .solver3d import plan3d, solve3d
 RHS_MAGIC = b"HHFFTRHS"
 VERIFY_TOL = 1e-9
 CSV_HEADER = "mode,d,n1,n2,n3,omega,init_seconds,solve_seconds,residual,oracle_error"
-# Scratch contract of the fast solvers, used for the reported memory estimate.
-SCRATCH_COMPLEX_PER_POINT = 6
 
 
 class ConfigError(ValueError):
@@ -81,7 +78,6 @@ class RunRecord:
     solve_seconds: float
     residual: float
     oracle_error: float | None = None
-    peak_extra_memory_estimate: int | None = None
 
 
 # -- right-hand sides ----------------------------------------------------------
@@ -155,8 +151,7 @@ def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
         u = solve(plan, f, refine=config.refine, workers=workers)
         best = min(best, time.perf_counter() - t0)
 
-    op = build_operator_A(grid, config.omega, bc)
-    residual = float(np.linalg.norm(kron_apply(op, u) - f) / np.linalg.norm(f))
+    res = float(np.linalg.norm(residual(plan.operator, f, u)) / np.linalg.norm(f))
 
     oracle_error = None
     if config.mode == "verify":
@@ -167,8 +162,7 @@ def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
         mode=config.mode, d=config.d,
         n1=grid.n[0], n2=grid.n[1], n3=grid.n[2] if config.d == 3 else None,
         omega=config.omega, init_seconds=init_seconds, solve_seconds=best,
-        residual=residual, oracle_error=oracle_error,
-        peak_extra_memory_estimate=16 * SCRATCH_COMPLEX_PER_POINT * grid.npoints,
+        residual=res, oracle_error=oracle_error,
     )
 
 

@@ -114,56 +114,34 @@ class TriCornerMatrix:
         self.diag.flags.writeable = False
         self.off.flags.writeable = False
 
-    # Aliases for the symmetric pairs; kept so callers can speak in terms of
-    # the full matrix layout.
-    @property
-    def sub(self):
-        return self.off
-
-    @property
-    def super(self):
-        return self.off
-
-    @property
-    def corner_lo_hi(self) -> complex:
-        return self.corner
-
-    @property
-    def corner_hi_lo(self) -> complex:
-        return self.corner
-
     @property
     def max_abs(self) -> float:
         m = max(np.abs(self.diag).max(), np.abs(self.off).max())
         return float(max(m, abs(self.corner)))
 
-    _CHUNK = 1 << 21  # complex scalars of off-diagonal scratch in the out= path
+    _CHUNK = 1 << 21  # complex scalars of off-diagonal scratch per chunk
 
     def apply(self, x: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
-        """Apply the matrix along ``axis`` of ``x``.
+        """Apply the matrix along ``axis`` of ``x``, into ``out`` when given.
 
-        With ``out`` given (must not alias ``x``), scratch stays bounded so
-        repeated applications do not inflate the peak memory of a solve.
+        ``out`` must not alias ``x``.  Scratch stays bounded, so repeated
+        applications do not inflate the peak memory of a solve.
         """
         x = np.asarray(x)
         if x.shape[axis] != self.n:
             raise ValueError(f"axis {axis} has length {x.shape[axis]}, matrix is {self.n}")
-        xm = np.moveaxis(x, axis, 0)
+        if out is None:
+            out = np.empty_like(x, dtype=np.complex128)
+        xm, ym = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
         shp = (self.n,) + (1,) * (xm.ndim - 1)
         o = self.off.reshape((self.n - 1,) + shp[1:])
-        if out is None:
-            ym = self.diag.reshape(shp) * xm
-            ym[1:] += o * xm[:-1]
-            ym[:-1] += o * xm[1:]
-        else:
-            ym = np.moveaxis(out, axis, 0)
-            np.multiply(self.diag.reshape(shp), xm, out=ym)
-            rest = max(1, xm[0].size)
-            step = max(1, self._CHUNK // rest)
-            for s in range(0, self.n - 1, step):
-                e = min(self.n - 1, s + step)
-                ym[1 + s:1 + e] += o[s:e] * xm[s:e]
-                ym[s:e] += o[s:e] * xm[1 + s:1 + e]
+        np.multiply(self.diag.reshape(shp), xm, out=ym)
+        rest = max(1, xm[0].size)
+        step = max(1, self._CHUNK // rest)
+        for s in range(0, self.n - 1, step):
+            e = min(self.n - 1, s + step)
+            ym[1 + s:1 + e] += o[s:e] * xm[s:e]
+            ym[s:e] += o[s:e] * xm[1 + s:1 + e]
         if self.corner != 0.0:
             ym[0] += self.corner * xm[-1]
             ym[-1] += self.corner * xm[0]
@@ -202,9 +180,6 @@ class KroneckerOperator:
                 if F.n != n:
                     raise ValueError(f"factor size {F.n} does not match grid {self.grid.n}")
 
-    def apply(self, x: np.ndarray, out=None) -> np.ndarray:
-        return kron_apply(self, x, out=out)
-
     def dense(self) -> np.ndarray:
         """Explicit N x N matrix; intended for small verification problems."""
         N = self.grid.npoints
@@ -220,32 +195,99 @@ class KroneckerOperator:
 def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
     """Evaluate ``sum_t c_t (F_1 ox ... ox F_d) x`` without dense matrices.
 
-    ``x`` is a field vector of length N (or the reshaped d-dim array); the
-    result has the same shape as ``x``.  Cost is O(N d) per term.
+    ``x`` is a field vector of length N or the d-dim array, in any memory
+    layout (a transposed view included).  The result has the shape of ``x``
+    and goes to ``out`` when given, which must not alias ``x``.  Cost is
+    O(N d) per term; scratch is two arrays laid out like ``x`` plus the
+    bounded chunks of ``TriCornerMatrix.apply``.
     """
     x = np.asarray(x, dtype=np.complex128)
-    flat = x.ndim == 1
     shape = op.grid.shape
-    N = op.grid.npoints
-    if flat:
-        if x.shape[0] != N:
-            raise ValueError(f"field vector has length {x.shape[0]}, grid needs {N}")
-        X = x.reshape(shape)
-    else:
-        if x.shape != shape:
-            raise ValueError(f"field array has shape {x.shape}, grid is {shape}")
-        X = x
+    if x.shape not in ((op.grid.npoints,), shape):
+        raise ValueError(f"field has shape {x.shape}, grid is {shape}")
     if out is None:
-        acc = np.zeros(shape, dtype=np.complex128)
-    else:
-        acc = out.reshape(shape)
-        acc[...] = 0.0
-    for coeff, factors in op.terms:
-        term = X
+        out = np.empty_like(x)
+    elif out.shape != x.shape:
+        raise ValueError(f"out has shape {out.shape}, field has {x.shape}")
+    # a 1-D array, or one already in the grid's shape, reshapes without a copy
+    X, Y = x.reshape(shape), out.reshape(shape)
+    if not op.terms:
+        Y[...] = 0.0
+    a, b = np.empty_like(X), np.empty_like(X)
+    for t, (coeff, factors) in enumerate(op.terms):
+        src = X
         for axis, F in enumerate(factors):
-            term = F.apply(term, axis=axis)
-        acc += coeff * term
-    return acc.reshape(-1) if flat else acc
+            # the first term's last factor writes the result in place
+            if t == 0 and axis == len(factors) - 1:
+                dst = Y
+            else:
+                dst = b if src is a else a
+            F.apply(src, axis=axis, out=dst)
+            src = dst
+        if coeff != 1.0:
+            src *= coeff
+        if t > 0:
+            Y += src
+    return out
+
+
+# Relative residual at which defect correction stops; roundoff floor of a pass.
+REFINE_STOP_RTOL = 1e-13
+
+
+def residual(op: KroneckerOperator, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``f - op u`` in a new array laid out like ``u``."""
+    r = kron_apply(op, u, out=np.empty_like(u))
+    np.subtract(f, r, out=r)
+    return r
+
+
+def defect_correction(op: KroneckerOperator, f, u, solve, passes: int):
+    """Safeguarded defect correction of ``u`` towards ``op u = f``.
+
+    ``solve(r)`` returns an approximate solution of ``op d = r`` and may
+    overwrite ``r``.  Each pass costs one solve and one residual; a pass that
+    does not reduce the residual norm is dropped and ends the loop, so the
+    best iterate is returned.  Besides ``f`` and ``u``, at most the trial
+    iterate, its residual and the residual's two scratch arrays are live.
+    """
+    if passes <= 0:
+        return u
+    fnorm = np.linalg.norm(f)
+    r = residual(op, f, u)
+    best = np.linalg.norm(r)
+    for _ in range(passes):
+        if best <= REFINE_STOP_RTOL * fnorm:
+            break
+        trial = solve(r)
+        del r
+        trial += u
+        r = residual(op, f, trial)
+        nrm = np.linalg.norm(r)
+        if not nrm < best:
+            break
+        u, best = trial, nrm
+        del trial
+    return u
+
+
+def checked_field(x, size: int, name: str = "f") -> np.ndarray:
+    """``x`` as an array, after checking that it has ``size`` entries, all finite."""
+    x = np.asarray(x)
+    if x.size != size:
+        raise ValueError(f"{name} has {x.size} entries, expected {size}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return x
+
+
+def freeze_arrays(values) -> None:
+    """Make the arrays among ``values``, and inside tuples among them, read-only."""
+    for val in values:
+        if isinstance(val, np.ndarray):
+            val.flags.writeable = False
+        elif isinstance(val, tuple):
+            freeze_arrays(val)
 
 
 def tune_allocator(threshold: int = 1 << 30) -> bool:

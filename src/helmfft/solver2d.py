@@ -25,14 +25,12 @@ import numpy as np
 import scipy.fft
 
 from . import _tridiag
-from ._tridiag import SingularBlock
 from .assembly import (CorrectionMatrix, Pencil1D, assemble_pencil,
                        assemble_periodic_pencil, build_correction,
-                       pencil_difference, _shifted)
-from .core import BoundaryKind, Grid
+                       pencil_difference, _separable_terms)
+from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
+                   defect_correction, freeze_arrays)
 from .spectral import EigenBasis, circulant_eigenbasis, solve_pencil_eigen
-
-REFINE_STOP_RTOL = 1e-13
 
 
 @dataclass
@@ -40,10 +38,9 @@ class PartialSolution:
     """Boundary-plane values on x_1 in {1, n_1}; flat layout (2 * block,)."""
 
     v_b: np.ndarray
-    w_b: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverPlan2D:
     """Immutable precomputed state for the 2D solver; build with plan2d."""
 
@@ -57,13 +54,16 @@ class SolverPlan2D:
     basis_numeric: EigenBasis
     basis_circulant: EigenBasis
     correction: CorrectionMatrix
+    operator: KroneckerOperator         # (K_1 - sigma M_1) ox M_2 + M_1 ox K_2
     _factors_B: tuple = field(repr=False, default=None)
     _factors_A: tuple = field(repr=False, default=None)
     _RW: np.ndarray = field(repr=False, default=None)
     _RWc: np.ndarray = field(repr=False, default=None)
     _RV: np.ndarray = field(repr=False, default=None)
     _scales: np.ndarray = field(repr=False, default=None)
-    _K1s: object = field(repr=False, default=None)   # K_1 - sigma M_1
+
+    def __post_init__(self):
+        freeze_arrays(vars(self).values())
 
     @property
     def n1(self) -> int:
@@ -74,8 +74,8 @@ class SolverPlan2D:
         return self.grid.n[1]
 
 
-def plan2d(grid: Grid, omega_or_shift, bc_x1: BoundaryKind = BoundaryKind.ABSORBING,
-           pivot_tol: float = _tridiag.PIVOT_RTOL) -> SolverPlan2D:
+def plan2d(grid: Grid, omega_or_shift,
+           bc_x1: BoundaryKind = BoundaryKind.ABSORBING) -> SolverPlan2D:
     """Precompute eigenbases, the boundary correction and all block LU factors.
 
     With absorbing x_1 ends the second argument is the (real) wave number and
@@ -102,20 +102,19 @@ def plan2d(grid: Grid, omega_or_shift, bc_x1: BoundaryKind = BoundaryKind.ABSORB
     basis_w = circulant_eigenbasis(p1B)
     corr = build_correction(pencil_difference(p1, p1B), [p2], sigma)
 
-    fB = _tridiag.factor_blocks(basis_w.lambdas - sigma, p2.K, p2.M, tol=pivot_tol)
-    fA = _tridiag.factor_blocks(basis_v.lambdas - sigma, p2.K, p2.M, tol=pivot_tol)
+    fB = _tridiag.factor_blocks(basis_w.lambdas - sigma, p2.K, p2.M)
+    fA = _tridiag.factor_blocks(basis_v.lambdas - sigma, p2.K, p2.M)
 
     RW = basis_w.boundary_rows()
-    plan = SolverPlan2D(
+    return SolverPlan2D(
         grid=grid, omega=omega, sigma=sigma, bc_x1=bc_x1,
         pencil_x1=p1, pencil_x1_periodic=p1B, pencil_x2=p2,
         basis_numeric=basis_v, basis_circulant=basis_w, correction=corr,
+        operator=KroneckerOperator(grid, _separable_terms(p1, [p2], sigma)),
         _factors_B=fB, _factors_A=fA,
         _RW=RW, _RWc=np.conj(RW), _RV=basis_v.boundary_rows(),
         _scales=basis_w.scales,
-        _K1s=_shifted(p1.K, p1.M, -sigma),
     )
-    return plan
 
 
 # -- internal machinery ------------------------------------------------------
@@ -133,13 +132,10 @@ def _from_internal(Fi):
     return np.ascontiguousarray(Fi.T).reshape(-1)
 
 
-def _corr_internal(plan, vb):
-    """C_bb on boundary data in internal layout (n2, 2)."""
-    c = plan.correction
-    p2 = plan.pencil_x2
-    Mv = p2.M.apply(vb, axis=0)
-    Kv = p2.K.apply(vb, axis=0)
-    return Mv @ (c.dk - c.sigma * c.dm) + Kv @ c.dm
+def _boundary(plan, v, name):
+    """Checked boundary data (2 * n2,) or a PartialSolution, as an (n2, 2) view."""
+    v = v.v_b if isinstance(v, PartialSolution) else v
+    return checked_field(v, 2 * plan.n2, name).reshape(2, plan.n2).T
 
 
 def _step1_internal(plan, Fi, workers=None):
@@ -152,7 +148,7 @@ def _step1_internal(plan, Fi, workers=None):
 
 
 def _step2_internal(plan, vb):
-    g = _corr_internal(plan, vb) @ plan._RV
+    g = plan.correction.apply(vb.T).T @ plan._RV
     p2 = plan.pencil_x2
     _tridiag.solve_blocks(plan._factors_A, p2.K, p2.M, g)
     return g @ plan._RV.T
@@ -160,7 +156,7 @@ def _step2_internal(plan, vb):
 
 def _step3_internal(plan, fhat, vb, wb, workers=None):
     """Consumes fhat."""
-    fhat += _corr_internal(plan, vb + wb) @ plan._RWc
+    fhat += plan.correction.apply((vb + wb).T).T @ plan._RWc
     p2 = plan.pencil_x2
     _tridiag.solve_blocks(plan._factors_B, p2.K, p2.M, fhat)
     fhat *= plan._scales[None, :]
@@ -175,33 +171,6 @@ def _pipeline(plan, Fi, workers=None):
     return _step3_internal(plan, fhat, vb, wb, workers)
 
 
-def _apply_op_internal(plan, Ui):
-    """(K_1 - sigma M_1) ox M_2 + M_1 ox K_2 in internal layout."""
-    p1, p2 = plan.pencil_x1, plan.pencil_x2
-    y = plan._K1s.apply(p2.M.apply(Ui, axis=0), axis=1)
-    y += p1.M.apply(p2.K.apply(Ui, axis=0), axis=1)
-    return y
-
-
-def _refine_internal(plan, Fi, Ui, refine, workers):
-    """Safeguarded defect correction; keeps the best iterate."""
-    if refine <= 0:
-        return Ui
-    fnorm = np.linalg.norm(Fi)
-    R = Fi - _apply_op_internal(plan, Ui)
-    best = np.linalg.norm(R)
-    for _ in range(refine):
-        if best <= REFINE_STOP_RTOL * fnorm:
-            break
-        U2 = Ui + _pipeline(plan, R, workers)
-        R2 = Fi - _apply_op_internal(plan, U2)
-        n2 = np.linalg.norm(R2)
-        if not n2 < best:
-            break
-        Ui, R, best = U2, R2, n2
-    return Ui
-
-
 # -- public operations -------------------------------------------------------
 
 def solve_aux_partial(plan: SolverPlan2D, f: np.ndarray,
@@ -211,27 +180,23 @@ def solve_aux_partial(plan: SolverPlan2D, f: np.ndarray,
     Returns (PartialSolution, f_hat) where f_hat is the scaled forward line
     transform of f in lexicographic order, reused verbatim by solve_final.
     """
-    Fi = _to_internal(plan, f)
+    Fi = _to_internal(plan, checked_field(f, plan.grid.npoints))
     fhat, vb = _step1_internal(plan, Fi, workers)
     return PartialSolution(v_b=np.ascontiguousarray(vb.T).reshape(-1)), _from_internal(fhat)
 
 
 def solve_correction(plan: SolverPlan2D, v_b, workers: int | None = None) -> np.ndarray:
     """Step 2: boundary values of the original-operator correction."""
-    vb = v_b.v_b if isinstance(v_b, PartialSolution) else np.asarray(v_b)
-    vb_i = np.ascontiguousarray(vb.reshape(2, plan.n2).T)
-    wb_i = _step2_internal(plan, vb_i)
+    wb_i = _step2_internal(plan, _boundary(plan, v_b, "v_b"))
     return np.ascontiguousarray(wb_i.T).reshape(-1)
 
 
 def solve_final(plan: SolverPlan2D, f_hat: np.ndarray, v_b, w_b,
                 workers: int | None = None) -> np.ndarray:
     """Step 3: corrected auxiliary solve and inverse transform."""
-    vb = v_b.v_b if isinstance(v_b, PartialSolution) else np.asarray(v_b)
-    fhat_i = _to_internal(plan, f_hat)
-    vb_i = np.ascontiguousarray(vb.reshape(2, plan.n2).T)
-    wb_i = np.ascontiguousarray(np.asarray(w_b).reshape(2, plan.n2).T)
-    Ui = _step3_internal(plan, fhat_i, vb_i, wb_i, workers)
+    fhat_i = _to_internal(plan, checked_field(f_hat, plan.grid.npoints, "f_hat"))
+    Ui = _step3_internal(plan, fhat_i, _boundary(plan, v_b, "v_b"),
+                         _boundary(plan, w_b, "w_b"), workers)
     return _from_internal(Ui)
 
 
@@ -240,9 +205,10 @@ def solve2d(plan: SolverPlan2D, f: np.ndarray, refine: int = 1,
     """Solve the 2D system for one right-hand side.
 
     refine is the number of safeguarded defect-correction passes (each one
-    extra three-step solve plus a matrix-free residual).
+    extra three-step solve plus a matrix-free residual).  The passes run on
+    (n1, n2) views of the internal arrays.
     """
-    Fi = _to_internal(plan, f)
-    Ui = _pipeline(plan, Fi, workers)
-    Ui = _refine_internal(plan, Fi, Ui, refine, workers)
-    return _from_internal(Ui)
+    Fi = _to_internal(plan, checked_field(f, plan.grid.npoints))
+    U = defect_correction(plan.operator, Fi.T, _pipeline(plan, Fi, workers).T,
+                          lambda r: _pipeline(plan, r.T, workers).T, refine)
+    return np.ascontiguousarray(U).reshape(-1)

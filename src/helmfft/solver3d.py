@@ -27,9 +27,11 @@ import numpy as np
 import scipy.fft
 
 from .assembly import (Pencil1D, PencilDifference, assemble_pencil,
-                       assemble_periodic_pencil, pencil_difference, _shifted)
-from .core import PIVOT_RTOL, BoundaryKind, Grid, SingularBlock
-from .solver2d import REFINE_STOP_RTOL
+                       assemble_periodic_pencil, pencil_difference,
+                       _separable_terms)
+from .core import (PIVOT_RTOL, BoundaryKind, Grid, KroneckerOperator,
+                   SingularBlock, checked_field, defect_correction,
+                   freeze_arrays)
 from .spectral import (EigenBasis, circulant_eigenbasis, dct1_eigen,
                        solve_pencil_eigen)
 
@@ -54,18 +56,16 @@ class SolverPlan3D:
     diff_x1: PencilDifference           # corner blocks of periodic - absorbing x1
     shifts_A: np.ndarray                # p_A,l = omega^2 - Lambda^A_{1,l}
     shifts_B: np.ndarray                # p_B,l = omega^2 - Lambda^B_{1,l}
+    operator: KroneckerOperator
     _w2: np.ndarray = field(repr=False, default=None)
     _w3: np.ndarray = field(repr=False, default=None)
     _RW1: np.ndarray = field(repr=False, default=None)
     _RW1c: np.ndarray = field(repr=False, default=None)
     _RV1: np.ndarray = field(repr=False, default=None)
     _s1: np.ndarray = field(repr=False, default=None)
-    _K1w: object = field(repr=False, default=None)    # K_1 - omega^2 M_1
 
     def __post_init__(self):
-        for val in vars(self).values():
-            if isinstance(val, np.ndarray):
-                val.flags.writeable = False
+        freeze_arrays(vars(self).values())
 
     @property
     def n1(self):
@@ -136,10 +136,10 @@ def plan3d(grid: Grid, omega: float) -> SolverPlan3D:
         lambdas_x2=lam2, lambdas_x3=lam3,
         diff_x1=pencil_difference(p1, p1B),
         shifts_A=shifts_A, shifts_B=shifts_B,
+        operator=KroneckerOperator(grid, _separable_terms(p1, [p2, p3], sigma)),
         _w2=_mass_weights(D2), _w3=_mass_weights(D3),
         _RW1=RW1, _RW1c=np.conj(RW1), _RV1=v1.boundary_rows(),
         _s1=w1.scales,
-        _K1w=_shifted(p1.K, p1.M, -sigma),
     )
 
 
@@ -233,7 +233,7 @@ def solve_block_system(plan: SolverPlan3D, which: str, rhs: np.ndarray,
         shifts = {"A": plan.shifts_A, "B": plan.shifts_B}[key]
     except KeyError:
         raise ValueError(f"which must be 'A' or 'B', got {which!r}") from None
-    X = _to_internal(plan, rhs)
+    X = _to_internal(plan, checked_field(rhs, plan.grid.npoints, "rhs"))
     _dct23(X, workers, scale_ends=True)
     rho, lam = _cross_planes(plan)
     for s in _slabs(plan):
@@ -242,52 +242,15 @@ def solve_block_system(plan: SolverPlan3D, which: str, rhs: np.ndarray,
     return X.reshape(-1)
 
 
-# -- matrix-free residual and refinement --------------------------------------
-
-def _op_terms(plan):
-    """Per-direction factors of A in (x1, x2, x3) = (axis 0, 1, 2) order."""
-    p1, p2, p3 = plan.pencil_x1, plan.pencil_x2, plan.pencil_x3
-    return ((plan._K1w, p2.M, p3.M),
-            (p1.M, p2.K, p3.M),
-            (p1.M, p2.M, p3.K))
-
-
-def _residual_internal(plan, f, U):
-    """f minus A U, term by term with two scratch buffers so the live set
-    stays at U + R + 2 arrays."""
-    R = _to_internal(plan, f)
-    a = np.empty_like(U)
-    b = np.empty_like(U)
-    for F1, F2, F3 in _op_terms(plan):
-        F1.apply(U, axis=0, out=a)
-        F2.apply(a, axis=1, out=b)
-        F3.apply(b, axis=2, out=a)
-        R -= a
-    return R
-
-
 def solve3d(plan: SolverPlan3D, f: np.ndarray, refine: int = 1,
             workers: int | None = None) -> np.ndarray:
     """Solve the 3D system; refine counts safeguarded defect-correction passes.
 
-    Never holds more than about five field-sized scratch arrays at once; the
-    internal copy of f is rebuilt from the caller's buffer when needed.
+    Never holds more than about five field-sized scratch arrays at once: the
+    residuals read the caller's f, so no internal copy of it is kept.
     """
+    f = checked_field(f, plan.grid.npoints)
     U = _pipeline3d(plan, _to_internal(plan, f), workers)
-    if refine > 0:
-        fnorm = np.linalg.norm(f)
-        R = _residual_internal(plan, f, U)
-        best = np.linalg.norm(R)
-        for _ in range(refine):
-            if best <= REFINE_STOP_RTOL * fnorm:
-                break
-            delta = _pipeline3d(plan, R, workers)
-            del R
-            delta += U
-            R = _residual_internal(plan, f, delta)
-            nrm = np.linalg.norm(R)
-            if not nrm < best:
-                break
-            U, best = delta, nrm
-            del delta
+    U = defect_correction(plan.operator, f.reshape(plan.grid.shape), U,
+                          lambda r: _pipeline3d(plan, r, workers), refine)
     return U.reshape(-1)

@@ -1,5 +1,5 @@
 """Eigen-infrastructure: circulant and DCT-I closed forms, the complex-symmetric
-pencil eigensolver, normalization, and the batched line transforms.
+pencil eigensolver and its normalization.
 
 Conventions (validated end-to-end against the dense oracle):
 
@@ -18,13 +18,13 @@ Conventions (validated end-to-end against the dense oracle):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
-from .assembly import Pencil1D
+from .assembly import Pencil1D, assemble_pencil
 from .core import BoundaryKind
 
 NORMALIZATION_TOL = 1e-12
@@ -38,13 +38,6 @@ class NormalizationFailure(RuntimeError):
     """An eigenvector has a quasi-null T-norm and cannot be M-normalized."""
 
 
-def dft_entry(n: int, k: int, l: int) -> complex:
-    """Entry (k, l), 1-based, of the unnormalized n-point DFT matrix."""
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise IndexError(f"indices ({k}, {l}) out of range for n={n}")
-    return complex(np.exp(-2j * np.pi * (k - 1) * (l - 1) / n))
-
-
 def circulant_eigenvalues(pencil: Pencil1D) -> np.ndarray:
     """Generalized eigenvalues of a periodic (circulant) pencil, mode-ordered.
 
@@ -53,12 +46,6 @@ def circulant_eigenvalues(pencil: Pencil1D) -> np.ndarray:
     """
     lam, _mu = _circulant_pair(pencil)
     return lam
-
-
-def circulant_mass_eigenvalues(pencil: Pencil1D) -> np.ndarray:
-    """Circulant eigenvalues of the periodic mass matrix alone."""
-    _lam, mu = _circulant_pair(pencil)
-    return mu
 
 
 def _circulant_pair(pencil: Pencil1D):
@@ -101,18 +88,6 @@ class EigenBasis:
         bot = np.exp(2j * np.pi * (n - 1) * k / n) * top
         return np.vstack([top, bot])
 
-    def adjoint_boundary_rows(self) -> np.ndarray:
-        """Pairing used on the right-hand side of the diagonalization."""
-        R = self.boundary_rows()
-        return np.conj(R) if self.kind == "circulant" else R
-
-    @property
-    def synthesis_scales(self) -> np.ndarray:
-        """Per-mode scaling for the inverse (synthesis) transform."""
-        if self.kind != "circulant":
-            raise AttributeError("synthesis scales exist only for circulant bases")
-        return self.n * self.scales
-
 
 def circulant_eigenbasis(pencil: Pencil1D) -> EigenBasis:
     lam, mu = _circulant_pair(pencil)
@@ -145,11 +120,12 @@ def dct1_eigen(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
     return lam, D
 
 
-_EIGEN_CACHE: dict = {}
+# Bases kept by the eigen cache; a 2049-point basis holds 67 MB.
+EIGEN_CACHE_SIZE = 4
 
 
 def clear_eigen_cache() -> None:
-    _EIGEN_CACHE.clear()
+    _cached_eigen.cache_clear()
 
 
 def solve_pencil_eigen(pencil: Pencil1D, cache: bool = True) -> EigenBasis:
@@ -159,14 +135,23 @@ def solve_pencil_eigen(pencil: Pencil1D, cache: bool = True) -> EigenBasis:
     factor of the real SPD mass matrix, solved densely, and the eigenvectors
     are rescaled so that V^T M V = I (plain transpose; the pencil is complex
     symmetric, not Hermitian).  The dense O(n^3) cost is paid once per
-    direction at plan time; results are memoized on (n, h, bc, omega).
+    direction at plan time.  With ``cache`` the result is memoized on
+    (n, h, bc, omega), which determine an assembled pencil, for the last
+    ``EIGEN_CACHE_SIZE`` keys.
     """
     if pencil.bc == BoundaryKind.PERIODIC:
         raise ValueError("periodic pencils use the circulant closed form")
-    key = (pencil.n, pencil.h, pencil.bc, pencil.omega)
-    if cache and key in _EIGEN_CACHE:
-        return _EIGEN_CACHE[key]
+    if cache:
+        return _cached_eigen(pencil.n, pencil.h, pencil.bc, pencil.omega)
+    return _eigendecompose(pencil)
 
+
+@functools.lru_cache(maxsize=EIGEN_CACHE_SIZE)
+def _cached_eigen(n, h, bc, omega) -> EigenBasis:
+    return _eigendecompose(assemble_pencil(n, h, omega, bc))
+
+
+def _eigendecompose(pencil: Pencil1D) -> EigenBasis:
     Md = pencil.M.dense().real
     Kd = pencil.K.dense()
     try:
@@ -188,78 +173,9 @@ def solve_pencil_eigen(pencil: Pencil1D, cache: bool = True) -> EigenBasis:
             f"eigenvector {l} has T-norm {abs(tnorm[l]):.2e} below {NORMALIZATION_TOL}")
     scales = 1.0 / np.sqrt(tnorm.astype(np.complex128))
     V = scipy.linalg.solve_triangular(L.T, Y, lower=False) * scales[None, :]
-    V.flags.writeable = False
 
-    basis = EigenBasis(n=pencil.n, kind="numeric", lambdas=theta.astype(np.complex128),
-                       scales=scales, vectors=V)
-    if cache:
-        _EIGEN_CACHE[key] = basis
-    return basis
-
-
-@dataclass(frozen=True)
-class LineTransformPlan:
-    """Shape metadata for length-n transforms over `block` independent lines.
-
-    Vectors are in lexicographic order: the transform direction is slowest, so
-    line l of the transform touches the strided entries x[l*block + j].
-    """
-
-    n: int
-    block: int
-
-    @property
-    def size(self) -> int:
-        return self.n * self.block
-
-
-def _lines(plan: LineTransformPlan, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    if x.size != plan.size:
-        raise ValueError(f"expected {plan.size} entries, got {x.size}")
-    return x.reshape(plan.n, plan.block)
-
-
-def forward_line_transform(plan: LineTransformPlan, x: np.ndarray,
-                           scales: np.ndarray | None = None,
-                           workers: int | None = None) -> np.ndarray:
-    """Unnormalized forward DFT along every line; mode l scaled by scales[l]."""
-    X = scipy.fft.fft(_lines(plan, x), axis=0, workers=workers)
-    if scales is not None:
-        X *= np.asarray(scales)[:, None]
-    return X.reshape(x.shape)
-
-def inverse_line_transform(plan: LineTransformPlan, x: np.ndarray,
-                           scales: np.ndarray | None = None,
-                           workers: int | None = None) -> np.ndarray:
-    """Conjugate DFT with the 1/n factor; optional pre-scaling by scales."""
-    X = _lines(plan, x)
-    if scales is not None:
-        X = X * np.asarray(scales)[:, None]
-    out = scipy.fft.ifft(X, axis=0, workers=workers)
-    return out.reshape(x.shape)
-
-
-def boundary_restricted_product(basis: EigenBasis, x: np.ndarray,
-                                direction: str = "forward") -> np.ndarray:
-    """Restricted eigenvector products for the two boundary planes.
-
-    forward: spectral vector (n*block,) -> boundary values (2*block,), using
-    rows 1 and n of the eigenvector matrix.  adjoint: boundary data
-    (2*block,) -> full spectral vector (n*block,), using the basis-appropriate
-    pairing (transpose for numeric, conjugate transpose for circulant).
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if direction == "forward":
-        if x.size % basis.n:
-            raise ValueError(f"length {x.size} is not a multiple of n={basis.n}")
-        X = x.reshape(basis.n, -1)
-        out = basis.boundary_rows() @ X
-        return out.reshape(-1) if x.ndim == 1 else out
-    if direction == "adjoint":
-        if x.size % 2:
-            raise ValueError(f"boundary data length {x.size} is odd")
-        Y = x.reshape(2, -1)
-        out = basis.adjoint_boundary_rows().T @ Y
-        return out.reshape(-1) if x.ndim == 1 else out
-    raise ValueError(f"direction must be 'forward' or 'adjoint', got {direction!r}")
+    lambdas = theta.astype(np.complex128)
+    for arr in (lambdas, scales, V):
+        arr.flags.writeable = False     # cached bases are shared between plans
+    return EigenBasis(n=pencil.n, kind="numeric", lambdas=lambdas,
+                      scales=scales, vectors=V)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,73 @@ def test_kron_apply_matches_dense(shape, rng):
     dense = op.dense()
     y = kron_apply(op, x)
     assert np.linalg.norm(y - dense @ x) <= 1e-12 * np.linalg.norm(dense @ x)
+
+
+def _weighted_operator(g):
+    # The terms of A with non-unit coefficients, so that both the first term
+    # and a later one take the scaling branch.
+    A = build_operator_A(g, 2 * np.pi)
+    coeffs = (2.0 - 1.0j, 1.0, -0.5)[:len(A.terms)]
+    return KroneckerOperator(g, tuple((c, f) for c, (_, f) in zip(coeffs, A.terms)))
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (3, 4, 5)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_kron_apply_out_matches_dense(shape, weighted, rng):
+    g = Grid(shape)
+    op = _weighted_operator(g) if weighted else build_operator_A(g, 1.0)
+    x = rand_field(g, 4)
+    expected = op.dense() @ x
+    tol = 1e-12 * np.linalg.norm(expected)
+    out = np.full_like(x, np.nan)
+    assert kron_apply(op, x, out=out) is out
+    assert np.linalg.norm(out - expected) <= tol
+    assert np.linalg.norm(kron_apply(op, x) - expected) <= tol
+    shaped = np.empty(shape, dtype=complex)
+    kron_apply(op, x.reshape(shape), out=shaped)
+    assert np.linalg.norm(shaped.reshape(-1) - expected) <= tol
+
+
+def test_kron_apply_out_on_transposed_views(rng):
+    # the 2D solver keeps its fields as (n2, n1) arrays and applies the
+    # operator to their (n1, n2) transposes
+    g = Grid((6, 9))
+    op = build_operator_A(g, 2 * np.pi)
+    X = np.ascontiguousarray(rand_field(g, 5).reshape(6, 9).T)      # (n2, n1)
+    R = np.empty_like(X)
+    kron_apply(op, X.T, out=R.T)
+    expected = (op.dense() @ X.T.reshape(-1)).reshape(6, 9)
+    assert np.linalg.norm(R.T - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_kron_apply_out_rejects_bad_out():
+    g = Grid((4, 5))
+    op = build_operator_A(g, 1.0)
+    x = np.ones(20, dtype=complex)
+    with pytest.raises(ValueError):
+        kron_apply(op, x, out=np.empty(21, dtype=complex))
+    with pytest.raises(ValueError):
+        kron_apply(op, x, out=np.empty((4, 5), dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
+def test_kron_apply_out_scratch_is_two_fields(shape, monkeypatch):
+    # Small off-diagonal chunks, so that what is left is the two scratch
+    # fields and numpy's ufunc buffers (8192 scalars, 128 KiB).
+    monkeypatch.setattr(TriCornerMatrix, "_CHUNK", 256)
+    g = Grid(shape)
+    op = build_operator_A(g, 2 * np.pi)
+    x = rand_field(g, 6).reshape(shape)
+    out = np.empty_like(x)
+    kron_apply(op, x, out=out)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kron_apply(op, x, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 2 * x.nbytes + 256 * 1024
 
 
 def test_kron_apply_linearity(rng):

@@ -1,3 +1,7 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -196,3 +200,54 @@ def test_plan_is_reusable_and_inputs_untouched():
     u2 = solve2d(plan, f)
     assert np.array_equal(f, f0)
     assert np.array_equal(u1, u2)
+
+
+def test_solve2d_shared_plan_across_threads():
+    g = Grid((6, 5))
+    plan = plan2d(g, 2 * np.pi)
+    arrays = {name: val for name, val in vars(plan).items()
+              if isinstance(val, np.ndarray)}
+    for name in ("_factors_A", "_factors_B"):
+        arrays.update({f"{name}.{k}": v for k, v in getattr(plan, name)._asdict().items()})
+    saved = {name: val.copy() for name, val in arrays.items()}
+    fs = [rand_field(g, 17 + k) for k in range(4)]
+    serial = [solve2d(plan, f) for f in fs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve2d, plan, f) for f in fs * 4]
+            shared = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for u, ref in zip(shared, serial * 4):
+        assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
+    for name, val in arrays.items():
+        assert not val.flags.writeable, name
+        assert np.array_equal(val, saved[name]), name
+    with pytest.raises(FrozenInstanceError):
+        plan.sigma = 1.0
+
+
+@pytest.mark.parametrize("which", ["short", "nan", "inf"])
+def test_bad_input_raises(which):
+    g = Grid((5, 4))
+    plan = plan2d(g, 2 * np.pi)
+
+    def bad(n):
+        x = np.ones(n - 1 if which == "short" else n, dtype=complex)
+        if which != "short":
+            x[n // 2] = np.nan if which == "nan" else complex(0.0, np.inf)
+        return x
+
+    f, b = bad(g.npoints), bad(2 * g.n[1])
+    ps, f_hat = solve_aux_partial(plan, rand_field(g, 2))
+    w_b = solve_correction(plan, ps)
+    for call in (lambda: solve2d(plan, f), lambda: solve2d(plan, f, refine=0),
+                 lambda: solve_aux_partial(plan, f),
+                 lambda: solve_correction(plan, b),
+                 lambda: solve_final(plan, f, ps, w_b),
+                 lambda: solve_final(plan, f_hat, b, w_b),
+                 lambda: solve_final(plan, f_hat, ps, b)):
+        with pytest.raises(ValueError):
+            call()

@@ -207,3 +207,16 @@ def test_solve3d_shift_sets():
     assert np.abs(plan.shifts_B.imag).max() <= 1e-12
     lamB = circulant_eigenvalues(assemble_periodic_pencil(4, g.h[0]))
     assert np.allclose(plan.shifts_B, (2 * np.pi) ** 2 - lamB)
+
+
+@pytest.mark.parametrize("which", ["short", "nan", "inf"])
+def test_bad_input_raises(which):
+    g = Grid((3, 4, 5))
+    plan = plan3d(g, 2 * np.pi)
+    f = np.ones(g.npoints - 1 if which == "short" else g.npoints, dtype=complex)
+    if which != "short":
+        f[7] = np.nan if which == "nan" else complex(np.inf, 0.0)
+    for call in (lambda: solve3d(plan, f), lambda: solve3d(plan, f, refine=0),
+                 lambda: solve_block_system(plan, "A", f)):
+        with pytest.raises(ValueError):
+            call()

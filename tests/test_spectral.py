@@ -1,31 +1,20 @@
 import numpy as np
 import pytest
+import scipy.fft
 
-from helmfft import (BoundaryKind, LineTransformPlan, NormalizationFailure,
-                     TriCornerMatrix, assemble_pencil, assemble_periodic_pencil,
-                     boundary_restricted_product, circulant_eigenbasis,
-                     circulant_eigenvalues, circulant_mass_eigenvalues,
-                     dense_eigensolve_pencil, dft_entry, forward_line_transform,
-                     inverse_line_transform, solve_pencil_eigen)
+from helmfft import (BoundaryKind, Grid, NormalizationFailure, TriCornerMatrix,
+                     assemble_pencil, assemble_periodic_pencil,
+                     circulant_eigenbasis, circulant_eigenvalues,
+                     clear_eigen_cache, dense_eigensolve_pencil, plan2d,
+                     solve_pencil_eigen, spectral)
 from helmfft.assembly import Pencil1D
-
-
-def test_dft_entry_small():
-    W2 = np.array([[dft_entry(2, k, l) for l in (1, 2)] for k in (1, 2)])
-    assert np.allclose(W2, [[1, 1], [1, -1]])
-    for n in (3, 5, 8):
-        assert all(dft_entry(n, 1, l) == 1 for l in range(1, n + 1))
-        assert all(dft_entry(n, k, 1) == 1 for k in range(1, n + 1))
-    assert dft_entry(4, 2, 3) == pytest.approx(-1.0)
-    with pytest.raises(IndexError):
-        dft_entry(4, 0, 1)
 
 
 def test_circulant_eigenvalues_closed_form():
     h = 0.2
     p = assemble_periodic_pencil(4, h)
     lam = circulant_eigenvalues(p)
-    mu = circulant_mass_eigenvalues(p)
+    mu = 1.0 / (4 * circulant_eigenbasis(p).scales ** 2)   # s_l = 1/sqrt(n mu_l)
     assert lam[0] == pytest.approx(0.0, abs=1e-13)
     # theta = pi mode: stiffness symbol 4/h, mass symbol h/3
     assert lam[2] == pytest.approx(12 / h ** 2, rel=1e-13)
@@ -108,105 +97,62 @@ def test_normalization_failure_on_defective_pencil():
         solve_pencil_eigen(p, cache=False)
 
 
-# -- line transforms ----------------------------------------------------------
-
-def test_transform_pair_identity(rng):
-    plan = LineTransformPlan(n=12, block=5)
-    x = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-    back = inverse_line_transform(plan, forward_line_transform(plan, x))
-    assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
-
-
-def test_transform_constant_and_delta():
-    plan = LineTransformPlan(n=4, block=1)
-    const = forward_line_transform(plan, np.ones(4, dtype=complex))
-    assert const[0] == pytest.approx(4.0)
-    assert np.abs(const[1:]).max() <= 1e-14
-    delta = forward_line_transform(plan, np.array([1, 0, 0, 0], dtype=complex))
-    assert np.allclose(delta, 1.0)
-    spectrum = inverse_line_transform(plan, np.ones(4, dtype=complex))
-    assert spectrum[0] == pytest.approx(1.0)
-    assert np.abs(spectrum[1:]).max() <= 1e-14
-
-
-def test_forward_matches_dense_dft(rng):
-    n, block = 4, 2
-    plan = LineTransformPlan(n=n, block=block)
-    x = rng.standard_normal(n * block) + 1j * rng.standard_normal(n * block)
-    W = np.array([[dft_entry(n, k, l) for l in range(1, n + 1)]
-                  for k in range(1, n + 1)])
-    dense = np.kron(W.T, np.eye(block)) @ x
-    got = forward_line_transform(plan, x)
-    assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
-
-
-def test_inverse_matches_dense_conjugate_dft(rng):
-    n, block = 4, 3
-    plan = LineTransformPlan(n=n, block=block)
-    x = rng.standard_normal(n * block) + 1j * rng.standard_normal(n * block)
-    W = np.array([[dft_entry(n, k, l) for l in range(1, n + 1)]
-                  for k in range(1, n + 1)])
-    dense = np.kron(W.conj() / n, np.eye(block)) @ x
-    got = inverse_line_transform(plan, x)
-    assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
-
-
-def test_transform_scales_are_per_mode(rng):
-    n, block = 6, 4
-    plan = LineTransformPlan(n=n, block=block)
-    s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = rng.standard_normal(n * block) + 1j * rng.standard_normal(n * block)
-    got = forward_line_transform(plan, x, scales=s)
-    plain = forward_line_transform(plan, x).reshape(n, block)
-    assert np.allclose(got.reshape(n, block), s[:, None] * plain)
-
-
-def test_transform_length_mismatch():
-    plan = LineTransformPlan(n=4, block=2)
-    with pytest.raises(ValueError):
-        forward_line_transform(plan, np.ones(7, dtype=complex))
-
-
-# -- boundary-restricted products ---------------------------------------------
+# -- boundary-restricted products --------------------------------------------
 
 def test_boundary_product_mode_one_is_constant():
     p = assemble_periodic_pencil(6, 0.2)
     basis = circulant_eigenbasis(p)
-    z = np.zeros(6 * 3, dtype=complex)
-    z.reshape(6, 3)[0] = [1.0, 2.0, 3.0]     # mode 1 only, three lines
-    vb = boundary_restricted_product(basis, z).reshape(2, 3)
+    z = np.zeros((6, 3), dtype=complex)
+    z[0] = [1.0, 2.0, 3.0]                   # mode 1 only, three lines
+    vb = basis.boundary_rows() @ z
     assert np.allclose(vb[0], vb[1])
-
-
-def test_boundary_product_zero():
-    basis = circulant_eigenbasis(assemble_periodic_pencil(5, 0.25))
-    out = boundary_restricted_product(basis, np.zeros(10, dtype=complex),
-                                      direction="adjoint")
-    assert np.abs(out).max() == 0.0
 
 
 @pytest.mark.parametrize("kind", ["circulant", "numeric"])
 def test_adjoint_then_forward_matches_dense(kind, rng):
+    # The solvers take boundary data to the spectral space with the adjoint
+    # rows (the conjugated boundary rows for a circulant basis, the rows
+    # themselves for a numeric one) and back with the boundary rows.  The
+    # composition must match the dense analysis and synthesis transforms
+    # restricted to the boundary: s * fft and n * ifft(s * .) for circulant
+    # bases, V^T and V for numeric ones.
     n, block = 5, 2
     if kind == "circulant":
         basis = circulant_eigenbasis(assemble_periodic_pencil(n, 0.25))
+        s = basis.scales[:, None]
+        analysis = s * scipy.fft.fft(np.eye(n), axis=0)
+        synthesis = n * scipy.fft.ifft(s * np.eye(n), axis=0)
     else:
         basis = solve_pencil_eigen(
             assemble_pencil(n, 0.25, 2 * np.pi, BoundaryKind.ABSORBING), cache=False)
-    y = rng.standard_normal(2 * block) + 1j * rng.standard_normal(2 * block)
+        analysis, synthesis = basis.vectors.T, basis.vectors
     R = basis.boundary_rows()
-    pairing = R @ basis.adjoint_boundary_rows().T      # 2 x 2
-    expected = np.kron(pairing, np.eye(block)) @ y
-    got = boundary_restricted_product(
-        basis, boundary_restricted_product(basis, y, direction="adjoint"))
+    adjoint = np.conj(R) if kind == "circulant" else R
+    y = rng.standard_normal((2, block)) + 1j * rng.standard_normal((2, block))
+    expected = synthesis[[0, -1]] @ (analysis[:, [0, -1]] @ y)
+    got = R @ (adjoint.T @ y)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_eigen_cache_reuse():
-    from helmfft import clear_eigen_cache
     clear_eigen_cache()
     p = assemble_pencil(9, 0.125, 1.0, BoundaryKind.ABSORBING)
     b1 = solve_pencil_eigen(p)
     b2 = solve_pencil_eigen(assemble_pencil(9, 0.125, 1.0, BoundaryKind.ABSORBING))
     assert b1 is b2
     clear_eigen_cache()
+
+
+def test_eigen_cache_is_bounded():
+    # planning more distinct wave numbers than the cache holds
+    clear_eigen_cache()
+    omegas = 1.0 + np.arange(spectral.EIGEN_CACHE_SIZE + 3)
+    bases = [plan2d(Grid((9, 5)), w).basis_numeric for w in omegas]
+    assert spectral._cached_eigen.cache_info().currsize == spectral.EIGEN_CACHE_SIZE
+    # the newest keys are kept, the oldest evicted
+    p_last = assemble_pencil(9, 0.125, omegas[-1], BoundaryKind.ABSORBING)
+    assert solve_pencil_eigen(p_last) is bases[-1]
+    p_first = assemble_pencil(9, 0.125, omegas[0], BoundaryKind.ABSORBING)
+    assert solve_pencil_eigen(p_first) is not bases[0]
+    clear_eigen_cache()
+    assert spectral._cached_eigen.cache_info().currsize == 0
