@@ -106,17 +106,6 @@ def _shifted(K: TriCornerMatrix, M: TriCornerMatrix, c: complex) -> TriCornerMat
                            corner=K.corner + c * M.corner)
 
 
-def direction_pencils(grid: Grid, omega: float,
-                      bc_x1: BoundaryKind = BoundaryKind.ABSORBING) -> list[Pencil1D]:
-    """One pencil per direction: bc_x1 on x_1 (both ends), Neumann elsewhere."""
-    if bc_x1 not in (BoundaryKind.ABSORBING, BoundaryKind.NEUMANN):
-        raise ValueError(f"unsupported boundary layout: x_1 is {bc_x1}")
-    out = [assemble_pencil(grid.n[0], grid.h[0], omega, bc_x1)]
-    for j in range(1, grid.dims):
-        out.append(assemble_pencil(grid.n[j], grid.h[j]))
-    return out
-
-
 def _separable_terms(p1: Pencil1D, cross: list[Pencil1D], sigma: complex):
     """Terms of (K_1 - sigma M_1) ox M_rest + M_1 ox (sum K_j ox M_rest)."""
     d = 1 + len(cross)
@@ -134,8 +123,9 @@ def _separable_terms(p1: Pencil1D, cross: list[Pencil1D], sigma: complex):
 def build_operator_A(grid: Grid, omega: float,
                      bc_x1: BoundaryKind = BoundaryKind.ABSORBING) -> KroneckerOperator:
     """The discrete Helmholtz operator with bc_x1 on the x_1 ends."""
-    pencils = direction_pencils(grid, omega, bc_x1)
-    return KroneckerOperator(grid, _separable_terms(pencils[0], pencils[1:], omega ** 2))
+    p1 = assemble_pencil(grid.n[0], grid.h[0], omega, bc_x1)
+    cross = [assemble_pencil(grid.n[j], grid.h[j]) for j in range(1, grid.dims)]
+    return KroneckerOperator(grid, _separable_terms(p1, cross, omega ** 2))
 
 
 def build_operator_B(grid: Grid, omega: float) -> KroneckerOperator:

@@ -18,13 +18,14 @@ Conventions (validated end-to-end against the dense oracle):
 
 from __future__ import annotations
 
-import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .assembly import Pencil1D, assemble_pencil
+from .assembly import Pencil1D
 from .core import BoundaryKind
 
 NORMALIZATION_TOL = 1e-12
@@ -120,12 +121,15 @@ def dct1_eigen(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
     return lam, D
 
 
-# Bases kept by the eigen cache; a 2049-point basis holds 67 MB.
-EIGEN_CACHE_SIZE = 4
+# Bytes of eigenvectors the eigen cache keeps; a 2049-point basis holds 67 MB.
+EIGEN_CACHE_BYTES = 128 << 20
+_EIGEN_CACHE: OrderedDict = OrderedDict()       # least recently used first
+_EIGEN_LOCK = threading.Lock()
 
 
 def clear_eigen_cache() -> None:
-    _cached_eigen.cache_clear()
+    with _EIGEN_LOCK:
+        _EIGEN_CACHE.clear()
 
 
 def solve_pencil_eigen(pencil: Pencil1D, cache: bool = True) -> EigenBasis:
@@ -135,23 +139,18 @@ def solve_pencil_eigen(pencil: Pencil1D, cache: bool = True) -> EigenBasis:
     factor of the real SPD mass matrix, solved densely, and the eigenvectors
     are rescaled so that V^T M V = I (plain transpose; the pencil is complex
     symmetric, not Hermitian).  The dense O(n^3) cost is paid once per
-    direction at plan time.  With ``cache`` the result is memoized on
-    (n, h, bc, omega), which determine an assembled pencil, for the last
-    ``EIGEN_CACHE_SIZE`` keys.
+    direction at plan time; results are memoized on (n, h, bc, omega), and the
+    least recently used are dropped beyond ``EIGEN_CACHE_BYTES`` of vectors.
     """
     if pencil.bc == BoundaryKind.PERIODIC:
         raise ValueError("periodic pencils use the circulant closed form")
+    key = (pencil.n, pencil.h, pencil.bc, pencil.omega)
     if cache:
-        return _cached_eigen(pencil.n, pencil.h, pencil.bc, pencil.omega)
-    return _eigendecompose(pencil)
+        with _EIGEN_LOCK:
+            if key in _EIGEN_CACHE:
+                _EIGEN_CACHE.move_to_end(key)
+                return _EIGEN_CACHE[key]
 
-
-@functools.lru_cache(maxsize=EIGEN_CACHE_SIZE)
-def _cached_eigen(n, h, bc, omega) -> EigenBasis:
-    return _eigendecompose(assemble_pencil(n, h, omega, bc))
-
-
-def _eigendecompose(pencil: Pencil1D) -> EigenBasis:
     Md = pencil.M.dense().real
     Kd = pencil.K.dense()
     try:
@@ -177,5 +176,11 @@ def _eigendecompose(pencil: Pencil1D) -> EigenBasis:
     lambdas = theta.astype(np.complex128)
     for arr in (lambdas, scales, V):
         arr.flags.writeable = False     # cached bases are shared between plans
-    return EigenBasis(n=pencil.n, kind="numeric", lambdas=lambdas,
-                      scales=scales, vectors=V)
+    basis = EigenBasis(n=pencil.n, kind="numeric", lambdas=lambdas,
+                       scales=scales, vectors=V)
+    if cache:
+        with _EIGEN_LOCK:
+            _EIGEN_CACHE[key] = basis
+            while sum(b.vectors.nbytes for b in _EIGEN_CACHE.values()) > EIGEN_CACHE_BYTES:
+                _EIGEN_CACHE.popitem(last=False)
+    return basis

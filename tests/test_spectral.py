@@ -143,16 +143,20 @@ def test_eigen_cache_reuse():
     clear_eigen_cache()
 
 
-def test_eigen_cache_is_bounded():
-    # planning more distinct wave numbers than the cache holds
+def test_eigen_cache_is_bounded(monkeypatch):
+    # planning more distinct wave numbers than the cache has room for
+    basis_bytes = 16 * 9 * 9
+    monkeypatch.setattr(spectral, "EIGEN_CACHE_BYTES", 3 * basis_bytes)
     clear_eigen_cache()
-    omegas = 1.0 + np.arange(spectral.EIGEN_CACHE_SIZE + 3)
+    omegas = 1.0 + np.arange(7)
     bases = [plan2d(Grid((9, 5)), w).basis_numeric for w in omegas]
-    assert spectral._cached_eigen.cache_info().currsize == spectral.EIGEN_CACHE_SIZE
+    assert len(spectral._EIGEN_CACHE) == 3
+    assert sum(b.vectors.nbytes for b in spectral._EIGEN_CACHE.values()) == 3 * basis_bytes
     # the newest keys are kept, the oldest evicted
     p_last = assemble_pencil(9, 0.125, omegas[-1], BoundaryKind.ABSORBING)
     assert solve_pencil_eigen(p_last) is bases[-1]
     p_first = assemble_pencil(9, 0.125, omegas[0], BoundaryKind.ABSORBING)
     assert solve_pencil_eigen(p_first) is not bases[0]
+    assert len(spectral._EIGEN_CACHE) == 3
     clear_eigen_cache()
-    assert spectral._cached_eigen.cache_info().currsize == 0
+    assert not spectral._EIGEN_CACHE
