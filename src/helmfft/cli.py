@@ -17,7 +17,7 @@ import os
 import struct
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
