@@ -19,34 +19,32 @@ from .assembly import (CorrectionMatrix, Pencil1D, PencilDifference,
                        build_correction, build_operator_A, build_operator_B,
                        pencil_difference)
 from .core import (BoundaryKind, Grid, KroneckerOperator, SingularBlock,
-                   TriCornerMatrix, kron_apply, lex_index, tune_allocator,
-                   unlex_index)
-from .oracle import (DenseProblem, SizeLimit, dense_eigensolve_pencil,
-                     dense_partial_solution, dense_problem, dense_solve)
+                   TriCornerMatrix, kron_apply, tune_allocator)
+from .oracle import (DenseProblem, EigensolverFailure, NormalizationFailure,
+                     SizeLimit, dense_eigensolve_pencil, dense_partial_solution,
+                     dense_problem, dense_solve, solve_pencil_eigen)
 from .solver2d import (PartialSolution, SolverPlan2D, plan2d,
                        solve2d, solve_aux_partial, solve_correction,
                        solve_final)
 from .solver3d import SolverPlan3D, plan3d, solve3d, solve_block_system
-from .spectral import (EigenBasis, EigensolverFailure, NormalizationFailure,
-                       circulant_eigenbasis, circulant_eigenvalues,
-                       clear_eigen_cache, dct1_eigen, solve_pencil_eigen)
+from .spectral import (EigenBasis, boundary_green, circulant_eigenbasis,
+                       clear_eigen_cache, dct1_eigen)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryKind", "Grid", "KroneckerOperator", "TriCornerMatrix",
-    "kron_apply", "lex_index", "unlex_index", "tune_allocator",
+    "kron_apply", "tune_allocator",
     "Pencil1D", "PencilDifference", "CorrectionMatrix",
     "assemble_pencil", "assemble_periodic_pencil", "pencil_difference",
     "build_operator_A", "build_operator_B", "build_correction",
-    "EigenBasis", "EigensolverFailure",
-    "NormalizationFailure", "circulant_eigenvalues",
-    "circulant_eigenbasis", "dct1_eigen",
-    "solve_pencil_eigen", "clear_eigen_cache",
+    "EigenBasis", "circulant_eigenbasis", "dct1_eigen", "boundary_green",
+    "clear_eigen_cache",
     "SolverPlan2D", "PartialSolution", "SingularBlock", "plan2d", "solve2d",
     "solve_aux_partial", "solve_correction", "solve_final",
     "SolverPlan3D", "plan3d", "solve3d", "solve_block_system",
     "DenseProblem", "SizeLimit", "dense_problem", "dense_solve",
     "dense_partial_solution", "dense_eigensolve_pencil",
+    "solve_pencil_eigen", "EigensolverFailure", "NormalizationFailure",
     "__version__",
 ]

@@ -69,30 +69,6 @@ class Grid:
         return self.n
 
 
-def lex_index(grid: Grid, multi_index) -> int:
-    """Flat index of a 1-based multi-index (x_1 slowest, x_d fastest)."""
-    idx = tuple(multi_index)
-    if len(idx) != grid.dims:
-        raise IndexError(f"expected {grid.dims} indices, got {len(idx)}")
-    flat = 0
-    for i, n in zip(idx, grid.n):
-        if not 1 <= i <= n:
-            raise IndexError(f"index {idx} out of range for grid {grid.n}")
-        flat = flat * n + (i - 1)
-    return flat
-
-
-def unlex_index(grid: Grid, flat: int) -> tuple[int, ...]:
-    """Inverse of :func:`lex_index`; returns the 1-based multi-index."""
-    if not 0 <= flat < grid.npoints:
-        raise IndexError(f"flat index {flat} out of range for grid {grid.n}")
-    out = []
-    for n in reversed(grid.n):
-        out.append(flat % n + 1)
-        flat //= n
-    return tuple(reversed(out))
-
-
 class TriCornerMatrix:
     """Symmetric tridiagonal matrix with (optionally) equal wrap-around corners.
 

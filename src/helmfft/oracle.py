@@ -1,9 +1,10 @@
 """Brute-force dense reference: explicit Kronecker assembly plus LAPACK solves.
 
 Everything here is deliberately independent of the fast path (transforms,
-block factorizations): matrices are expanded entrywise from the separable
-definitions and solved with dense partially-pivoted LU.  Used to generate and
-check expected values throughout the test suite.  Hard size caps keep
+block factorizations, the boundary recurrence): matrices are expanded
+entrywise from the separable definitions and solved with dense
+partially-pivoted LU, and pencils are diagonalized densely.  Used to generate
+and check expected values throughout the test suite.  Hard size caps keep
 accidental O(N^3) blowups out of CI.
 """
 
@@ -15,15 +16,24 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .assembly import build_operator_A, build_operator_B
+from .assembly import Pencil1D, build_operator_A, build_operator_B
 from .core import BoundaryKind, Grid
 
 DENSE_SIZE_CAP = 20_000
 EIG_SIZE_CAP = 512
+NORMALIZATION_TOL = 1e-12
 
 
 class SizeLimit(RuntimeError):
     """Problem too large for the dense reference path."""
+
+
+class EigensolverFailure(RuntimeError):
+    """Dense eigensolver did not converge."""
+
+
+class NormalizationFailure(RuntimeError):
+    """An eigenvector has a quasi-null T-norm and cannot be M-normalized."""
 
 
 @dataclass(frozen=True)
@@ -90,3 +100,42 @@ def dense_eigensolve_pencil(K: np.ndarray, M: np.ndarray):
         raise np.linalg.LinAlgError("generalized eigensolve did not converge")
     order = np.lexsort((lam.imag, lam.real))
     return lam[order], V[:, order]
+
+
+class PencilEigen(NamedTuple):
+    lambdas: np.ndarray     # ascending by real, then imaginary part
+    vectors: np.ndarray     # columns, normalized so that V^T M V = I
+
+
+def solve_pencil_eigen(pencil: Pencil1D) -> PencilEigen:
+    """Full eigendecomposition K V = M V Lambda of a Neumann or absorbing pencil.
+
+    The generalized problem is reduced to a standard one through a Cholesky
+    factor of the real SPD mass matrix, solved densely, and the
+    eigenvectors are rescaled so that V^T M V = I (plain transpose; the pencil
+    is complex symmetric, not Hermitian).
+    """
+    if pencil.bc == BoundaryKind.PERIODIC:
+        raise ValueError("periodic pencils use the circulant closed form")
+    Md = pencil.M.dense().real
+    Kd = pencil.K.dense()
+    try:
+        L = np.linalg.cholesky(Md)
+        A1 = scipy.linalg.solve_triangular(L, Kd, lower=True)
+        S = scipy.linalg.solve_triangular(L, A1.T, lower=True).T
+        theta, Y = np.linalg.eig(S)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
+
+    order = np.lexsort((theta.imag, theta.real))
+    theta = theta[order]
+    Y = Y[:, order]
+    tnorm = np.einsum("il,il->l", Y, Y)
+    bad = np.abs(tnorm) < NORMALIZATION_TOL
+    if bad.any():
+        l = int(np.argmax(bad))
+        raise NormalizationFailure(
+            f"eigenvector {l} has T-norm {abs(tnorm[l]):.2e} below {NORMALIZATION_TOL}")
+    scales = 1.0 / np.sqrt(tnorm.astype(np.complex128))
+    V = scipy.linalg.solve_triangular(L.T, Y, lower=False) * scales[None, :]
+    return PencilEigen(lambdas=theta.astype(np.complex128), vectors=V)

@@ -8,7 +8,9 @@ Step 1 solves the periodic auxiliary problem for the boundary-plane values
 v_b only, step 2 solves the original operator for the boundary correction w_b
 driven by C_bb v_b, and step 3 solves the auxiliary problem once more with a
 right-hand side corrected so the periodic solution agrees with the original
-one.  Steps 1 and 3 cost O(N log N), step 2 costs O(N).
+one.  Steps 1 and 3 cost O(N log N).  Step 2 applies, per DCT-I mode of x_2,
+the 2 x 2 corner block G of the inverse x_1 matrix (``boundary_green``,
+computed in O(N) once per solve).
 
 ``solve2d`` additionally applies safeguarded defect-correction passes
 (default one): the three-step composition amplifies roundoff near resonances
@@ -30,7 +32,9 @@ from .assembly import (CorrectionMatrix, Pencil1D, assemble_pencil,
                        pencil_difference, _separable_terms)
 from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
                    defect_correction, freeze_arrays)
-from .spectral import EigenBasis, circulant_eigenbasis, solve_pencil_eigen
+from .oracle import solve_pencil_eigen  # noqa: F401  (perfbench traces this name)
+from .spectral import (EigenBasis, boundary_green, check_resonance,
+                       circulant_eigenbasis, dct1_eigen)
 
 
 @dataclass
@@ -51,16 +55,15 @@ class SolverPlan2D:
     pencil_x1: Pencil1D
     pencil_x1_periodic: Pencil1D
     pencil_x2: Pencil1D
-    basis_numeric: EigenBasis
     basis_circulant: EigenBasis
+    lambdas_x2: np.ndarray              # closed-form DCT-I eigenvalues
     correction: CorrectionMatrix
     operator: KroneckerOperator         # (K_1 - sigma M_1) ox M_2 + M_1 ox K_2
     _factors_B: tuple = field(repr=False, default=None)
-    _factors_A: tuple = field(repr=False, default=None)
     _RW: np.ndarray = field(repr=False, default=None)
     _RWc: np.ndarray = field(repr=False, default=None)
-    _RV: np.ndarray = field(repr=False, default=None)
     _scales: np.ndarray = field(repr=False, default=None)
+    _D2: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         freeze_arrays(vars(self).values())
@@ -76,11 +79,14 @@ class SolverPlan2D:
 
 def plan2d(grid: Grid, omega_or_shift,
            bc_x1: BoundaryKind = BoundaryKind.ABSORBING) -> SolverPlan2D:
-    """Precompute eigenbases, the boundary correction and all block LU factors.
+    """Precompute closed-form bases, the boundary correction and auxiliary LU.
 
     With absorbing x_1 ends the second argument is the (real) wave number and
     the operator shift is omega^2; with Neumann ends it is taken directly as
-    the complex shift sigma.  Raises SingularBlock for a resonant shift.
+    the complex shift sigma.  Raises SingularBlock for a resonant shift, of
+    the original blocks with Neumann ends in closed form; with absorbing ends
+    they cannot be resonant (see boundary_green) unless omega = 0, which makes
+    an auxiliary block singular.
     """
     if grid.dims != 2:
         raise ValueError("plan2d needs a 2D grid")
@@ -98,22 +104,22 @@ def plan2d(grid: Grid, omega_or_shift,
     p1 = assemble_pencil(n1, h1, omega, bc_x1)
     p1B = assemble_periodic_pencil(n1, h1)
     p2 = assemble_pencil(n2, h2)
-    basis_v = solve_pencil_eigen(p1)
     basis_w = circulant_eigenbasis(p1B)
+    lam2, D2 = dct1_eigen(p2)
     corr = build_correction(pencil_difference(p1, p1B), [p2], sigma)
 
     fB = _tridiag.factor_blocks(basis_w.lambdas - sigma, p2.K, p2.M)
-    fA = _tridiag.factor_blocks(basis_v.lambdas - sigma, p2.K, p2.M)
+    if bc_x1 == BoundaryKind.NEUMANN:
+        check_resonance(sigma - dct1_eigen(p1)[0], [lam2], "A")
 
     RW = basis_w.boundary_rows()
     return SolverPlan2D(
         grid=grid, omega=omega, sigma=sigma, bc_x1=bc_x1,
         pencil_x1=p1, pencil_x1_periodic=p1B, pencil_x2=p2,
-        basis_numeric=basis_v, basis_circulant=basis_w, correction=corr,
+        basis_circulant=basis_w, lambdas_x2=lam2, correction=corr,
         operator=KroneckerOperator(grid, _separable_terms(p1, [p2], sigma)),
-        _factors_B=fB, _factors_A=fA,
-        _RW=RW, _RWc=np.conj(RW), _RV=basis_v.boundary_rows(),
-        _scales=basis_w.scales,
+        _factors_B=fB, _RW=RW, _RWc=np.conj(RW), _scales=basis_w.scales,
+        _D2=D2,
     )
 
 
@@ -147,11 +153,19 @@ def _step1_internal(plan, Fi, workers=None):
     return fhat, vb
 
 
-def _step2_internal(plan, vb):
-    g = plan.correction.apply(vb.T).T @ plan._RV
-    p2 = plan.pencil_x2
-    _tridiag.solve_blocks(plan._factors_A, p2.K, p2.M, g)
-    return g @ plan._RV.T
+def _step2_internal(plan, vb, G):
+    """V (G_k / D_k)_k V^T C_bb v_b, V the DCT-I basis of x_2 (``dct1_eigen``).
+
+    V^T x and V y are the DCT-I of x and y with their interior entries halved.
+    """
+    c = plan.correction.apply(vb.T)
+    c[:, 1:-1] *= 0.5
+    c = scipy.fft.dct(c, type=1, axis=1, overwrite_x=True)
+    c /= plan._D2
+    g, g_far = G
+    w = g * c + g_far * c[::-1]
+    w[:, 1:-1] *= 0.5
+    return scipy.fft.dct(w, type=1, axis=1, overwrite_x=True).T
 
 
 def _step3_internal(plan, fhat, vb, wb, workers=None):
@@ -165,9 +179,9 @@ def _step3_internal(plan, fhat, vb, wb, workers=None):
     return u
 
 
-def _pipeline(plan, Fi, workers=None):
+def _pipeline(plan, Fi, G, workers=None):
     fhat, vb = _step1_internal(plan, Fi, workers)
-    wb = _step2_internal(plan, vb)
+    wb = _step2_internal(plan, vb, G)
     return _step3_internal(plan, fhat, vb, wb, workers)
 
 
@@ -187,7 +201,8 @@ def solve_aux_partial(plan: SolverPlan2D, f: np.ndarray,
 
 def solve_correction(plan: SolverPlan2D, v_b, workers: int | None = None) -> np.ndarray:
     """Step 2: boundary values of the original-operator correction."""
-    wb_i = _step2_internal(plan, _boundary(plan, v_b, "v_b"))
+    G = boundary_green(plan.pencil_x1, plan.sigma, plan.lambdas_x2)
+    wb_i = _step2_internal(plan, _boundary(plan, v_b, "v_b"), G)
     return np.ascontiguousarray(wb_i.T).reshape(-1)
 
 
@@ -209,6 +224,7 @@ def solve2d(plan: SolverPlan2D, f: np.ndarray, refine: int = 1,
     (n1, n2) views of the internal arrays.
     """
     Fi = _to_internal(plan, checked_field(f, plan.grid.npoints))
-    U = defect_correction(plan.operator, Fi.T, _pipeline(plan, Fi, workers).T,
-                          lambda r: _pipeline(plan, r.T, workers).T, refine)
+    G = boundary_green(plan.pencil_x1, plan.sigma, plan.lambdas_x2)
+    U = defect_correction(plan.operator, Fi.T, _pipeline(plan, Fi, G, workers).T,
+                          lambda r: _pipeline(plan, r.T, G, workers).T, refine)
     return np.ascontiguousarray(U).reshape(-1)

@@ -1,8 +1,8 @@
 """Three-step fast solver for the 3D separable Helmholtz system.
 
 The x_1 direction runs the paper's three steps as in 2D: the periodic
-auxiliary problem is diagonalized by the FFT, the absorbing one by its dense
-eigenbasis, and the boundary-plane correction joins them.  The cross
+auxiliary problem is diagonalized by the FFT, the absorbing one enters through
+``spectral.boundary_green``, and the boundary-plane correction joins them.  The cross
 directions x_2 and x_3 carry uniform Neumann pencils, which DCT-I
 diagonalizes in closed form (``spectral.dct1_eigen``), so every transformed
 x_1 block is a diagonal system.  This departs from the paper, which solves
@@ -17,6 +17,8 @@ is a bare dct1 / 4.  Block l with coefficient c = Lambda_{1,l} - omega^2 is
 then a divide by rho (c + lam_2 + lam_3), with rho_jk = w_2j w_3k and
 w = 2 D / E = h (n-1) (2 + cos theta) / 3.  The divisors are formed a few
 x_1 slabs at a time from the 1D arrays; none of volumetric size is stored.
+Step 2 is, per cross mode, the 2 x 2 corner block of the inverse of
+K_1 - omega^2 M_1 + (lam_2 + lam_3) M_1, over rho.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import scipy.fft
 from .assembly import (Pencil1D, PencilDifference, assemble_pencil,
                        assemble_periodic_pencil, pencil_difference,
                        _separable_terms)
-from .core import (PIVOT_RTOL, BoundaryKind, Grid, KroneckerOperator,
-                   SingularBlock, checked_field, defect_correction,
-                   freeze_arrays)
-from .spectral import (EigenBasis, circulant_eigenbasis, dct1_eigen,
-                       solve_pencil_eigen)
+from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
+                   defect_correction, freeze_arrays)
+from .oracle import solve_pencil_eigen  # noqa: F401  (perfbench traces this name)
+from .spectral import (EigenBasis, boundary_green, check_resonance,
+                       circulant_eigenbasis, dct1_eigen)
 
 # complex scalars of divisor scratch per slab chunk (at least one x_1 slab)
 _SLAB_SCRATCH = 1 << 16
@@ -49,19 +51,16 @@ class SolverPlan3D:
     pencil_x1_periodic: Pencil1D
     pencil_x2: Pencil1D
     pencil_x3: Pencil1D
-    basis_numeric_x1: EigenBasis
     basis_circulant_x1: EigenBasis
     lambdas_x2: np.ndarray              # closed-form DCT-I eigenvalues
     lambdas_x3: np.ndarray
     diff_x1: PencilDifference           # corner blocks of periodic - absorbing x1
-    shifts_A: np.ndarray                # p_A,l = omega^2 - Lambda^A_{1,l}
     shifts_B: np.ndarray                # p_B,l = omega^2 - Lambda^B_{1,l}
     operator: KroneckerOperator
     _w2: np.ndarray = field(repr=False, default=None)
     _w3: np.ndarray = field(repr=False, default=None)
     _RW1: np.ndarray = field(repr=False, default=None)
     _RW1c: np.ndarray = field(repr=False, default=None)
-    _RV1: np.ndarray = field(repr=False, default=None)
     _s1: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -86,28 +85,12 @@ def _mass_weights(D):
     return w
 
 
-def _check_resonance(shifts, lam2, lam3, which):
-    """Raise SingularBlock if some block eigenvalue lam_2 + lam_3 - p_l is tiny.
-
-    Relative to the block's largest eigenvalue, as the 2D pivot guard.  The
-    n2 n3 real sums are sorted once; each shift is located by bisection.
-    """
-    sums = np.sort(np.add.outer(lam2, lam3), axis=None)
-    i = np.clip(np.searchsorted(sums, shifts.real), 1, sums.size - 1)
-    gap = np.minimum(np.abs(sums[i - 1] - shifts), np.abs(sums[i] - shifts))
-    scale = np.maximum(np.abs(sums[0] - shifts), np.abs(sums[-1] - shifts))
-    bad = gap < PIVOT_RTOL * scale
-    if bad.any():
-        l = int(np.argmax(bad))
-        raise SingularBlock(
-            f"near-singular {which} block {l} (resonant shift); "
-            f"min |eigenvalue| {gap[l]:.3e}", block=l)
-
-
 def plan3d(grid: Grid, omega: float) -> SolverPlan3D:
-    """One dense x_1 eigensolve plus closed forms; O(n1^2 + n2 + n3) memory.
+    """Closed forms only; O(n1 + n2 + n3) memory.
 
-    Raises SingularBlock if a transformed block is resonant.
+    Raises SingularBlock if an auxiliary block is resonant; the original ones
+    cannot be (see ``spectral.boundary_green``) unless omega = 0, which makes
+    an auxiliary block singular.
     """
     if grid.dims != 3:
         raise ValueError("plan3d needs a 3D grid")
@@ -120,26 +103,23 @@ def plan3d(grid: Grid, omega: float) -> SolverPlan3D:
     p2 = assemble_pencil(n2, h2)
     p3 = assemble_pencil(n3, h3)
 
-    v1 = solve_pencil_eigen(p1)
     w1 = circulant_eigenbasis(p1B)
     lam2, D2 = dct1_eigen(p2)
     lam3, D3 = dct1_eigen(p3)
-    shifts_A, shifts_B = sigma - v1.lambdas, sigma - w1.lambdas
-    _check_resonance(shifts_B, lam2, lam3, "B")
-    _check_resonance(shifts_A, lam2, lam3, "A")
+    shifts_B = sigma - w1.lambdas
+    check_resonance(shifts_B, [lam2, lam3], "B")
 
     RW1 = w1.boundary_rows()
     return SolverPlan3D(
         grid=grid, omega=omega,
         pencil_x1=p1, pencil_x1_periodic=p1B, pencil_x2=p2, pencil_x3=p3,
-        basis_numeric_x1=v1, basis_circulant_x1=w1,
+        basis_circulant_x1=w1,
         lambdas_x2=lam2, lambdas_x3=lam3,
         diff_x1=pencil_difference(p1, p1B),
-        shifts_A=shifts_A, shifts_B=shifts_B,
+        shifts_B=shifts_B,
         operator=KroneckerOperator(grid, _separable_terms(p1, [p2, p3], sigma)),
         _w2=_mass_weights(D2), _w3=_mass_weights(D3),
-        _RW1=RW1, _RW1c=np.conj(RW1), _RV1=v1.boundary_rows(),
-        _s1=w1.scales,
+        _RW1=RW1, _RW1c=np.conj(RW1), _s1=w1.scales,
     )
 
 
@@ -177,20 +157,19 @@ def _divisor(shifts, rho, lam):
     return d
 
 
-def _boundary_corr(plan, vb, rho, lam):
-    """Outer C_bb(omega^2) per cross mode: rho ((dk - omega^2 dm) + dm lam)."""
+def _boundary_corr(plan, vb, lam):
+    """Outer C_bb(omega^2) per cross mode, over rho: (dk - omega^2 dm) + dm lam."""
     dk, dm = plan.diff_x1.dk, plan.diff_x1.dm
     sigma = plan.omega ** 2
     c = np.tensordot(dk - sigma * dm, vb, axes=1)
     c += lam * np.tensordot(dm, vb, axes=1)
-    c *= rho
     return c
 
 
-def _pipeline3d(plan, F, workers=None):
+def _pipeline3d(plan, F, G, workers=None):
     """Bare three-step solve of A u = F; F (n1, n2, n3) is overwritten.
 
-    Returns the solution, in the buffer of F.
+    G is boundary_green over the cross modes.  Returns the solution, in F.
     """
     F = scipy.fft.fft(F, axis=0, overwrite_x=True, workers=workers)
     _dct23(F, workers, scale_ends=True)
@@ -203,14 +182,14 @@ def _pipeline3d(plan, F, workers=None):
         Fs *= plan._s1[s, None, None]
         vb += np.tensordot(plan._RW1[:, s], Fs / _divisor(plan.shifts_B[s], rho, lam),
                            axes=1)
-    # step 2: boundary correction through the absorbing blocks
-    c = _boundary_corr(plan, vb, rho, lam)
-    for s in slabs:
-        g = np.tensordot(plan._RV1[:, s].T, c, axes=1)
-        g /= _divisor(plan.shifts_A[s], rho, lam)
-        vb += np.tensordot(plan._RV1[:, s], g, axes=1)
+    # step 2: boundary correction through the absorbing blocks; rho cancels
+    c = _boundary_corr(plan, vb, lam)
+    g, g_far = G
+    vb += g * c
+    vb += g_far * c[::-1]
     # step 3: corrected auxiliary solve, folded with the x_1 synthesis scales
-    c = _boundary_corr(plan, vb, rho, lam)
+    c = _boundary_corr(plan, vb, lam)
+    c *= rho
     scale = plan._s1 * (plan.n1 / 4.0)
     for s in slabs:
         Fs = F[s]
@@ -222,22 +201,19 @@ def _pipeline3d(plan, F, workers=None):
 
 def solve_block_system(plan: SolverPlan3D, which: str, rhs: np.ndarray,
                        workers: int | None = None) -> np.ndarray:
-    """Solve the transformed block system H_A or H_B for a spectral vector.
+    """Solve the transformed auxiliary block system H_B for a spectral vector.
 
     rhs is in x_1 spectral space, lexicographic order.  Block l is the
-    n_2 x n_3 separable problem with shift p_{which,l}; it is diagonal in the
-    DCT-I basis of x_2 and x_3.
+    n_2 x n_3 separable problem with shift p_{B,l}; it is diagonal in the
+    DCT-I basis of x_2 and x_3.  ``which`` ("B" or "H_B") stays for perfbench.
     """
-    key = which.upper().removeprefix("H_")
-    try:
-        shifts = {"A": plan.shifts_A, "B": plan.shifts_B}[key]
-    except KeyError:
-        raise ValueError(f"which must be 'A' or 'B', got {which!r}") from None
+    if which.upper().removeprefix("H_") != "B":
+        raise ValueError(f"which must be 'B', got {which!r}")
     X = _to_internal(plan, checked_field(rhs, plan.grid.npoints, "rhs"))
     _dct23(X, workers, scale_ends=True)
     rho, lam = _cross_planes(plan)
     for s in _slabs(plan):
-        X[s] /= 4.0 * _divisor(shifts[s], rho, lam)
+        X[s] /= 4.0 * _divisor(plan.shifts_B[s], rho, lam)
     _dct23(X, workers, scale_ends=False)
     return X.reshape(-1)
 
@@ -250,7 +226,8 @@ def solve3d(plan: SolverPlan3D, f: np.ndarray, refine: int = 1,
     residuals read the caller's f, so no internal copy of it is kept.
     """
     f = checked_field(f, plan.grid.npoints)
-    U = _pipeline3d(plan, _to_internal(plan, f), workers)
+    G = boundary_green(plan.pencil_x1, plan.omega ** 2, _cross_planes(plan)[1])
+    U = _pipeline3d(plan, _to_internal(plan, f), G, workers)
     U = defect_correction(plan.operator, f.reshape(plan.grid.shape), U,
-                          lambda r: _pipeline3d(plan, r, workers), refine)
+                          lambda r: _pipeline3d(plan, r, G, workers), refine)
     return U.reshape(-1)

@@ -1,52 +1,25 @@
-"""Eigen-infrastructure: circulant and DCT-I closed forms, the complex-symmetric
-pencil eigensolver and its normalization.
+"""Closed forms for the 1D pencils: circulant and DCT-I eigendata, and the
+boundary Green's function of the original x_1 pencil by a pivot recurrence.
 
-Conventions (validated end-to-end against the dense oracle):
-
-* Periodic (circulant) pencils are diagonalized by the unnormalized DFT.  The
-  analysis side is ``s * fft(.)`` along the lines and the synthesis side is
-  ``n * ifft(s * .)``, with per-mode scales ``s_l = 1/sqrt(n mu_l)`` where
-  ``mu_l`` is the circulant mass eigenvalue.  Under this pairing the
-  transformed block system is exactly ``(Lambda_l - sigma) M + K`` per mode.
-  Boundary-restricted products on this basis pair a row restriction with its
-  complex conjugate (the DFT columns are not orthogonal under the plain
-  transpose; conjugation is what the FFT realization implements).
-* Numeric pencils (Neumann / absorbing) are diagonalized by a dense solve and
-  T-normalized so that V^T M V = I; their restricted products pair a row
-  restriction with its plain transpose.
+Periodic (circulant) pencils are diagonalized by the unnormalized DFT.  The
+analysis side is ``s * fft(.)`` along the lines and the synthesis side is
+``n * ifft(s * .)``, with per-mode scales ``s_l = 1/sqrt(n mu_l)`` where
+``mu_l`` is the circulant mass eigenvalue.  Under this pairing the transformed
+block system is exactly ``(Lambda_l - sigma) M + K`` per mode.  Boundary
+products on this basis pair a row restriction with its complex conjugate (the
+DFT columns are not orthogonal under the plain transpose; conjugation is what
+the FFT realization implements).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import Pencil1D
-from .core import BoundaryKind
-
-NORMALIZATION_TOL = 1e-12
-
-
-class EigensolverFailure(RuntimeError):
-    """Dense eigensolver did not converge."""
-
-
-class NormalizationFailure(RuntimeError):
-    """An eigenvector has a quasi-null T-norm and cannot be M-normalized."""
-
-
-def circulant_eigenvalues(pencil: Pencil1D) -> np.ndarray:
-    """Generalized eigenvalues of a periodic (circulant) pencil, mode-ordered.
-
-    Mode l has angle theta_l = 2 pi (l-1)/n; the value is the ratio of the
-    stiffness and mass circulant symbols at that angle.
-    """
-    lam, _mu = _circulant_pair(pencil)
-    return lam
+from .core import PIVOT_RTOL, BoundaryKind, SingularBlock
 
 
 def _circulant_pair(pencil: Pencil1D):
@@ -66,23 +39,19 @@ def _circulant_pair(pencil: Pencil1D):
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Eigenvalues and normalized eigenvectors of a 1D pencil.
+    """Closed-form eigenbasis of a periodic pencil; no matrix is stored.
 
-    ``kind`` is "numeric" (dense V stored, T-normalized so V^T M V = I) or
-    "circulant" (closed form, no stored matrix; scales carry the mass
-    normalization).
+    Mode l has angle theta_l = 2 pi (l-1)/n; ``lambdas`` is the ratio of the
+    stiffness and mass circulant symbols there, and ``scales`` carry the mass
+    normalization.
     """
 
     n: int
-    kind: str
     lambdas: np.ndarray
     scales: np.ndarray
-    vectors: np.ndarray | None = None
 
     def boundary_rows(self) -> np.ndarray:
-        """Rows 1 and n of the (scaled) eigenvector matrix, shape (2, n)."""
-        if self.kind == "numeric":
-            return self.vectors[[0, -1], :]
+        """Rows 1 and n of the scaled eigenvector matrix, shape (2, n)."""
         n = self.n
         k = np.arange(n)
         top = self.scales.astype(np.complex128)
@@ -93,7 +62,7 @@ class EigenBasis:
 def circulant_eigenbasis(pencil: Pencil1D) -> EigenBasis:
     lam, mu = _circulant_pair(pencil)
     scales = 1.0 / np.sqrt(pencil.n * mu)
-    return EigenBasis(n=pencil.n, kind="circulant", lambdas=lam, scales=scales)
+    return EigenBasis(n=pencil.n, lambdas=lam, scales=scales)
 
 
 def dct1_eigen(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
@@ -121,66 +90,79 @@ def dct1_eigen(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
     return lam, D
 
 
-# Bytes of eigenvectors the eigen cache keeps; a 2049-point basis holds 67 MB.
-EIGEN_CACHE_BYTES = 128 << 20
-_EIGEN_CACHE: OrderedDict = OrderedDict()       # least recently used first
-_EIGEN_LOCK = threading.Lock()
+# In evanescent modes the running product of boundary_green and the imaginary
+# part of its pivot shrink geometrically.  Parts below 1e-250 are zeroed every
+# 32 steps, before they turn subnormal (ten times slower to operate on); that
+# moves no result, nor any pivot the guard accepts, by 1e-230 of itself.
+_FLUSH_STEPS = 32
+_FLUSH_BELOW = 1e-250
+
+
+def boundary_green(pencil: Pencil1D, sigma: complex, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Corner entries of T(lam)^-1, T(lam) = K - sigma M + lam M, per cross mode.
+
+    Returns ``(g, g_far)`` shaped like ``lam``, g = (T^-1)_11 = (T^-1)_nn and
+    g_far = (T^-1)_1n, so the 2 x 2 corner block of T^-1 maps a pair x to
+    ``g * x + g_far * x[::-1]``; the pencil must be persymmetric, as Neumann
+    and absorbing ones are.  With pivots p_1 = d_1, p_k = d_k - o_{k-1}^2 /
+    p_{k-1}: (T^-1)_nn = 1/p_n and (T^-1)_1n = prod_{k<n} (-o_k/p_k) / p_n
+    (G. Meurant, SIAM J. Matrix Anal. Appl. 13 (1992) 707-728); n steps over
+    all modes at once.  The recurrence does not pivot, so a pivot below
+    PIVOT_RTOL times the block's scale raises SingularBlock, as ``_tridiag``
+    does.  With absorbing ends, omega != 0 and real lam - sigma it cannot
+    break down: Im(x^H T_k x) = -omega |x_1|^2 for each leading block T_k, so
+    T_k x = 0 forces x_1 = 0, and then its rows force x = 0 (where o = 0, T_k
+    is diagonal with nonzero entries).
+    """
+    K, M = pencil.K, pencil.M
+    c = np.asarray(lam, dtype=np.complex128) - sigma
+    p = K.diag[0] + c * M.diag[0]
+    amin = np.abs(p)
+    prod = np.ones_like(p)
+    o, r, a = np.empty_like(p), np.empty_like(p), np.empty_like(amin)
+    for k in range(1, pencil.n):
+        np.multiply(c, -M.off[k - 1], out=o)    # -o_{k-1}
+        o -= K.off[k - 1]
+        np.divide(o, p, out=r)
+        prod *= r
+        o *= r                                  # o_{k-1}^2 / p_{k-1}
+        np.multiply(c, M.diag[k], out=p)
+        p += K.diag[k]
+        p -= o
+        np.abs(p, out=a)
+        np.fmin(amin, a, out=amin)              # skips a nan pivot after a zero one
+        if k % _FLUSH_STEPS == 0:
+            for part in (p.imag, prod.real, prod.imag):
+                part[np.abs(part) < _FLUSH_BELOW] = 0.0
+    bad = amin < PIVOT_RTOL * (np.abs(c) * M.max_abs + K.max_abs)
+    if bad.any():
+        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        mode = idx[0] if len(idx) == 1 else idx
+        raise SingularBlock(
+            f"near-singular x_1 block at cross mode {mode} (resonant shift); "
+            f"min pivot {amin[idx]:.3e}", block=mode)
+    g = 1.0 / p
+    return g, prod * g
+
+
+def check_resonance(shifts, cross_lams, which: str) -> None:
+    """Raise SingularBlock if some block eigenvalue sum_j lam_j - p_l is tiny.
+
+    ``cross_lams`` holds the real eigenvalues of each cross direction.  The
+    test is relative to the block's largest eigenvalue, as the pivot guards;
+    the sums are sorted once and each shift is located by bisection.
+    """
+    sums = np.sort(functools.reduce(np.add.outer, cross_lams), axis=None)
+    i = np.clip(np.searchsorted(sums, shifts.real), 1, sums.size - 1)
+    gap = np.minimum(np.abs(sums[i - 1] - shifts), np.abs(sums[i] - shifts))
+    scale = np.maximum(np.abs(sums[0] - shifts), np.abs(sums[-1] - shifts))
+    bad = gap < PIVOT_RTOL * scale
+    if bad.any():
+        l = int(np.argmax(bad))
+        raise SingularBlock(
+            f"near-singular {which} block {l} (resonant shift); "
+            f"min |eigenvalue| {gap[l]:.3e}", block=l)
 
 
 def clear_eigen_cache() -> None:
-    with _EIGEN_LOCK:
-        _EIGEN_CACHE.clear()
-
-
-def solve_pencil_eigen(pencil: Pencil1D, cache: bool = True) -> EigenBasis:
-    """Full eigendecomposition K V = M V Lambda of a Neumann or absorbing pencil.
-
-    The generalized problem is reduced to a standard one through a Cholesky
-    factor of the real SPD mass matrix, solved densely, and the eigenvectors
-    are rescaled so that V^T M V = I (plain transpose; the pencil is complex
-    symmetric, not Hermitian).  The dense O(n^3) cost is paid once per
-    direction at plan time; results are memoized on (n, h, bc, omega), and the
-    least recently used are dropped beyond ``EIGEN_CACHE_BYTES`` of vectors.
-    """
-    if pencil.bc == BoundaryKind.PERIODIC:
-        raise ValueError("periodic pencils use the circulant closed form")
-    key = (pencil.n, pencil.h, pencil.bc, pencil.omega)
-    if cache:
-        with _EIGEN_LOCK:
-            if key in _EIGEN_CACHE:
-                _EIGEN_CACHE.move_to_end(key)
-                return _EIGEN_CACHE[key]
-
-    Md = pencil.M.dense().real
-    Kd = pencil.K.dense()
-    try:
-        L = np.linalg.cholesky(Md)
-        A1 = scipy.linalg.solve_triangular(L, Kd, lower=True)
-        S = scipy.linalg.solve_triangular(L, A1.T, lower=True).T
-        theta, Y = np.linalg.eig(S)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-
-    order = np.lexsort((theta.imag, theta.real))
-    theta = theta[order]
-    Y = Y[:, order]
-    tnorm = np.einsum("il,il->l", Y, Y)
-    bad = np.abs(tnorm) < NORMALIZATION_TOL
-    if bad.any():
-        l = int(np.argmax(bad))
-        raise NormalizationFailure(
-            f"eigenvector {l} has T-norm {abs(tnorm[l]):.2e} below {NORMALIZATION_TOL}")
-    scales = 1.0 / np.sqrt(tnorm.astype(np.complex128))
-    V = scipy.linalg.solve_triangular(L.T, Y, lower=False) * scales[None, :]
-
-    lambdas = theta.astype(np.complex128)
-    for arr in (lambdas, scales, V):
-        arr.flags.writeable = False     # cached bases are shared between plans
-    basis = EigenBasis(n=pencil.n, kind="numeric", lambdas=lambdas,
-                       scales=scales, vectors=V)
-    if cache:
-        with _EIGEN_LOCK:
-            _EIGEN_CACHE[key] = basis
-            while sum(b.vectors.nbytes for b in _EIGEN_CACHE.values()) > EIGEN_CACHE_BYTES:
-                _EIGEN_CACHE.popitem(last=False)
-    return basis
+    """No-op: no plan keeps an eigen cache.  Kept because perfbench calls it."""

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from helmfft import (Grid, KroneckerOperator, TriCornerMatrix, build_operator_A,
-                     dense_problem, dense_solve, kron_apply, lex_index,
-                     unlex_index)
+                     dense_problem, dense_solve, kron_apply)
 from conftest import rand_field
 
 
@@ -26,30 +25,6 @@ def test_grid_validation():
         Grid((2, 5))
     with pytest.raises(ValueError):
         Grid((5,))
-
-
-def test_lex_index_2d():
-    g = Grid((3, 4))
-    assert lex_index(g, (1, 1)) == 0
-    assert lex_index(g, (1, 4)) == 3
-    assert lex_index(g, (3, 4)) == 11
-
-
-def test_lex_index_bijective():
-    g = Grid((3, 4, 5))
-    seen = set()
-    for flat in range(g.npoints):
-        mi = unlex_index(g, flat)
-        assert lex_index(g, mi) == flat
-        seen.add(mi)
-    assert len(seen) == g.npoints
-
-
-def test_lex_index_out_of_range():
-    g = Grid((3, 4))
-    for bad in [(0, 1), (4, 1), (1, 5)]:
-        with pytest.raises(IndexError):
-            lex_index(g, bad)
 
 
 def test_tricorner_apply_matches_dense(rng):

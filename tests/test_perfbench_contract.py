@@ -1,0 +1,38 @@
+"""The benchmark in ``perfbench/`` still finds every helmfft name it uses.
+
+The benchmark's files change only in changes to the benchmark itself, so a
+rename here that they still rely on would first show as a failed benchmark
+run; this test shows it in the test suite instead.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import scipy.fft
+
+from helmfft import Grid, _tridiag, core, solve_block_system
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_perfbench_names_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    before = (_tridiag.factor_blocks, _tridiag.solve_blocks, scipy.fft.fft,
+              core.TriCornerMatrix.apply)
+    tracer = tracing.Tracer()
+    f = np.random.default_rng(0).standard_normal(5 * 4 * 3) + 0j
+    with tracer.installed():
+        for shape in ((5, 4), (5, 4, 3)):
+            with tracer.span(f"solver{len(shape)}d.plan"):
+                plan = workloads._plan(Grid(shape), 2 * np.pi)   # clear_eigen_cache()
+            with tracer.span(f"solver{len(shape)}d.solve"):
+                workloads._solve(plan, f[:plan.grid.npoints])
+        out = solve_block_system(plan, "B", f, workers=workloads.WORKERS)
+    assert np.isfinite(out).all()
+    assert tracer.layer_metrics()["spectral.eigensolve_calls"] == 0
+    assert workloads.plan_bytes(plan) > 0
+    assert (_tridiag.factor_blocks, _tridiag.solve_blocks, scipy.fft.fft,
+            core.TriCornerMatrix.apply) == before

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from helmfft import (BoundaryKind, Grid, PartialSolution, SingularBlock,
-                     assemble_pencil, build_operator_A, dense_eigensolve_pencil,
+                     assemble_pencil, assemble_periodic_pencil, boundary_green,
+                     build_operator_A, circulant_eigenbasis, dct1_eigen,
+                     dense_eigensolve_pencil,
                      dense_partial_solution, dense_problem, dense_solve,
                      kron_apply, plan2d, solve2d, solve_aux_partial,
                      solve_correction, solve_final)
@@ -33,8 +35,15 @@ def test_plan_blocks_match_dense_assembly(rng):
 
 def test_plan_neumann_negative_shift_is_coercive():
     plan = plan2d(Grid((6, 5)), -1.0, bc_x1=BoundaryKind.NEUMANN)
-    for factors in (plan._factors_A, plan._factors_B):
-        assert np.abs(1.0 / factors.rd).min() > 1e-8   # pivots bounded away from 0
+    assert np.abs(1.0 / plan._factors_B.rd).min() > 1e-8   # pivots bounded away from 0
+    # each original x_1 block K_1 + (lam_c + 1) M_1 is SPD; its boundary
+    # Green's function is the corner block of the dense inverse
+    p1 = plan.pencil_x1
+    g, g_far = boundary_green(p1, plan.sigma, plan.lambdas_x2)
+    for k, lam in enumerate(plan.lambdas_x2):
+        T_inv = np.linalg.inv(p1.K.dense() + (lam + 1.0) * p1.M.dense())
+        corner = np.array([[g[k], g_far[k]], [g_far[k], g[k]]])
+        assert np.allclose(T_inv[np.ix_([0, -1], [0, -1])], corner, rtol=1e-12, atol=0)
 
 
 def test_plan_resonant_shift_raises():
@@ -47,6 +56,22 @@ def test_plan_resonant_shift_raises():
     sigma = (lam1[1] + lam2[0]).real
     with pytest.raises(SingularBlock):
         plan2d(g, sigma, bc_x1=BoundaryKind.NEUMANN)
+
+
+def test_plan_resonant_original_block_raises():
+    # Neumann x_1 mode 1 plus x_2 mode 0: an original block is singular while
+    # no auxiliary (periodic x_1) block is, so the A guard alone must raise.
+    from helmfft._tridiag import factor_blocks
+    g = Grid((5, 7))
+    p1 = assemble_pencil(5, g.h[0])
+    p2 = assemble_pencil(7, g.h[1])
+    sigma = dct1_eigen(p1)[0][1] + dct1_eigen(p2)[0][0]
+    lamB = circulant_eigenbasis(assemble_periodic_pencil(5, g.h[0])).lambdas
+    factor_blocks(lamB - sigma, p2.K, p2.M)
+    with pytest.raises(SingularBlock) as info:
+        plan2d(g, sigma, bc_x1=BoundaryKind.NEUMANN)
+    assert info.value.block == 1
+    plan2d(g, 1.01 * sigma, bc_x1=BoundaryKind.NEUMANN)
 
 
 def test_aux_partial_zero_rhs():
@@ -207,8 +232,7 @@ def test_solve2d_shared_plan_across_threads():
     plan = plan2d(g, 2 * np.pi)
     arrays = {name: val for name, val in vars(plan).items()
               if isinstance(val, np.ndarray)}
-    for name in ("_factors_A", "_factors_B"):
-        arrays.update({f"{name}.{k}": v for k, v in getattr(plan, name)._asdict().items()})
+    arrays.update({f"_factors_B.{k}": v for k, v in plan._factors_B._asdict().items()})
     saved = {name: val.copy() for name, val in arrays.items()}
     fs = [rand_field(g, 17 + k) for k in range(4)]
     serial = [solve2d(plan, f) for f in fs]

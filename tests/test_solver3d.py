@@ -7,8 +7,8 @@ import pytest
 import scipy.fft
 
 from helmfft import (Grid, SingularBlock, assemble_pencil,
-                     assemble_periodic_pencil, build_operator_A,
-                     circulant_eigenvalues, dct1_eigen,
+                     assemble_periodic_pencil, boundary_green,
+                     build_operator_A, circulant_eigenbasis, dct1_eigen,
                      dense_eigensolve_pencil, dense_problem, dense_solve,
                      kron_apply, plan3d, solve3d, solve_block_system)
 from helmfft.cli import main as cli_main
@@ -78,15 +78,14 @@ def test_block_system_zero_rhs():
     assert np.abs(out).max() == 0.0
 
 
-@pytest.mark.parametrize("which", ["A", "B"])
+@pytest.mark.parametrize("which", ["B", "H_B"])
 def test_block_system_matches_dense_blocks(which, rng):
     g = Grid((3, 4, 5))
     omega = 2 * np.pi
     plan = plan3d(g, omega)
     n1, n2, n3 = g.n
     p2, p3 = plan.pencil_x2, plan.pencil_x3
-    lam1 = (plan.basis_numeric_x1.lambdas if which == "A"
-            else plan.basis_circulant_x1.lambdas)
+    lam1 = plan.basis_circulant_x1.lambdas
 
     rhs = rand_field(g, 9)
     got = solve_block_system(plan, which, rhs).reshape(n1, n2 * n3)
@@ -202,10 +201,12 @@ def test_cli_3d_resonance_exit_code():
 def test_solve3d_shift_sets():
     g = Grid((4, 3, 3))
     plan = plan3d(g, 2 * np.pi)
-    # p_A from the absorbing pencil is genuinely complex, p_B is real
-    assert np.abs(plan.shifts_A.imag).max() > 1e-6
+    # the absorbing x_1 blocks are genuinely complex, the periodic shifts real
+    lam = np.add.outer(plan.lambdas_x2, plan.lambdas_x3)
+    green = boundary_green(plan.pencil_x1, (2 * np.pi) ** 2, lam)
+    assert min(np.abs(part.imag).max() for part in green) > 1e-6
     assert np.abs(plan.shifts_B.imag).max() <= 1e-12
-    lamB = circulant_eigenvalues(assemble_periodic_pencil(4, g.h[0]))
+    lamB = circulant_eigenbasis(assemble_periodic_pencil(4, g.h[0])).lambdas
     assert np.allclose(plan.shifts_B, (2 * np.pi) ** 2 - lamB)
 
 
@@ -217,6 +218,6 @@ def test_bad_input_raises(which):
     if which != "short":
         f[7] = np.nan if which == "nan" else complex(np.inf, 0.0)
     for call in (lambda: solve3d(plan, f), lambda: solve3d(plan, f, refine=0),
-                 lambda: solve_block_system(plan, "A", f)):
+                 lambda: solve_block_system(plan, "B", f)):
         with pytest.raises(ValueError):
             call()

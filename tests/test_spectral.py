@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 
-from helmfft import (BoundaryKind, Grid, NormalizationFailure, TriCornerMatrix,
-                     assemble_pencil, assemble_periodic_pencil,
-                     circulant_eigenbasis, circulant_eigenvalues,
-                     clear_eigen_cache, dense_eigensolve_pencil, plan2d,
-                     solve_pencil_eigen, spectral)
+from helmfft import (BoundaryKind, NormalizationFailure, SingularBlock,
+                     TriCornerMatrix, assemble_pencil, assemble_periodic_pencil,
+                     boundary_green, circulant_eigenbasis, dct1_eigen,
+                     dense_eigensolve_pencil, solve_pencil_eigen)
 from helmfft.assembly import Pencil1D
 
 
 def test_circulant_eigenvalues_closed_form():
     h = 0.2
     p = assemble_periodic_pencil(4, h)
-    lam = circulant_eigenvalues(p)
+    lam = circulant_eigenbasis(p).lambdas
     mu = 1.0 / (4 * circulant_eigenbasis(p).scales ** 2)   # s_l = 1/sqrt(n mu_l)
     assert lam[0] == pytest.approx(0.0, abs=1e-13)
     # theta = pi mode: stiffness symbol 4/h, mass symbol h/3
@@ -25,7 +25,7 @@ def test_circulant_eigenvalues_closed_form():
 
 @pytest.mark.parametrize("n", [4, 5, 9])
 def test_circulant_pair_symmetry(n):
-    lam = circulant_eigenvalues(assemble_periodic_pencil(n, 1 / (n - 1)))
+    lam = circulant_eigenbasis(assemble_periodic_pencil(n, 1 / (n - 1))).lambdas
     for l in range(1, n):  # modes l and n+2-l coincide (1-based), l = 2..n
         assert lam[l] == pytest.approx(lam[(n - l) % n], rel=1e-12, abs=1e-12)
 
@@ -33,14 +33,14 @@ def test_circulant_pair_symmetry(n):
 @pytest.mark.parametrize("n", [3, 4, 7, 8, 16])
 def test_circulant_matches_dense_eigensolve(n):
     p = assemble_periodic_pencil(n, 1 / (n - 1))
-    lam = np.sort_complex(circulant_eigenvalues(p))
+    lam = np.sort_complex(circulant_eigenbasis(p).lambdas)
     ref, _ = dense_eigensolve_pencil(p.K.dense(), p.M.dense())
     assert np.allclose(np.sort_complex(ref), lam, atol=1e-10 * np.abs(lam).max())
 
 
 def test_circulant_requires_periodic():
     with pytest.raises(ValueError):
-        circulant_eigenvalues(assemble_pencil(5, 0.25))
+        circulant_eigenbasis(assemble_pencil(5, 0.25))
 
 
 @pytest.mark.parametrize("bc", [BoundaryKind.ABSORBING, BoundaryKind.NEUMANN])
@@ -48,7 +48,7 @@ def test_circulant_requires_periodic():
 @pytest.mark.parametrize("n", [4, 9, 33, 64])
 def test_pencil_eigen_normalization(bc, omega, n):
     p = assemble_pencil(n, 1 / (n - 1), omega, bc)
-    basis = solve_pencil_eigen(p, cache=False)
+    basis = solve_pencil_eigen(p)
     V = basis.vectors
     G = V.T @ p.M.dense() @ V
     H = V.T @ p.K.dense() @ V
@@ -58,7 +58,7 @@ def test_pencil_eigen_normalization(bc, omega, n):
 
 
 def test_neumann_pencil_has_constant_kernel():
-    basis = solve_pencil_eigen(assemble_pencil(7, 1 / 6), cache=False)
+    basis = solve_pencil_eigen(assemble_pencil(7, 1 / 6))
     k = int(np.argmin(np.abs(basis.lambdas)))
     assert abs(basis.lambdas[k]) <= 1e-12
     v = basis.vectors[:, k]
@@ -73,7 +73,7 @@ def test_pencil_eigen_two_point_hand_case():
     K = TriCornerMatrix([1 - 1j * omega, 1 - 1j * omega], [-1.0])
     M = TriCornerMatrix([2 / 6, 2 / 6], [1 / 6])
     p = Pencil1D(K=K, M=M, bc=BoundaryKind.ABSORBING, n=2, h=1.0, omega=omega)
-    basis = solve_pencil_eigen(p, cache=False)
+    basis = solve_pencil_eigen(p)
     k = int(np.argmin(np.abs(basis.lambdas - (-2j * omega))))
     assert basis.lambdas[k] == pytest.approx(-4j * np.pi, rel=1e-12)
     v = basis.vectors[:, k]
@@ -82,7 +82,7 @@ def test_pencil_eigen_two_point_hand_case():
 
 def test_pencil_eigen_reconstruction():
     p = assemble_pencil(5, 0.25, 2 * np.pi, BoundaryKind.ABSORBING)
-    basis = solve_pencil_eigen(p, cache=False)
+    basis = solve_pencil_eigen(p)
     V = basis.vectors
     K_rec = p.M.dense() @ V @ np.diag(basis.lambdas) @ np.linalg.inv(V)
     assert np.linalg.norm(K_rec - p.K.dense()) <= 1e-9 * np.linalg.norm(p.K.dense())
@@ -94,7 +94,7 @@ def test_normalization_failure_on_defective_pencil():
     M = TriCornerMatrix([1.0, 1.0, 1.0], [0.0, 0.0])
     p = Pencil1D(K=K, M=M, bc=BoundaryKind.NEUMANN, n=3, h=1.0)
     with pytest.raises(NormalizationFailure):
-        solve_pencil_eigen(p, cache=False)
+        solve_pencil_eigen(p)
 
 
 # -- boundary-restricted products --------------------------------------------
@@ -108,55 +108,82 @@ def test_boundary_product_mode_one_is_constant():
     assert np.allclose(vb[0], vb[1])
 
 
-@pytest.mark.parametrize("kind", ["circulant", "numeric"])
-def test_adjoint_then_forward_matches_dense(kind, rng):
-    # The solvers take boundary data to the spectral space with the adjoint
-    # rows (the conjugated boundary rows for a circulant basis, the rows
-    # themselves for a numeric one) and back with the boundary rows.  The
+def test_adjoint_then_forward_matches_dense(rng):
+    # The solvers take boundary data to the spectral space with the
+    # conjugated boundary rows and back with the boundary rows.  The
     # composition must match the dense analysis and synthesis transforms
-    # restricted to the boundary: s * fft and n * ifft(s * .) for circulant
-    # bases, V^T and V for numeric ones.
+    # restricted to the boundary, s * fft and n * ifft(s * .).
     n, block = 5, 2
-    if kind == "circulant":
-        basis = circulant_eigenbasis(assemble_periodic_pencil(n, 0.25))
-        s = basis.scales[:, None]
-        analysis = s * scipy.fft.fft(np.eye(n), axis=0)
-        synthesis = n * scipy.fft.ifft(s * np.eye(n), axis=0)
-    else:
-        basis = solve_pencil_eigen(
-            assemble_pencil(n, 0.25, 2 * np.pi, BoundaryKind.ABSORBING), cache=False)
-        analysis, synthesis = basis.vectors.T, basis.vectors
+    basis = circulant_eigenbasis(assemble_periodic_pencil(n, 0.25))
+    s = basis.scales[:, None]
+    analysis = s * scipy.fft.fft(np.eye(n), axis=0)
+    synthesis = n * scipy.fft.ifft(s * np.eye(n), axis=0)
     R = basis.boundary_rows()
-    adjoint = np.conj(R) if kind == "circulant" else R
+    adjoint = np.conj(R)
     y = rng.standard_normal((2, block)) + 1j * rng.standard_normal((2, block))
     expected = synthesis[[0, -1]] @ (analysis[:, [0, -1]] @ y)
     got = R @ (adjoint.T @ y)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def test_eigen_cache_reuse():
-    clear_eigen_cache()
-    p = assemble_pencil(9, 0.125, 1.0, BoundaryKind.ABSORBING)
-    b1 = solve_pencil_eigen(p)
-    b2 = solve_pencil_eigen(assemble_pencil(9, 0.125, 1.0, BoundaryKind.ABSORBING))
-    assert b1 is b2
-    clear_eigen_cache()
+# -- boundary Green's function ------------------------------------------------
+
+def _banded_corners(pencil, sigma, lam):
+    """Corner blocks of T(lam)^-1 by a pivoted banded solve per mode."""
+    out = []
+    for c in np.asarray(lam) - sigma:
+        ab = np.zeros((3, pencil.n), dtype=complex)
+        ab[0, 1:] = ab[2, :-1] = pencil.K.off + c * pencil.M.off
+        ab[1] = pencil.K.diag + c * pencil.M.diag
+        e = np.zeros((pencil.n, 2), dtype=complex)
+        e[0, 0] = e[-1, 1] = 1.0
+        out.append(scipy.linalg.solve_banded((1, 1), ab, e)[[0, -1]])
+    return np.array(out)
 
 
-def test_eigen_cache_is_bounded(monkeypatch):
-    # planning more distinct wave numbers than the cache has room for
-    basis_bytes = 16 * 9 * 9
-    monkeypatch.setattr(spectral, "EIGEN_CACHE_BYTES", 3 * basis_bytes)
-    clear_eigen_cache()
-    omegas = 1.0 + np.arange(7)
-    bases = [plan2d(Grid((9, 5)), w).basis_numeric for w in omegas]
-    assert len(spectral._EIGEN_CACHE) == 3
-    assert sum(b.vectors.nbytes for b in spectral._EIGEN_CACHE.values()) == 3 * basis_bytes
-    # the newest keys are kept, the oldest evicted
-    p_last = assemble_pencil(9, 0.125, omegas[-1], BoundaryKind.ABSORBING)
-    assert solve_pencil_eigen(p_last) is bases[-1]
-    p_first = assemble_pencil(9, 0.125, omegas[0], BoundaryKind.ABSORBING)
-    assert solve_pencil_eigen(p_first) is not bases[0]
-    assert len(spectral._EIGEN_CACHE) == 3
-    clear_eigen_cache()
-    assert not spectral._EIGEN_CACHE
+def _green_error(pencil, sigma, lam):
+    """Worst error of boundary_green per mode, relative to the mode's block."""
+    g, g_far = boundary_green(pencil, sigma, lam)
+    got = np.stack([np.stack([g, g_far], -1), np.stack([g_far, g], -1)], 1)
+    ref = _banded_corners(pencil, sigma, lam)
+    return (np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))).max()
+
+
+def _cross_modes(n2):
+    return dct1_eigen(assemble_pencil(n2, 1 / (n2 - 1)))[0]
+
+
+@pytest.mark.parametrize("omega", [1.0, 2 * np.pi, 20.0, 40.0])
+@pytest.mark.parametrize("n1,n2", [(9, 13), (257, 129), (257, 513), (2049, 257)])
+def test_boundary_green_absorbing_matches_banded_solve(n1, n2, omega):
+    p = assemble_pencil(n1, 1 / (n1 - 1), omega, BoundaryKind.ABSORBING)
+    assert _green_error(p, omega ** 2, _cross_modes(n2)) <= 1e-10
+
+
+@pytest.mark.parametrize("rel", [1e-3, 1e-6, -1e-6])
+@pytest.mark.parametrize("k,j", [(1, 0), (2, 1), (3, 2)])
+@pytest.mark.parametrize("n1,n2", [(9, 13), (257, 129), (257, 513)])
+def test_boundary_green_neumann_near_resonance(n1, n2, k, j, rel):
+    # real shift a relative distance rel from the resonance x_1 mode k plus
+    # x_2 mode j; both solves lose digits in proportion to n1 / |rel|
+    p = assemble_pencil(n1, 1 / (n1 - 1))
+    lam = _cross_modes(n2)
+    sigma = (dct1_eigen(p)[0][k] + lam[j]) * (1 + rel)
+    assert _green_error(p, sigma, lam) <= 1e-14 * n1 / abs(rel)
+
+
+def test_boundary_green_raises_at_resonance():
+    p = assemble_pencil(9, 1 / 8)
+    lam = _cross_modes(13)
+    with pytest.raises(SingularBlock) as info:
+        boundary_green(p, dct1_eigen(p)[0][1] + lam[0], lam)
+    assert info.value.block == 0
+
+
+def test_boundary_green_shape_follows_modes():
+    p = assemble_pencil(9, 1 / 8, 2 * np.pi, BoundaryKind.ABSORBING)
+    lam = np.add.outer(_cross_modes(5), _cross_modes(7))
+    g, g_far = boundary_green(p, (2 * np.pi) ** 2, lam)
+    assert g.shape == g_far.shape == (5, 7)
+    g1, g_far1 = boundary_green(p, (2 * np.pi) ** 2, lam.ravel())
+    assert np.array_equal(g.ravel(), g1) and np.array_equal(g_far.ravel(), g_far1)
