@@ -4,8 +4,9 @@ The 1D element matrices on a uniform mesh are closed-form: interior stiffness
 rows are (-1, 2, -1)/h and interior mass rows are (1, 4, 1) h/6.  Boundary
 rows encode the boundary condition; the absorbing condition only changes the
 two corner entries of K to (1 - i omega h)/h, while M is identical for Neumann
-and absorbing ends.  The periodic (auxiliary) pencils are circulant with the
-same interior rows and wrap-around corners.
+and absorbing ends.  The auxiliary pencils have the same interior rows and
+wrap-around corners: equal to the interior off-diagonal for the periodic wrap
+(circulant), of opposite sign for the anti-periodic one (skew-circulant).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ class Pencil1D:
     n: int
     h: float
     omega: float = 0.0
+    twist: float = 0.0      # wrap phase of an auxiliary pencil: 0 or pi
 
 
 def assemble_pencil(n: int, h: float, omega: float = 0.0,
@@ -58,17 +60,25 @@ def assemble_pencil(n: int, h: float, omega: float = 0.0,
                     bc=bc, n=n, h=h, omega=float(omega))
 
 
-def assemble_periodic_pencil(n: int, h: float) -> Pencil1D:
-    """Circulant stiffness/mass pencil of the auxiliary periodic problem."""
+def assemble_periodic_pencil(n: int, h: float, twist: float = 0.0) -> Pencil1D:
+    """Stiffness/mass pencil of the auxiliary problem wrapped with phase twist.
+
+    twist = 0 gives the periodic (circulant) wrap; twist = pi the anti-periodic
+    (skew-circulant) one, whose corners are the negated off-diagonal.  Both
+    stay real symmetric, so one corner value describes them.
+    """
     if n < 3:
         raise ValueError(f"pencil needs n >= 3, got {n}")
+    if twist not in (0.0, np.pi):
+        raise ValueError(f"the wrap twist must be 0 or pi, got {twist}")
+    sign = 1.0 if twist == 0.0 else -1.0
     kdiag = np.full(n, 2.0 / h, dtype=np.complex128)
     koff = np.full(n - 1, -1.0 / h, dtype=np.complex128)
     mdiag = np.full(n, 4.0 * h / 6.0, dtype=np.complex128)
     moff = np.full(n - 1, h / 6.0, dtype=np.complex128)
-    return Pencil1D(K=TriCornerMatrix(kdiag, koff, corner=-1.0 / h),
-                    M=TriCornerMatrix(mdiag, moff, corner=h / 6.0),
-                    bc=BoundaryKind.PERIODIC, n=n, h=h)
+    return Pencil1D(K=TriCornerMatrix(kdiag, koff, corner=-sign / h),
+                    M=TriCornerMatrix(mdiag, moff, corner=sign * h / 6.0),
+                    bc=BoundaryKind.PERIODIC, n=n, h=h, twist=float(twist))
 
 
 @dataclass(frozen=True)
@@ -128,9 +138,9 @@ def build_operator_A(grid: Grid, omega: float,
     return KroneckerOperator(grid, _separable_terms(p1, cross, omega ** 2))
 
 
-def build_operator_B(grid: Grid, omega: float) -> KroneckerOperator:
-    """Auxiliary operator: x_1 pencil replaced by its periodic counterpart."""
-    p1 = assemble_periodic_pencil(grid.n[0], grid.h[0])
+def build_operator_B(grid: Grid, omega: float, twist: float = 0.0) -> KroneckerOperator:
+    """Auxiliary operator: x_1 pencil replaced by its wrap with phase twist."""
+    p1 = assemble_periodic_pencil(grid.n[0], grid.h[0], twist)
     cross = [assemble_pencil(grid.n[j], grid.h[j]) for j in range(1, grid.dims)]
     return KroneckerOperator(grid, _separable_terms(p1, cross, omega ** 2))
 

@@ -4,6 +4,9 @@ Configuration comes from flags, optionally seeded by a flat ``key=value``
 config file (UTF-8, ``#`` comments); flags override file entries.  Records are
 emitted as CSV or JSON with floats at 17 significant digits.
 
+JSON records also carry the plan's auxiliary x_1 wrap: its twist (0
+periodic, pi anti-periodic) and the relative spectral gaps of both wraps.
+
 Exit codes: 0 success, 2 configuration error, 3 solver error (singular
 block), 4 verification failure.
 """
@@ -29,6 +32,7 @@ from .solver3d import plan3d, solve3d
 RHS_MAGIC = b"HHFFTRHS"
 VERIFY_TOL = 1e-9
 CSV_HEADER = "mode,d,n1,n2,n3,omega,init_seconds,solve_seconds,residual,oracle_error"
+JSON_KEYS = tuple(CSV_HEADER.split(",")) + ("twist", "gap_periodic", "gap_antiperiodic")
 
 
 class ConfigError(ValueError):
@@ -78,6 +82,9 @@ class RunRecord:
     solve_seconds: float
     residual: float
     oracle_error: float | None = None
+    twist: float | None = None              # the plan's wrap; JSON only
+    gap_periodic: float | None = None
+    gap_antiperiodic: float | None = None
 
 
 # -- right-hand sides ----------------------------------------------------------
@@ -162,7 +169,8 @@ def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
         mode=config.mode, d=config.d,
         n1=grid.n[0], n2=grid.n[1], n3=grid.n[2] if config.d == 3 else None,
         omega=config.omega, init_seconds=init_seconds, solve_seconds=best,
-        residual=res, oracle_error=oracle_error,
+        residual=res, oracle_error=oracle_error, twist=plan.twist,
+        gap_periodic=plan.wrap_gaps[0], gap_antiperiodic=plan.wrap_gaps[1],
     )
 
 
@@ -220,8 +228,7 @@ def emit(records: list[RunRecord], fmt: str = "csv", path: str | None = None) ->
         objs = []
         for r in records:
             items = []
-            for key in ("mode", "d", "n1", "n2", "n3", "omega", "init_seconds",
-                        "solve_seconds", "residual", "oracle_error"):
+            for key in JSON_KEYS:
                 v = getattr(r, key)
                 if v is None:
                     items.append(f'"{key}": null')
@@ -276,7 +283,9 @@ def _record_from(d: dict) -> RunRecord:
                      n2=int(d["n2"]), n3=it(d["n3"]), omega=fl(d["omega"]),
                      init_seconds=fl(d["init_seconds"]),
                      solve_seconds=fl(d["solve_seconds"]),
-                     residual=fl(d["residual"]), oracle_error=fl(d["oracle_error"]))
+                     residual=fl(d["residual"]), oracle_error=fl(d["oracle_error"]),
+                     twist=fl(d.get("twist")), gap_periodic=fl(d.get("gap_periodic")),
+                     gap_antiperiodic=fl(d.get("gap_antiperiodic")))
 
 
 # -- slope post-processing ----------------------------------------------------

@@ -51,12 +51,17 @@ class DenseSolveResult(NamedTuple):
 
 
 def dense_problem(grid: Grid, omega: float,
-                  bc_x1: BoundaryKind = BoundaryKind.ABSORBING) -> DenseProblem:
-    """Assemble dense A and B by explicit Kronecker expansion (N <= 20000)."""
+                  bc_x1: BoundaryKind = BoundaryKind.ABSORBING,
+                  twist: float = 0.0) -> DenseProblem:
+    """Assemble dense A and B by explicit Kronecker expansion (N <= 20000).
+
+    B wraps x_1 with phase ``twist``, as ``build_operator_B``; pass a plan's
+    ``twist`` to check against the wrap it chose.
+    """
     if grid.npoints > DENSE_SIZE_CAP:
         raise SizeLimit(f"N = {grid.npoints} exceeds dense cap {DENSE_SIZE_CAP}")
     A = build_operator_A(grid, omega, bc_x1).dense()
-    B = build_operator_B(grid, omega).dense()
+    B = build_operator_B(grid, omega, twist).dense()
     return DenseProblem(grid=grid, omega=float(omega), bc_x1=bc_x1, A=A, B=B)
 
 

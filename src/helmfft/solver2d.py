@@ -4,19 +4,22 @@ Solves ``((K_1 - sigma M_1) ox M_2 + M_1 ox K_2) u = f`` where the x_1 pencil
 carries absorbing (sigma = omega^2) or Neumann boundary rows (sigma an
 arbitrary complex shift).
 
-Step 1 solves the periodic auxiliary problem for the boundary-plane values
-v_b only, step 2 solves the original operator for the boundary correction w_b
-driven by C_bb v_b, and step 3 solves the auxiliary problem once more with a
-right-hand side corrected so the periodic solution agrees with the original
-one.  Steps 1 and 3 cost O(N log N).  Step 2 applies, per DCT-I mode of x_2,
-the 2 x 2 corner block G of the inverse x_1 matrix (``boundary_green``,
-computed in O(N) once per solve).
+Step 1 solves the auxiliary problem, whose x_1 pencil is wrapped periodically
+or anti-periodically, for the boundary-plane values v_b only; step 2 solves
+the original operator for the boundary correction w_b driven by C_bb v_b, and
+step 3 solves the auxiliary problem once more with a right-hand side
+corrected so the auxiliary solution agrees with the original one.  The plan
+keeps the wrap whose blocks are further from resonance
+(``spectral.choose_wrap``).  Steps 1 and 3 cost O(N log N); the anti-periodic
+wrap adds a twiddle along x_1 before the forward and after the inverse line
+FFT.  Step 2 applies, per DCT-I mode of x_2, the 2 x 2 corner block G of the
+inverse x_1 matrix (``boundary_green``, computed in O(N) once per solve).
 
 ``solve2d`` additionally applies safeguarded defect-correction passes
-(default one): the three-step composition amplifies roundoff near resonances
-of the auxiliary problem, and one extra O(N log N) pass restores the residual
-to direct-solver levels whenever the configuration is not too close to a
-resonance.  A pass that fails to reduce the residual is rolled back.
+(default one).  The three-step composition amplifies roundoff by how close
+the auxiliary problem is to resonance; a pass is skipped once the residual
+is at roundoff level, and a pass that fails to reduce the residual is rolled
+back.
 """
 
 from __future__ import annotations
@@ -28,13 +31,11 @@ import scipy.fft
 
 from . import _tridiag
 from .assembly import (CorrectionMatrix, Pencil1D, assemble_pencil,
-                       assemble_periodic_pencil, build_correction,
-                       pencil_difference, _separable_terms)
+                       build_correction, pencil_difference, _separable_terms)
 from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
                    defect_correction, freeze_arrays)
 from .oracle import solve_pencil_eigen  # noqa: F401  (perfbench traces this name)
-from .spectral import (EigenBasis, boundary_green, check_resonance,
-                       circulant_eigenbasis, dct1_eigen)
+from .spectral import EigenBasis, boundary_green, choose_wrap, dct1_eigen
 
 
 @dataclass
@@ -53,12 +54,13 @@ class SolverPlan2D:
     sigma: complex
     bc_x1: BoundaryKind
     pencil_x1: Pencil1D
-    pencil_x1_periodic: Pencil1D
+    pencil_x1_periodic: Pencil1D        # the auxiliary wrap the plan chose
     pencil_x2: Pencil1D
     basis_circulant: EigenBasis
     lambdas_x2: np.ndarray              # closed-form DCT-I eigenvalues
     correction: CorrectionMatrix
     operator: KroneckerOperator         # (K_1 - sigma M_1) ox M_2 + M_1 ox K_2
+    wrap_gaps: tuple[float, float]      # relative gaps, periodic and anti-periodic
     _factors_B: tuple = field(repr=False, default=None)
     _RW: np.ndarray = field(repr=False, default=None)
     _RWc: np.ndarray = field(repr=False, default=None)
@@ -67,6 +69,11 @@ class SolverPlan2D:
 
     def __post_init__(self):
         freeze_arrays(vars(self).values())
+
+    @property
+    def twist(self) -> float:
+        """Phase of the auxiliary x_1 wrap: 0 periodic, pi anti-periodic."""
+        return self.pencil_x1_periodic.twist
 
     @property
     def n1(self) -> int:
@@ -79,14 +86,14 @@ class SolverPlan2D:
 
 def plan2d(grid: Grid, omega_or_shift,
            bc_x1: BoundaryKind = BoundaryKind.ABSORBING) -> SolverPlan2D:
-    """Precompute closed-form bases, the boundary correction and auxiliary LU.
+    """Choose the auxiliary wrap; precompute its basis, C_bb and block LU.
 
     With absorbing x_1 ends the second argument is the (real) wave number and
     the operator shift is omega^2; with Neumann ends it is taken directly as
-    the complex shift sigma.  Raises SingularBlock for a resonant shift, of
-    the original blocks with Neumann ends in closed form; with absorbing ends
-    they cannot be resonant (see boundary_green) unless omega = 0, which makes
-    an auxiliary block singular.
+    the complex shift sigma.  Raises SingularBlock for a resonant shift: of
+    the chosen auxiliary blocks, or in closed form of the original blocks
+    with Neumann ends or omega = 0.  With absorbing ends and omega != 0 the
+    original blocks cannot be resonant (see boundary_green).
     """
     if grid.dims != 2:
         raise ValueError("plan2d needs a 2D grid")
@@ -102,15 +109,12 @@ def plan2d(grid: Grid, omega_or_shift,
     n1, n2 = grid.n
     h1, h2 = grid.h
     p1 = assemble_pencil(n1, h1, omega, bc_x1)
-    p1B = assemble_periodic_pencil(n1, h1)
     p2 = assemble_pencil(n2, h2)
-    basis_w = circulant_eigenbasis(p1B)
     lam2, D2 = dct1_eigen(p2)
+    wrap = choose_wrap(p1, sigma, [lam2])
+    p1B, basis_w = wrap.pencil, wrap.basis
     corr = build_correction(pencil_difference(p1, p1B), [p2], sigma)
-
     fB = _tridiag.factor_blocks(basis_w.lambdas - sigma, p2.K, p2.M)
-    if bc_x1 == BoundaryKind.NEUMANN:
-        check_resonance(sigma - dct1_eigen(p1)[0], [lam2], "A")
 
     RW = basis_w.boundary_rows()
     return SolverPlan2D(
@@ -118,8 +122,8 @@ def plan2d(grid: Grid, omega_or_shift,
         pencil_x1=p1, pencil_x1_periodic=p1B, pencil_x2=p2,
         basis_circulant=basis_w, lambdas_x2=lam2, correction=corr,
         operator=KroneckerOperator(grid, _separable_terms(p1, [p2], sigma)),
-        _factors_B=fB, _RW=RW, _RWc=np.conj(RW), _scales=basis_w.scales,
-        _D2=D2,
+        wrap_gaps=wrap.gaps, _factors_B=fB, _RW=RW, _RWc=np.conj(RW),
+        _scales=basis_w.scales, _D2=D2,
     )
 
 
@@ -145,7 +149,11 @@ def _boundary(plan, v, name):
 
 
 def _step1_internal(plan, Fi, workers=None):
-    fhat = scipy.fft.fft(Fi, axis=1, workers=workers)
+    pre = plan.basis_circulant.twiddle(-1)
+    if pre is None:
+        fhat = scipy.fft.fft(Fi, axis=1, workers=workers)
+    else:                               # the product becomes fhat, in place
+        fhat = scipy.fft.fft(Fi * pre, axis=1, overwrite_x=True, workers=workers)
     fhat *= plan._scales[None, :]
     p2 = plan.pencil_x2
     z = _tridiag.solve_blocks(plan._factors_B, p2.K, p2.M, fhat.copy())
@@ -175,7 +183,8 @@ def _step3_internal(plan, fhat, vb, wb, workers=None):
     _tridiag.solve_blocks(plan._factors_B, p2.K, p2.M, fhat)
     fhat *= plan._scales[None, :]
     u = scipy.fft.ifft(fhat, axis=1, workers=workers)
-    u *= plan.n1
+    post = plan.basis_circulant.twiddle(1)
+    u *= plan.n1 if post is None else plan.n1 * post
     return u
 
 

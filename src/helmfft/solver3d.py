@@ -1,11 +1,13 @@
 """Three-step fast solver for the 3D separable Helmholtz system.
 
-The x_1 direction runs the paper's three steps as in 2D: the periodic
-auxiliary problem is diagonalized by the FFT, the absorbing one enters through
-``spectral.boundary_green``, and the boundary-plane correction joins them.  The cross
-directions x_2 and x_3 carry uniform Neumann pencils, which DCT-I
-diagonalizes in closed form (``spectral.dct1_eigen``), so every transformed
-x_1 block is a diagonal system.  This departs from the paper, which solves
+The x_1 direction runs the paper's three steps as in 2D: the auxiliary
+problem, wrapped periodically or anti-periodically in x_1 (whichever the plan
+finds further from resonance, ``spectral.choose_wrap``), is diagonalized by
+the FFT (after a twiddle for the anti-periodic wrap), the absorbing one
+enters through ``spectral.boundary_green``, and the boundary-plane correction
+joins them.  The cross directions x_2 and x_3 carry uniform Neumann pencils,
+which DCT-I diagonalizes in closed form (``spectral.dct1_eigen``), so every
+transformed x_1 block is a diagonal system.  This departs from the paper, which solves
 the blocks by the same three-step method recursively; the closed form needs
 no inner factorization and adds no error of its own.
 
@@ -29,13 +31,11 @@ import numpy as np
 import scipy.fft
 
 from .assembly import (Pencil1D, PencilDifference, assemble_pencil,
-                       assemble_periodic_pencil, pencil_difference,
-                       _separable_terms)
+                       pencil_difference, _separable_terms)
 from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
                    defect_correction, freeze_arrays)
 from .oracle import solve_pencil_eigen  # noqa: F401  (perfbench traces this name)
-from .spectral import (EigenBasis, boundary_green, check_resonance,
-                       circulant_eigenbasis, dct1_eigen)
+from .spectral import EigenBasis, boundary_green, choose_wrap, dct1_eigen
 
 # complex scalars of divisor scratch per slab chunk (at least one x_1 slab)
 _SLAB_SCRATCH = 1 << 16
@@ -48,15 +48,16 @@ class SolverPlan3D:
     grid: Grid
     omega: float
     pencil_x1: Pencil1D
-    pencil_x1_periodic: Pencil1D
+    pencil_x1_periodic: Pencil1D        # the auxiliary wrap the plan chose
     pencil_x2: Pencil1D
     pencil_x3: Pencil1D
     basis_circulant_x1: EigenBasis
     lambdas_x2: np.ndarray              # closed-form DCT-I eigenvalues
     lambdas_x3: np.ndarray
-    diff_x1: PencilDifference           # corner blocks of periodic - absorbing x1
+    diff_x1: PencilDifference           # corner blocks of auxiliary - absorbing x1
     shifts_B: np.ndarray                # p_B,l = omega^2 - Lambda^B_{1,l}
     operator: KroneckerOperator
+    wrap_gaps: tuple[float, float]      # relative gaps, periodic and anti-periodic
     _w2: np.ndarray = field(repr=False, default=None)
     _w3: np.ndarray = field(repr=False, default=None)
     _RW1: np.ndarray = field(repr=False, default=None)
@@ -65,6 +66,11 @@ class SolverPlan3D:
 
     def __post_init__(self):
         freeze_arrays(vars(self).values())
+
+    @property
+    def twist(self) -> float:
+        """Phase of the auxiliary x_1 wrap: 0 periodic, pi anti-periodic."""
+        return self.pencil_x1_periodic.twist
 
     @property
     def n1(self):
@@ -88,9 +94,9 @@ def _mass_weights(D):
 def plan3d(grid: Grid, omega: float) -> SolverPlan3D:
     """Closed forms only; O(n1 + n2 + n3) memory.
 
-    Raises SingularBlock if an auxiliary block is resonant; the original ones
-    cannot be (see ``spectral.boundary_green``) unless omega = 0, which makes
-    an auxiliary block singular.
+    Raises SingularBlock if a block of the chosen auxiliary wrap is resonant,
+    or if omega = 0, where the original problem is singular; with omega != 0
+    the original blocks cannot be (see ``spectral.boundary_green``).
     """
     if grid.dims != 3:
         raise ValueError("plan3d needs a 3D grid")
@@ -99,15 +105,12 @@ def plan3d(grid: Grid, omega: float) -> SolverPlan3D:
     (n1, n2, n3), (h1, h2, h3) = grid.n, grid.h
 
     p1 = assemble_pencil(n1, h1, omega, BoundaryKind.ABSORBING)
-    p1B = assemble_periodic_pencil(n1, h1)
     p2 = assemble_pencil(n2, h2)
     p3 = assemble_pencil(n3, h3)
-
-    w1 = circulant_eigenbasis(p1B)
     lam2, D2 = dct1_eigen(p2)
     lam3, D3 = dct1_eigen(p3)
-    shifts_B = sigma - w1.lambdas
-    check_resonance(shifts_B, [lam2, lam3], "B")
+    wrap = choose_wrap(p1, sigma, [lam2, lam3])
+    p1B, w1 = wrap.pencil, wrap.basis
 
     RW1 = w1.boundary_rows()
     return SolverPlan3D(
@@ -116,8 +119,9 @@ def plan3d(grid: Grid, omega: float) -> SolverPlan3D:
         basis_circulant_x1=w1,
         lambdas_x2=lam2, lambdas_x3=lam3,
         diff_x1=pencil_difference(p1, p1B),
-        shifts_B=shifts_B,
+        shifts_B=sigma - w1.lambdas,
         operator=KroneckerOperator(grid, _separable_terms(p1, [p2, p3], sigma)),
+        wrap_gaps=wrap.gaps,
         _w2=_mass_weights(D2), _w3=_mass_weights(D3),
         _RW1=RW1, _RW1c=np.conj(RW1), _s1=w1.scales,
     )
@@ -171,6 +175,9 @@ def _pipeline3d(plan, F, G, workers=None):
 
     G is boundary_green over the cross modes.  Returns the solution, in F.
     """
+    pre = plan.basis_circulant_x1.twiddle(-1)
+    if pre is not None:
+        F *= pre[:, None, None]
     F = scipy.fft.fft(F, axis=0, overwrite_x=True, workers=workers)
     _dct23(F, workers, scale_ends=True)
     rho, lam = _cross_planes(plan)
@@ -196,7 +203,11 @@ def _pipeline3d(plan, F, G, workers=None):
         Fs += np.tensordot(plan._RW1c[:, s].T, c, axes=1)
         Fs *= scale[s, None, None] / _divisor(plan.shifts_B[s], rho, lam)
     _dct23(F, workers, scale_ends=False)
-    return scipy.fft.ifft(F, axis=0, overwrite_x=True, workers=workers)
+    U = scipy.fft.ifft(F, axis=0, overwrite_x=True, workers=workers)
+    post = plan.basis_circulant_x1.twiddle(1)
+    if post is not None:
+        U *= post[:, None, None]
+    return U
 
 
 def solve_block_system(plan: SolverPlan3D, which: str, rhs: np.ndarray,

@@ -1,37 +1,53 @@
-"""Closed forms for the 1D pencils: circulant and DCT-I eigendata, and the
-boundary Green's function of the original x_1 pencil by a pivot recurrence.
+"""Closed forms for the 1D pencils: circulant and DCT-I eigendata, the choice
+of the auxiliary x_1 wrap, and the boundary Green's function of the original
+x_1 pencil by a pivot recurrence.
 
-Periodic (circulant) pencils are diagonalized by the unnormalized DFT.  The
-analysis side is ``s * fft(.)`` along the lines and the synthesis side is
-``n * ifft(s * .)``, with per-mode scales ``s_l = 1/sqrt(n mu_l)`` where
-``mu_l`` is the circulant mass eigenvalue.  Under this pairing the transformed
-block system is exactly ``(Lambda_l - sigma) M + K`` per mode.  Boundary
-products on this basis pair a row restriction with its complex conjugate (the
-DFT columns are not orthogonal under the plain transpose; conjugation is what
-the FFT realization implements).
+An auxiliary pencil wrapped with twist phi (0: periodic, pi: anti-periodic)
+has eigenvectors e^{i theta_l j} with theta_l = (2 pi l + phi)/n, so it is
+diagonalized by the unnormalized DFT after the pre-twiddle e^{-i phi j/n}
+(G. Strang, Stud. Appl. Math. 74 (1986); R. Chan & M. Ng, SIAM Review 38
+(1996) 427-482).  The analysis side is ``s * fft(t * .)`` along the lines and
+the synthesis side is ``conj(t) * n * ifft(s * .)``, with the twiddle
+``t_j = e^{-i phi j/n}`` and per-mode scales ``s_l = 1/sqrt(n mu_l)`` where
+``mu_l`` is the mass symbol.  Under this pairing the transformed block system
+is exactly ``(Lambda_l - sigma) M + K`` per mode.  Boundary products on this
+basis pair a row restriction with its complex conjugate (the DFT columns are
+not orthogonal under the plain transpose; conjugation is what the FFT
+realization implements).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import Pencil1D
+from .assembly import Pencil1D, assemble_pencil, assemble_periodic_pencil
 from .core import PIVOT_RTOL, BoundaryKind, SingularBlock
+
+
+def _symbols(pencil: Pencil1D, theta):
+    """Stiffness and mass symbols d + 2 o cos theta of the interior rows.
+
+    Every wrap of the pencil shares them.  1 - cos theta is taken as
+    2 sin^2(theta / 2): no cancellation for small theta.
+    """
+    s = 2.0 * np.sin(theta / 2.0) ** 2
+    K, M = pencil.K, pencil.M
+    return tuple((T.diag[1] + 2.0 * T.off[1]).real - 2.0 * T.off[1].real * s
+                 for T in (K, M))
+
+
+def _angles(n: int, twist: float) -> np.ndarray:
+    return (2.0 * np.pi * np.arange(n) + twist) / n
 
 
 def _circulant_pair(pencil: Pencil1D):
     if pencil.bc != BoundaryKind.PERIODIC:
         raise ValueError("circulant eigenvalues require a periodic pencil")
-    n = pencil.n
-    K, M = pencil.K, pencil.M
-    theta = 2.0 * np.pi * np.arange(n) / n
-    e1 = np.exp(-1j * theta)             # e^{-i theta_l}
-    en = np.exp(-1j * theta * (n - 1))   # e^{-i theta_l (n-1)}
-    num = K.diag[0] + K.corner * e1 + K.off[0] * en
-    den = M.diag[0] + M.corner * e1 + M.off[0] * en
+    num, den = _symbols(pencil, _angles(pencil.n, pencil.twist))
     if np.abs(den).min() < 1e-14:
         raise ValueError("degenerate circulant mass eigenvalue")
     return num / den, den
@@ -39,30 +55,38 @@ def _circulant_pair(pencil: Pencil1D):
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Closed-form eigenbasis of a periodic pencil; no matrix is stored.
+    """Closed-form eigenbasis of a wrapped pencil; no matrix is stored.
 
-    Mode l has angle theta_l = 2 pi (l-1)/n; ``lambdas`` is the ratio of the
-    stiffness and mass circulant symbols there, and ``scales`` carry the mass
-    normalization.
+    Mode l has angle theta_l = (2 pi l + twist)/n, l = 0..n-1; ``lambdas`` is
+    the ratio of the stiffness and mass symbols there, and ``scales`` carry
+    the mass normalization.
     """
 
     n: int
     lambdas: np.ndarray
     scales: np.ndarray
+    twist: float
 
     def boundary_rows(self) -> np.ndarray:
         """Rows 1 and n of the scaled eigenvector matrix, shape (2, n)."""
-        n = self.n
-        k = np.arange(n)
         top = self.scales.astype(np.complex128)
-        bot = np.exp(2j * np.pi * (n - 1) * k / n) * top
+        bot = np.exp(1j * (self.n - 1) * _angles(self.n, self.twist)) * top
         return np.vstack([top, bot])
+
+    def twiddle(self, sign: int):
+        """e^{sign i twist j/n} for j < n; None for the periodic wrap.
+
+        sign = -1 before the forward line FFT, +1 after the inverse one.
+        """
+        if self.twist == 0.0:
+            return None
+        return np.exp((sign * 1j * self.twist / self.n) * np.arange(self.n))
 
 
 def circulant_eigenbasis(pencil: Pencil1D) -> EigenBasis:
     lam, mu = _circulant_pair(pencil)
     scales = 1.0 / np.sqrt(pencil.n * mu)
-    return EigenBasis(n=pencil.n, lambdas=lam, scales=scales)
+    return EigenBasis(n=pencil.n, lambdas=lam, scales=scales, twist=pencil.twist)
 
 
 def dct1_eigen(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
@@ -145,23 +169,83 @@ def boundary_green(pencil: Pencil1D, sigma: complex, lam) -> tuple[np.ndarray, n
     return g, prod * g
 
 
-def check_resonance(shifts, cross_lams, which: str) -> None:
-    """Raise SingularBlock if some block eigenvalue sum_j lam_j - p_l is tiny.
+def _cross_sums(cross_lams, top):
+    """Sorted sums of one eigenvalue per cross direction, and the largest sum.
 
-    ``cross_lams`` holds the real eigenvalues of each cross direction.  The
-    test is relative to the block's largest eigenvalue, as the pivot guards;
-    the sums are sorted once and each shift is located by bisection.
+    The eigenvalues are >= 0, so a shift p with Re p <= top has its nearest
+    sums among those up to ``top`` and the smallest one above it; the sums
+    kept take each direction's eigenvalues up to ``top`` and one more, which
+    holds both.  At the paper's wave number that is a handful of sums, not
+    n_2 n_3.
     """
-    sums = np.sort(functools.reduce(np.add.outer, cross_lams), axis=None)
-    i = np.clip(np.searchsorted(sums, shifts.real), 1, sums.size - 1)
-    gap = np.minimum(np.abs(sums[i - 1] - shifts), np.abs(sums[i] - shifts))
-    scale = np.maximum(np.abs(sums[0] - shifts), np.abs(sums[-1] - shifts))
+    lams = [np.sort(lam) for lam in cross_lams]
+    kept = [lam[:np.searchsorted(lam, top, "right") + 1] for lam in lams]
+    sums = np.sort(functools.reduce(np.add.outer, kept), axis=None)
+    return sums, sum(lam[-1] for lam in lams)
+
+
+def _block_gaps(sums, largest, shifts):
+    """Smallest and largest |s - p| over the cross sums s, per shift p."""
+    i = np.searchsorted(sums, shifts.real)
+    below = sums[np.maximum(i - 1, 0)]
+    above = sums[np.minimum(i, sums.size - 1)]
+    gap = np.minimum(np.abs(below - shifts), np.abs(above - shifts))
+    scale = np.maximum(np.abs(sums[0] - shifts), np.abs(largest - shifts))
+    return gap, scale
+
+
+def _check_gaps(gap, scale, which: str) -> None:
+    """Raise SingularBlock if some block's smallest |eigenvalue| is tiny.
+
+    The test is relative to the block's largest eigenvalue, as the pivot
+    guards.
+    """
     bad = gap < PIVOT_RTOL * scale
     if bad.any():
         l = int(np.argmax(bad))
         raise SingularBlock(
             f"near-singular {which} block {l} (resonant shift); "
             f"min |eigenvalue| {gap[l]:.3e}", block=l)
+
+
+class AuxWrap(NamedTuple):
+    """The auxiliary x_1 pencil a plan solves with, and why it was chosen.
+
+    ``gaps`` holds, for the periodic and the anti-periodic wrap, the smallest
+    |eigenvalue| over all auxiliary blocks relative to |sigma|.
+    """
+
+    pencil: Pencil1D
+    basis: EigenBasis
+    gaps: tuple[float, float]
+
+
+def choose_wrap(pencil: Pencil1D, sigma: complex, cross_lams) -> AuxWrap:
+    """The wrap of the x_1 pencil whose auxiliary blocks are furthest from resonance.
+
+    Block l of the auxiliary problem has the eigenvalues Lambda_l + c - sigma
+    over the sums c of the cross directions' real eigenvalues
+    ``cross_lams``.  The modes of both wraps are the angles m pi / n, m < 2n:
+    even m periodic, odd m anti-periodic.  The sums near the shifts are
+    sorted once and the shifts of all 2n modes located by bisection; the
+    wrap with the larger smallest |eigenvalue| is kept, the periodic one on
+    a tie.  Raises SingularBlock if a kept block is resonant, and, where the
+    original x_1 pencil is real (Neumann ends, or sigma = 0), if an original
+    block is, over the DCT-I eigenvalues of x_1.
+    """
+    # every shift below is sigma minus an eigenvalue >= 0
+    sums, largest = _cross_sums(cross_lams, np.real(sigma))
+    if pencil.bc == BoundaryKind.NEUMANN or sigma == 0:
+        lam1 = dct1_eigen(assemble_pencil(pencil.n, pencil.h))[0]
+        _check_gaps(*_block_gaps(sums, largest, sigma - lam1), "A")
+    num, den = _symbols(pencil, np.pi * np.arange(2 * pencil.n) / pencil.n)
+    gap, scale = _block_gaps(sums, largest, sigma - num / den)
+    smallest = (float(gap[0::2].min()), float(gap[1::2].min()))
+    k = int(smallest[1] > smallest[0])
+    _check_gaps(gap[k::2], scale[k::2], "B")
+    aux = assemble_periodic_pencil(pencil.n, pencil.h, k * np.pi)
+    return AuxWrap(pencil=aux, basis=circulant_eigenbasis(aux),
+                   gaps=tuple(g / abs(sigma) for g in smallest))
 
 
 def clear_eigen_cache() -> None:

@@ -88,6 +88,26 @@ def test_emit_json_nulls_and_17_digits():
     assert "0.33333333333333331" in text
 
 
+def test_json_reports_the_wrap(capsys):
+    # at the paper's wave number the periodic wrap is nearly resonant and the
+    # plan keeps the anti-periodic one; the CSV header stays fixed
+    rc = cli.main(["solve", "--d", "2", "--n1", "65", "--n2", "65", "--rhs", "paper",
+                   "--repeats", "1", "--format", "json"])
+    assert rc == 0
+    rec = json.loads(capsys.readouterr().out)[0]
+    assert rec["twist"] == math.pi
+    assert rec["gap_periodic"] < 1e-3 and rec["gap_antiperiodic"] > 0.1
+    rc = cli.main(["solve", "--d", "3", "--n1", "5", "--n2", "5", "--n3", "5",
+                   "--omega", "20", "--repeats", "1", "--format", "json"])
+    assert rc == 0
+    rec = json.loads(capsys.readouterr().out)[0]
+    assert rec["twist"] in (0.0, math.pi)
+    gaps = (rec["gap_periodic"], rec["gap_antiperiodic"])
+    assert gaps[rec["twist"] != 0.0] >= gaps[rec["twist"] == 0.0]
+    cli.main(["solve", "--d", "2", "--n1", "5", "--n2", "5", "--repeats", "1"])
+    assert capsys.readouterr().out.splitlines()[0] == CSV_HEADER
+
+
 def test_serialization_roundtrip(tmp_path):
     recs = sample_records()
     for fmt, name in (("csv", "r.csv"), ("json", "r.json")):

@@ -42,11 +42,12 @@ def test_size_caps():
 
 def test_partial_solution_matches_full_restriction():
     g = Grid((5, 4))
-    prob = dense_problem(g, 2 * np.pi)
     f = rand_field(g, 2)
-    full = dense_solve(prob, "B", f).u
-    vb = dense_partial_solution(prob, "B", f)
-    assert np.array_equal(vb, np.concatenate([full[:4], full[-4:]]))
+    for twist in (0.0, np.pi):
+        prob = dense_problem(g, 2 * np.pi, twist=twist)
+        full = dense_solve(prob, "B", f).u
+        vb = dense_partial_solution(prob, "B", f)
+        assert np.array_equal(vb, np.concatenate([full[:4], full[-4:]]))
 
 
 def test_partial_solution_reflection_symmetry():
@@ -72,10 +73,26 @@ def test_partial_solution_full_coupling():
 
 
 def test_eigensolve_circulant_multiset():
-    p = assemble_periodic_pencil(8, 1 / 7)
-    lam, _ = dense_eigensolve_pencil(p.K.dense(), p.M.dense())
-    ref = np.sort_complex(circulant_eigenbasis(p).lambdas)
-    assert np.allclose(np.sort_complex(lam), ref, atol=1e-10 * np.abs(ref).max())
+    for twist in (0.0, np.pi):
+        p = assemble_periodic_pencil(8, 1 / 7, twist)
+        lam, _ = dense_eigensolve_pencil(p.K.dense(), p.M.dense())
+        ref = np.sort_complex(circulant_eigenbasis(p).lambdas)
+        assert np.allclose(np.sort_complex(lam), ref, atol=1e-10 * np.abs(ref).max())
+
+
+def test_b_follows_the_twist():
+    # B differs from A only on the boundary planes; the anti-periodic wrap
+    # flips the sign of its x_1 corner couplings
+    g = Grid((5, 4))
+    B0 = dense_problem(g, 2 * np.pi).B
+    Bpi = dense_problem(g, 2 * np.pi, twist=np.pi).B
+    D = Bpi - B0
+    block = 4
+    corner = np.ix_(range(block), range(g.npoints - block, g.npoints))
+    assert np.abs(D[corner] + 2 * B0[corner]).max() <= 1e-14 * np.abs(B0).max()
+    D[corner] = 0.0
+    D[corner[::-1]] = 0.0
+    assert np.abs(D).max() == 0.0
 
 
 def test_eigensolve_neumann_contains_zero():

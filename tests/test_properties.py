@@ -1,11 +1,12 @@
-"""At-scale properties: residuals without any dense matrix, complexity slopes,
-and the bench/slope tooling on the full size sweep.
+"""At-scale properties: residuals without any dense matrix, accuracy at the
+paper's wave number against a sparse direct solve, the auxiliary wrap each
+plan keeps, complexity slopes, and the bench/slope tooling on the full size
+sweep.
 
-The wave number for the residual properties is 1.0: at omega = 2 pi on the
-unit box the periodic auxiliary problem is asymptotically resonant (its
-spectral gap closes like O(h^2)), which caps the attainable accuracy of the
-three-step construction at large n regardless of implementation.  Small-grid
-accuracy and all timing properties are checked at omega = 2 pi elsewhere.
+At omega = 2 pi on the unit box the periodic auxiliary problem is
+asymptotically resonant (its spectral gap closes like O(h^2)), so the plans
+keep the anti-periodic wrap there, whose gap stays near 0.25; the residual
+properties run at omega = 1, the accuracy and wrap checks at 2 pi.
 """
 
 import itertools
@@ -14,6 +15,8 @@ import time
 import tracemalloc
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from helmfft import (Grid, build_operator_A, kron_apply, plan2d, plan3d,
                      solve2d, solve3d, tune_allocator)
@@ -41,6 +44,45 @@ def test_residual_at_scale_3d():
     f = rand_field(grid, 129)
     u = solve3d(plan3d(grid, 1.0), f, workers=2)
     assert _residual(grid, 1.0, u, f) <= 1e-9
+
+
+def _sparse_operator_2d(n, omega):
+    """A on the unit square, n x n points, absorbing x_1 ends, assembled
+    from the bilinear element matrices without helmfft."""
+    h = 1.0 / (n - 1)
+
+    def pencil(k_end):
+        kd = np.full(n, 2.0 / h, dtype=complex)
+        kd[[0, -1]] = k_end
+        md = np.full(n, 2.0 * h / 3.0)
+        md[[0, -1]] = h / 3.0
+        K = sp.diags([np.full(n - 1, -1.0 / h), kd, np.full(n - 1, -1.0 / h)], [-1, 0, 1])
+        M = sp.diags([np.full(n - 1, h / 6.0), md, np.full(n - 1, h / 6.0)], [-1, 0, 1])
+        return K, M
+
+    K1, M1 = pencil((1.0 - 1j * omega * h) / h)
+    K2, M2 = pencil(1.0 / h)
+    return (sp.kron(K1 - omega ** 2 * M1, M2) + sp.kron(M1, K2)).tocsc()
+
+
+def test_default_solve_accuracy_at_paper_omega_2d():
+    n, omega = 257, 2 * np.pi
+    grid = Grid((n, n))
+    f = rand_field(grid, 257)
+    u = solve2d(plan2d(grid, omega), f)
+    ref = scipy.sparse.linalg.splu(_sparse_operator_2d(n, omega)).solve(f)
+    err = float(np.linalg.norm(u - ref) / np.linalg.norm(ref))
+    assert err <= 1e-11, f"forward error {err:.3e}"
+
+
+def test_plan_keeps_the_wider_wrap_2d():
+    grid = Grid((513, 513))
+    plan = plan2d(grid, 2 * np.pi)
+    assert plan.twist == np.pi
+    assert plan.wrap_gaps[0] < 1e-3 and plan.wrap_gaps[1] > 0.1
+    plan = plan2d(grid, 20.0)
+    assert plan.twist == 0.0
+    assert plan.wrap_gaps[0] >= plan.wrap_gaps[1]
 
 
 def test_direction_combination_residuals_3d():

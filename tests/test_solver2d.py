@@ -15,6 +15,9 @@ from helmfft import (BoundaryKind, Grid, PartialSolution, SingularBlock,
 from helmfft.assembly import PencilDifference, build_correction
 from conftest import rand_field, relerr
 
+# wave numbers at which plan2d on the (5, 4) grid picks each auxiliary wrap
+WRAP_OMEGAS = {np.pi: 2 * np.pi, 0.0: 20.0}
+
 
 def test_plan_blocks_match_dense_assembly(rng):
     # Solving one H_B block through the stored factors must agree with a
@@ -74,6 +77,14 @@ def test_plan_resonant_original_block_raises():
     plan2d(g, 1.01 * sigma, bc_x1=BoundaryKind.NEUMANN)
 
 
+def test_plan_raises_at_zero_omega():
+    # absorbing ends with omega = 0 are Neumann ends without a shift: the
+    # constant is in the kernel, though the anti-periodic wrap is regular
+    with pytest.raises(SingularBlock) as info:
+        plan2d(Grid((5, 4)), 0.0)
+    assert info.value.block == 0
+
+
 def test_aux_partial_zero_rhs():
     plan = plan2d(Grid((5, 4)), 2 * np.pi)
     ps, f_hat = solve_aux_partial(plan, np.zeros(20, dtype=complex))
@@ -81,13 +92,18 @@ def test_aux_partial_zero_rhs():
     assert np.abs(f_hat).max() == 0.0
 
 
+def test_wrap_omegas_pick_each_wrap():
+    for twist, omega in WRAP_OMEGAS.items():
+        assert plan2d(Grid((5, 4)), omega).twist == twist
+
+
 def test_aux_partial_matches_dense_boundary():
     g = Grid((5, 4))
-    omega = 2 * np.pi
     f = rand_field(g, 11)
-    ps, _ = solve_aux_partial(plan2d(g, omega), f)
-    expected = dense_partial_solution(dense_problem(g, omega), "B", f)
-    assert np.linalg.norm(ps.v_b - expected) <= 1e-11 * np.linalg.norm(expected)
+    for twist, omega in WRAP_OMEGAS.items():
+        ps, _ = solve_aux_partial(plan2d(g, omega), f)
+        expected = dense_partial_solution(dense_problem(g, omega, twist=twist), "B", f)
+        assert np.linalg.norm(ps.v_b - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
 def test_aux_partial_real_for_real_shift():
@@ -106,18 +122,18 @@ def test_correction_zero_boundary():
 
 def test_correction_matches_dense_chain():
     g = Grid((5, 4))
-    omega = 2 * np.pi
     f = rand_field(g, 21)
-    prob = dense_problem(g, omega)
-    v = dense_solve(prob, "B", f).u
-    w = np.linalg.solve(prob.A, (prob.B - prob.A) @ v)
     n2 = 4
-    expected = np.concatenate([w[:n2], w[-n2:]])
+    for twist, omega in WRAP_OMEGAS.items():
+        prob = dense_problem(g, omega, twist=twist)
+        v = dense_solve(prob, "B", f).u
+        w = np.linalg.solve(prob.A, (prob.B - prob.A) @ v)
+        expected = np.concatenate([w[:n2], w[-n2:]])
 
-    plan = plan2d(g, omega)
-    vb = np.concatenate([v[:n2], v[-n2:]])
-    got = solve_correction(plan, vb)
-    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+        plan = plan2d(g, omega)
+        vb = np.concatenate([v[:n2], v[-n2:]])
+        got = solve_correction(plan, vb)
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_correction_zeroed_cbb_gives_zero():
@@ -132,11 +148,11 @@ def test_correction_zeroed_cbb_gives_zero():
     assert np.abs(solve_correction(plan0, vb)).max() == 0.0
 
 
-@pytest.mark.parametrize("omega,res_tol", [(1.0, 1e-10), (2 * np.pi, 1e-9)])
+@pytest.mark.parametrize("omega,res_tol", [(1.0, 1e-10), (2 * np.pi, 1e-9),
+                                           (WRAP_OMEGAS[0.0], 1e-10)])
 def test_three_step_composition(omega, res_tol):
-    # The bare three-step composition, no defect correction.  At omega = 2 pi
-    # the auxiliary problem is close to resonance even on this tiny grid and
-    # the composition alone only reaches the oracle tolerance.
+    # The bare three-step composition, no defect correction, on the
+    # anti-periodic wrap (omega = 1 and 2 pi) and the periodic one.
     g = Grid((5, 4))
     f = rand_field(g, 33)
     plan = plan2d(g, omega)

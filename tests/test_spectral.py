@@ -8,6 +8,7 @@ from helmfft import (BoundaryKind, NormalizationFailure, SingularBlock,
                      boundary_green, circulant_eigenbasis, dct1_eigen,
                      dense_eigensolve_pencil, solve_pencil_eigen)
 from helmfft.assembly import Pencil1D
+from helmfft.spectral import choose_wrap
 
 
 def test_circulant_eigenvalues_closed_form():
@@ -36,6 +37,60 @@ def test_circulant_matches_dense_eigensolve(n):
     lam = np.sort_complex(circulant_eigenbasis(p).lambdas)
     ref, _ = dense_eigensolve_pencil(p.K.dense(), p.M.dense())
     assert np.allclose(np.sort_complex(ref), lam, atol=1e-10 * np.abs(lam).max())
+
+
+@pytest.mark.parametrize("twist", [0.0, np.pi])
+@pytest.mark.parametrize("n", range(3, 66))
+def test_wrap_closed_form_matches_dense(n, twist):
+    # Both wraps: lambda against the dense eigensolve of the assembled pencil;
+    # V_jl = s_l e^{i theta_l j}, theta_l = (2 pi l + twist)/n, M-orthonormal
+    # and K-diagonalizing; its rows 1 and n are the boundary rows, and the
+    # twiddled FFT applies V^H and V.
+    p = assemble_periodic_pencil(n, 1.0 / (n - 1), twist)
+    basis = circulant_eigenbasis(p)
+    K, M = p.K.dense(), p.M.dense()
+    lam = basis.lambdas
+    scale = np.abs(lam).max()
+    ref, _ = dense_eigensolve_pencil(K, M)
+    assert np.abs(np.sort(ref.real) - np.sort(lam)).max() <= 1e-10 * scale
+    assert np.abs(ref.imag).max() <= 1e-10 * scale
+    theta = (2 * np.pi * np.arange(n) + twist) / n
+    V = np.exp(1j * np.outer(np.arange(n), theta)) * basis.scales
+    Vh = V.conj().T
+    assert np.abs(Vh @ M @ V - np.eye(n)).max() <= 1e-12
+    assert np.abs(Vh @ K @ V - np.diag(lam)).max() <= 1e-10 * scale
+    rows = basis.boundary_rows()
+    assert np.abs(rows - V[[0, -1]]).max() <= 1e-14 * np.abs(V).max()
+    t = basis.twiddle(-1)
+    assert (t is None) == (twist == 0.0)
+    t = np.ones(n) if t is None else t
+    x = np.random.default_rng(n).standard_normal((n, 2)) @ [1.0, 1j]
+    assert np.allclose(basis.scales * scipy.fft.fft(t * x), Vh @ x,
+                       rtol=0, atol=1e-12 * np.abs(Vh @ x).max())
+    assert np.allclose(np.conj(t) * n * scipy.fft.ifft(basis.scales * x), V @ x,
+                       rtol=0, atol=1e-12 * np.abs(V @ x).max())
+
+
+@pytest.mark.parametrize("sigma", [-3.0, 0.5, (2 * np.pi) ** 2, 400.0, 7.5 - 3.2j, 1e7])
+@pytest.mark.parametrize("cross", [(9,), (5, 7), (17, 4)])
+def test_choose_wrap_gaps_match_all_blocks(cross, sigma):
+    # the gaps and the choice against every auxiliary block eigenvalue
+    p = assemble_pencil(11, 0.1, 0.0, BoundaryKind.NEUMANN)
+    lams = [_cross_modes(n) for n in cross]
+    wrap = choose_wrap(p, sigma, lams)
+    sums = np.add.outer(*lams) if len(lams) == 2 else lams[0]
+    gaps = []
+    for twist in (0.0, np.pi):
+        lam1 = circulant_eigenbasis(assemble_periodic_pencil(11, 0.1, twist)).lambdas
+        gaps.append(np.abs(np.add.outer(lam1, sums) - sigma).min() / abs(sigma))
+    assert np.allclose(wrap.gaps, gaps, rtol=1e-12, atol=0)
+    assert wrap.pencil.twist == (np.pi if gaps[1] > gaps[0] else 0.0)
+    assert wrap.basis.twist == wrap.pencil.twist
+
+
+def test_periodic_pencil_rejects_other_twists():
+    with pytest.raises(ValueError):
+        assemble_periodic_pencil(5, 0.25, np.pi / 2)
 
 
 def test_circulant_requires_periodic():
