@@ -12,6 +12,10 @@ Arrays are laid out with the tridiagonal index first: ``X[i]`` holds the i-th
 unknown of every block at once, so the sweeps stream contiguous slabs.  The
 inner loops are JIT-compiled when numba is importable; a pure-numpy fallback
 keeps the package functional (just slower for skinny blocks) without it.
+
+No solver calls these kernels any more: both run their blocks as DCT-I
+divides (``pipeline``).  The module stays because the benchmark's tracer in
+``perfbench/tracing.py`` imports it and wraps both kernels by name.
 """
 
 from __future__ import annotations

@@ -1,0 +1,197 @@
+"""The three-step pipeline that the 2D and the 3D solver share.
+
+The x_1 direction runs the paper's three steps: the auxiliary problem,
+wrapped periodically or anti-periodically in x_1 (whichever the plan finds
+further from resonance, ``spectral.choose_wrap``), is diagonalized by the FFT
+(after a twiddle for the anti-periodic wrap), the original one enters through
+``spectral.boundary_green``, and the boundary-plane correction C_bb joins
+them.  The cross directions x_2 .. x_d carry uniform Neumann pencils, which
+DCT-I diagonalizes in closed form (``spectral.dct1_eigen``), so every
+transformed x_1 block is a diagonal system.  This departs from the paper,
+which solves the blocks by factorization (2D) or by the same three-step
+method recursively (3D); the closed form needs no factors and adds no error
+of its own.
+
+All work runs in the caller's (n_1, ..., n_d) layout.  With E the diagonal
+that doubles both end entries of a direction, V^T x = dct1(E x) / 2 and
+V y = dct1(E y) / 2.  So over the d - 1 cross directions the pipeline keeps
+right-hand sides as dct1(E x) = 2^(d-1) V^T x, and solutions and boundary
+pairs as E V^-1 y, whose back transform is a bare dct1 / 2^(d-1).  Block l
+with coefficient c = Lambda_{1,l} - sigma is then a divide by rho (c + lam),
+with rho the product of the cross weights w = 2 D / E = h (n-1) (2 + cos
+theta) / 3 and lam the sum of the cross eigenvalues.  The divisors are formed
+a few x_1 slabs at a time from the 1D arrays; none of field size is stored.
+Step 2 is, per cross mode, the 2 x 2 corner block of the inverse of
+K_1 - sigma M_1 + lam M_1, over rho.
+
+A plan serves the pipeline through ``grid``, ``pencil_x1``,
+``basis_circulant_x1``, ``shifts_B`` (sigma - Lambda_{1,l}), ``correction``
+(C_bb), ``cross_lambdas``, and the private ``_w`` (cross weights), ``_s1``
+(x_1 mode scales), ``_RW1`` and ``_RW1c`` (x_1 boundary rows).
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import scipy.fft
+
+from .core import checked_field, defect_correction
+from .spectral import boundary_green
+
+# scalars of divisor scratch per slab chunk (at least one x_1 slab)
+SLAB_SCRATCH = 1 << 16
+
+
+def mass_weights(D):
+    """w = 2 D / E of a cross direction, from the D of ``dct1_eigen``."""
+    w = D.copy()
+    w[1:-1] *= 2.0
+    return w
+
+
+def cross_planes(plan):
+    """rho (product of the cross weights) and lam (sum of the cross eigenvalues)."""
+    return (functools.reduce(np.multiply.outer, plan._w),
+            functools.reduce(np.add.outer, plan.cross_lambdas))
+
+
+def green(plan):
+    """``boundary_green`` of the original x_1 pencil over the cross modes."""
+    return boundary_green(plan.pencil_x1, plan.correction.sigma, cross_planes(plan)[1])
+
+
+def field(plan, f):
+    """A complex copy of ``f`` in the grid's shape."""
+    return np.array(f, dtype=np.complex128).reshape(plan.grid.shape)
+
+
+def dct_cross(X, workers, scale_ends):
+    """DCT-I over axes 1..d-1 of X in place, after doubling the end planes (E)."""
+    for axis in range(1, X.ndim):
+        if scale_ends:
+            for end in (0, -1):
+                X[(slice(None),) * axis + (end,)] *= 2.0
+        X = scipy.fft.dct(X, type=1, axis=axis, overwrite_x=True, workers=workers)
+    return X
+
+
+def boundary_modes(b, workers=None):
+    """Physical boundary pair (2, n_2, ...) to the pipeline's E V^-1 b, in a copy."""
+    X = dct_cross(np.array(b, dtype=np.complex128), workers, scale_ends=False)
+    X /= np.prod([n - 1 for n in X.shape[1:]])
+    return X
+
+
+def boundary_values(vb, workers=None):
+    """The pipeline's boundary pair back to physical values; consumes vb."""
+    X = dct_cross(vb, workers, scale_ends=False)
+    X /= 2.0 ** (X.ndim - 1)
+    return X
+
+
+def slabs(plan):
+    """Chunks of x_1 slabs with about SLAB_SCRATCH points each."""
+    n1 = plan.grid.n[0]
+    step = max(1, SLAB_SCRATCH // (plan.grid.npoints // n1))
+    return [slice(a, min(a + step, n1)) for a in range(0, n1, step)]
+
+
+def inverse_divisor(shifts, rho, lam, scale=1.0):
+    """scale / (rho (lam - p_l)) over a slab's shifts; shape (k,) + lam.shape.
+
+    Real where the shifts are (a real sigma): then no complex division runs,
+    and the caller's complex data takes a cheaper complex-by-real product.
+    """
+    d = lam - shifts.reshape((-1,) + (1,) * lam.ndim)
+    d *= rho
+    return np.divide(scale, d, out=d)
+
+
+def _along_x1(a, ndim):
+    return a.reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _boundary_corr(plan, vb, lam):
+    """C_bb per cross mode, over rho: ((dk - sigma dm) + lam dm) vb."""
+    C = plan.correction
+    c = np.tensordot(C.dk - C.sigma * C.dm, vb, axes=1)
+    c += lam * np.tensordot(C.dm, vb, axes=1)
+    return c
+
+
+def step1(plan, F, workers=None):
+    """Forward transforms of F in place; the auxiliary solution's boundary pair.
+
+    Returns (f_hat, v_b): f_hat is F transformed and scaled, which step 3
+    consumes; v_b is in the pipeline's cross basis.
+    """
+    pre = plan.basis_circulant_x1.twiddle(-1)
+    if pre is not None:
+        F *= _along_x1(pre, F.ndim)
+    F = scipy.fft.fft(F, axis=0, overwrite_x=True, workers=workers)
+    F = dct_cross(F, workers, scale_ends=True)
+    rho, lam = cross_planes(plan)
+    vb = np.zeros((2,) + F.shape[1:], dtype=np.complex128)
+    for s in slabs(plan):
+        Fs = F[s]
+        Fs *= _along_x1(plan._s1[s], F.ndim)
+        vb += np.tensordot(plan._RW1[:, s],
+                           Fs * inverse_divisor(plan.shifts_B[s], rho, lam), axes=1)
+    return F, vb
+
+
+def step2(plan, vb, G):
+    """Boundary pair of the original-operator correction A^-1 C_bb v_b.
+
+    Both pairs are in the pipeline's cross basis, where rho cancels; G is
+    ``green(plan)``.
+    """
+    c = _boundary_corr(plan, vb, cross_planes(plan)[1])
+    g, g_far = G
+    w = g * c
+    w += g_far * c[::-1]
+    return w
+
+
+def step3(plan, F, vbw, workers=None):
+    """Corrected auxiliary solve and inverse transforms; consumes f_hat F.
+
+    vbw is v_b + w_b in the pipeline's cross basis.  Returns the solution.
+    """
+    rho, lam = cross_planes(plan)
+    c = _boundary_corr(plan, vbw, lam)
+    c *= rho
+    # the x_1 synthesis scales and the back transforms' 1 / 2^(d-1), folded
+    scale = plan._s1 * (plan.grid.n[0] / 2.0 ** (F.ndim - 1))
+    for s in slabs(plan):
+        Fs = F[s]
+        Fs += np.tensordot(plan._RW1c[:, s].T, c, axes=1)
+        Fs *= inverse_divisor(plan.shifts_B[s], rho, lam, _along_x1(scale[s], F.ndim))
+    F = dct_cross(F, workers, scale_ends=False)
+    U = scipy.fft.ifft(F, axis=0, overwrite_x=True, workers=workers)
+    post = plan.basis_circulant_x1.twiddle(1)
+    if post is not None:
+        U *= _along_x1(post, U.ndim)
+    return U
+
+
+def run(plan, F, G, workers=None):
+    """Bare three-step solve of A u = F; F (the grid's shape) is overwritten."""
+    F, vb = step1(plan, F, workers)
+    vb += step2(plan, vb, G)
+    return step3(plan, F, vb, workers)
+
+
+def solve(plan, f, refine, workers):
+    """The pipeline plus ``refine`` safeguarded defect-correction passes.
+
+    The residuals read the caller's f, so no second copy of it is kept.
+    """
+    f = checked_field(f, plan.grid.npoints)
+    G = green(plan)
+    U = run(plan, field(plan, f), G, workers)
+    U = defect_correction(plan.operator, f.reshape(plan.grid.shape), U,
+                          lambda r: run(plan, r, G, workers), refine)
+    return U.reshape(-1)

@@ -132,11 +132,11 @@ def boundary_green(pencil: Pencil1D, sigma: complex, lam) -> tuple[np.ndarray, n
     p_{k-1}: (T^-1)_nn = 1/p_n and (T^-1)_1n = prod_{k<n} (-o_k/p_k) / p_n
     (G. Meurant, SIAM J. Matrix Anal. Appl. 13 (1992) 707-728); n steps over
     all modes at once.  The recurrence does not pivot, so a pivot below
-    PIVOT_RTOL times the block's scale raises SingularBlock, as ``_tridiag``
-    does.  With absorbing ends, omega != 0 and real lam - sigma it cannot
-    break down: Im(x^H T_k x) = -omega |x_1|^2 for each leading block T_k, so
-    T_k x = 0 forces x_1 = 0, and then its rows force x = 0 (where o = 0, T_k
-    is diagonal with nonzero entries).
+    PIVOT_RTOL times the block's scale raises SingularBlock.  With absorbing
+    ends, omega != 0 and real lam - sigma it cannot break down:
+    Im(x^H T_k x) = -omega |x_1|^2 for each leading block T_k, so T_k x = 0
+    forces x_1 = 0, and then its rows force x = 0 (where o = 0, T_k is
+    diagonal with nonzero entries).
     """
     K, M = pencil.K, pencil.M
     c = np.asarray(lam, dtype=np.complex128) - sigma

@@ -10,8 +10,9 @@ from helmfft import (BoundaryKind, Grid, PartialSolution, SingularBlock,
                      build_operator_A, circulant_eigenbasis, dct1_eigen,
                      dense_eigensolve_pencil,
                      dense_partial_solution, dense_problem, dense_solve,
-                     kron_apply, plan2d, solve2d, solve_aux_partial,
+                     kron_apply, plan2d, plan3d, solve2d, solve_aux_partial,
                      solve_correction, solve_final)
+from helmfft import pipeline
 from helmfft.assembly import PencilDifference, build_correction
 from conftest import rand_field, relerr
 
@@ -19,26 +20,33 @@ from conftest import rand_field, relerr
 WRAP_OMEGAS = {np.pi: 2 * np.pi, 0.0: 20.0}
 
 
-def test_plan_blocks_match_dense_assembly(rng):
-    # Solving one H_B block through the stored factors must agree with a
-    # dense solve of (Lambda^B_l - omega^2) M_2 + K_2.
-    from helmfft._tridiag import solve_blocks
-    g = Grid((3, 3))
-    omega = 2 * np.pi
-    plan = plan2d(g, omega)
-    p2 = plan.pencil_x2
-    lamB = plan.basis_circulant.lambdas
-    rhs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))  # (n2, n1)
-    got = solve_blocks(plan._factors_B, p2.K, p2.M, rhs.copy())
-    for l in range(3):
-        T = (lamB[l] - omega ** 2) * p2.M.dense() + p2.K.dense()
-        expected = np.linalg.solve(T, rhs[:, l])
-        assert np.linalg.norm(got[:, l] - expected) <= 1e-11 * np.linalg.norm(expected)
+def test_plan_blocks_match_dense_assembly():
+    # Each H_B block (Lambda^B_l - sigma) M_2 + K_2 is diagonal in the DCT-I
+    # basis of x_2: a dense solve of T x = M_2 v_k gives v_k / (Lambda^B_l -
+    # sigma + lambda_k), the divide the pipeline runs.
+    for shape, omega_or_shift, bc in [((3, 3), 2 * np.pi, BoundaryKind.ABSORBING),
+                                      ((4, 7), 20.0, BoundaryKind.ABSORBING),
+                                      ((5, 4), 7.5 - 3.2j, BoundaryKind.NEUMANN)]:
+        plan = plan2d(Grid(shape), omega_or_shift, bc_x1=bc)
+        n2 = shape[1]
+        p2 = plan.pencil_x2
+        V = np.cos(np.outer(np.arange(n2), np.pi * np.arange(n2) / (n2 - 1)))
+        lamB = plan.basis_circulant_x1.lambdas
+        assert np.allclose(plan.shifts_B, plan.sigma - lamB, rtol=1e-14, atol=0)
+        for l in range(shape[0]):
+            T = (lamB[l] - plan.sigma) * p2.M.dense() + p2.K.dense()
+            got = np.linalg.solve(T, p2.M.dense() @ V)
+            expected = V / (lamB[l] - plan.sigma + plan.lambdas_x2)
+            assert np.linalg.norm(got - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
 def test_plan_neumann_negative_shift_is_coercive():
     plan = plan2d(Grid((6, 5)), -1.0, bc_x1=BoundaryKind.NEUMANN)
-    assert np.abs(1.0 / plan._factors_B.rd).min() > 1e-8   # pivots bounded away from 0
+    # every auxiliary block eigenvalue Lambda_l - sigma + lambda_k is >= 1
+    eig = np.add.outer(plan.basis_circulant_x1.lambdas - plan.sigma, plan.lambdas_x2)
+    gap = plan.wrap_gaps[int(plan.twist != 0.0)] * abs(plan.sigma)
+    assert np.isclose(gap, np.abs(eig).min(), rtol=1e-12)
+    assert gap >= 1.0 - 1e-12
     # each original x_1 block K_1 + (lam_c + 1) M_1 is SPD; its boundary
     # Green's function is the corner block of the dense inverse
     p1 = plan.pencil_x1
@@ -64,17 +72,27 @@ def test_plan_resonant_shift_raises():
 def test_plan_resonant_original_block_raises():
     # Neumann x_1 mode 1 plus x_2 mode 0: an original block is singular while
     # no auxiliary (periodic x_1) block is, so the A guard alone must raise.
-    from helmfft._tridiag import factor_blocks
     g = Grid((5, 7))
     p1 = assemble_pencil(5, g.h[0])
     p2 = assemble_pencil(7, g.h[1])
     sigma = dct1_eigen(p1)[0][1] + dct1_eigen(p2)[0][0]
     lamB = circulant_eigenbasis(assemble_periodic_pencil(5, g.h[0])).lambdas
-    factor_blocks(lamB - sigma, p2.K, p2.M)
+    lam2 = dct1_eigen(p2)[0]
+    gap = np.abs(np.add.outer(lamB - sigma, lam2)).min()
+    assert gap > 1e-2 * sigma                 # no auxiliary block is near resonance
     with pytest.raises(SingularBlock) as info:
         plan2d(g, sigma, bc_x1=BoundaryKind.NEUMANN)
     assert info.value.block == 1
     plan2d(g, 1.01 * sigma, bc_x1=BoundaryKind.NEUMANN)
+
+
+def test_plan_holds_no_field_sized_array():
+    # O(n1 + n2) memory: x_1 mode data and cross weights, no block factors
+    n1, n2 = 33, 65
+    plan = plan2d(Grid((n1, n2)), 2 * np.pi)
+    arrays = [a for v in vars(plan).values()
+              for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+    assert arrays and all(a.size <= 2 * max(n1, n2) for a in arrays)
 
 
 def test_plan_raises_at_zero_omega():
@@ -148,23 +166,85 @@ def test_correction_zeroed_cbb_gives_zero():
     assert np.abs(solve_correction(plan0, vb)).max() == 0.0
 
 
+@pytest.mark.parametrize("plan", [plan2d(Grid((5, 7)), 2 * np.pi),
+                                  plan2d(Grid((6, 4)), 7.5 - 3.2j, bc_x1=BoundaryKind.NEUMANN),
+                                  plan3d(Grid((4, 5, 6)), 20.0)],
+                         ids=["2d", "2d-neumann", "3d"])
+def test_pipeline_cbb_matches_correction_apply(plan):
+    # The pipeline applies C_bb per DCT-I cross mode, over rho; taken back to
+    # right-hand-side form (dct1 of E x over the cross axes) it must equal
+    # C_bb applied in physical space.
+    cross = plan.grid.n[1:]
+    v = np.random.default_rng(5).standard_normal((2,) + cross) + 1j
+    rho, lam = pipeline.cross_planes(plan)
+    got = rho * pipeline._boundary_corr(plan, pipeline.boundary_modes(v), lam)
+    expected = pipeline.dct_cross(plan.correction.apply(v), None, scale_ends=True)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 @pytest.mark.parametrize("omega,res_tol", [(1.0, 1e-10), (2 * np.pi, 1e-9),
                                            (WRAP_OMEGAS[0.0], 1e-10)])
 def test_three_step_composition(omega, res_tol):
-    # The bare three-step composition, no defect correction, on the
-    # anti-periodic wrap (omega = 1 and 2 pi) and the periodic one.
-    g = Grid((5, 4))
-    f = rand_field(g, 33)
-    plan = plan2d(g, omega)
-    ps, f_hat = solve_aux_partial(plan, f)
-    w_b = solve_correction(plan, ps)
-    u = solve_final(plan, f_hat, ps, w_b)
+    # The bare three-step composition through the public step functions, no
+    # defect correction; on the (5, 4) grid the anti-periodic wrap (omega = 1
+    # and 2 pi) and the periodic one, and on a grid with n_2 > n_1.
+    for shape in ((5, 4), (4, 7)):
+        g = Grid(shape)
+        f = rand_field(g, 33)
+        plan = plan2d(g, omega)
+        ps, f_hat = solve_aux_partial(plan, f)
+        w_b = solve_correction(plan, ps)
+        u = solve_final(plan, f_hat, ps, w_b)
 
-    op = build_operator_A(g, omega)
-    assert np.linalg.norm(kron_apply(op, u) - f) <= res_tol * np.linalg.norm(f)
-    ref = dense_solve(dense_problem(g, omega), "A", f).u
-    assert relerr(u, ref) <= 1e-9
-    assert isinstance(ps, PartialSolution)
+        op = build_operator_A(g, omega)
+        assert np.linalg.norm(kron_apply(op, u) - f) <= res_tol * np.linalg.norm(f)
+        ref = dense_solve(dense_problem(g, omega), "A", f).u
+        assert relerr(u, ref) <= 1e-9
+        assert isinstance(ps, PartialSolution)
+
+
+def _dense_2d(g, sigma, bc):
+    p1 = assemble_pencil(g.n[0], g.h[0], np.sqrt(sigma).real, bc)
+    p2 = assemble_pencil(g.n[1], g.h[1])
+    return (np.kron(p1.K.dense() - sigma * p1.M.dense(), p2.M.dense())
+            + np.kron(p1.M.dense(), p2.K.dense()))
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (4, 7), (9, 5)])
+@pytest.mark.parametrize("omega_or_shift,bc", [
+    (1.0, BoundaryKind.ABSORBING), (2 * np.pi, BoundaryKind.ABSORBING),
+    (20.0, BoundaryKind.ABSORBING), (7.5 - 3.2j, BoundaryKind.NEUMANN)])
+def test_bare_pipeline_matches_dense_lu(shape, omega_or_shift, bc):
+    # refine=0: the pipeline alone, with no pass to hide a slightly wrong one
+    g = Grid(shape)
+    plan = plan2d(g, omega_or_shift, bc_x1=bc)
+    A = _dense_2d(g, plan.sigma, bc)
+    for seed in (0, 1):
+        f = rand_field(g, 40 + seed)
+        assert relerr(solve2d(plan, f, refine=0), np.linalg.solve(A, f)) <= 1e-10
+
+
+def test_workers_reach_every_transform(monkeypatch):
+    import scipy.fft
+    seen = []
+    for name in ("dct", "fft", "ifft"):
+        orig = getattr(scipy.fft, name)
+
+        def traced(*args, _orig=orig, _name=name, **kwargs):
+            seen.append((_name, kwargs.get("workers")))
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, traced)
+    g = Grid((5, 4))
+    plan = plan2d(g, 2 * np.pi)
+    f = rand_field(g, 9)
+    ps, f_hat = solve_aux_partial(plan, f, workers=2)
+    n_step1 = len(seen)
+    w_b = solve_correction(plan, ps, workers=2)
+    assert [name for name, _ in seen[n_step1:]] == ["dct", "dct"]
+    solve_final(plan, f_hat, ps, w_b, workers=2)
+    solve2d(plan, f, workers=2)
+    assert {name for name, _ in seen} == {"dct", "fft", "ifft"}
+    assert all(workers == 2 for _, workers in seen), seen
 
 
 def test_default_solve_residual_at_resonant_omega():
@@ -248,7 +328,7 @@ def test_solve2d_shared_plan_across_threads():
     plan = plan2d(g, 2 * np.pi)
     arrays = {name: val for name, val in vars(plan).items()
               if isinstance(val, np.ndarray)}
-    arrays.update({f"_factors_B.{k}": v for k, v in plan._factors_B._asdict().items()})
+    arrays.update({f"_w[{k}]": v for k, v in enumerate(plan._w)})
     saved = {name: val.copy() for name, val in arrays.items()}
     fs = [rand_field(g, 17 + k) for k in range(4)]
     serial = [solve2d(plan, f) for f in fs]
