@@ -14,19 +14,18 @@ The solvers run in O(N log N) time and never form a volumetric matrix; the
 `oracle` module provides an independent dense reference for verification.
 """
 
-from .assembly import (CorrectionMatrix, Pencil1D, PencilDifference,
-                       assemble_pencil, assemble_periodic_pencil,
-                       build_correction, build_operator_A, build_operator_B,
-                       pencil_difference)
+from .assembly import (Pencil1D, PencilDifference, assemble_pencil,
+                       assemble_periodic_pencil, build_operator_A,
+                       build_operator_B, pencil_difference)
 from .core import (BoundaryKind, Grid, KroneckerOperator, SingularBlock,
                    TriCornerMatrix, kron_apply, tune_allocator)
 from .oracle import (DenseProblem, EigensolverFailure, NormalizationFailure,
                      SizeLimit, dense_eigensolve_pencil, dense_partial_solution,
                      dense_problem, dense_solve, solve_pencil_eigen)
-from .solver2d import (PartialSolution, SolverPlan2D, plan2d,
-                       solve2d, solve_aux_partial, solve_correction,
-                       solve_final)
-from .solver3d import SolverPlan3D, plan3d, solve3d, solve_block_system
+from .pipeline import SolverPlan
+from .solver2d import (PartialSolution, plan2d, solve2d, solve_aux_partial,
+                       solve_correction, solve_final)
+from .solver3d import plan3d, solve3d, solve_block_system
 from .spectral import (EigenBasis, boundary_green, circulant_eigenbasis,
                        clear_eigen_cache, dct1_eigen)
 
@@ -35,14 +34,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryKind", "Grid", "KroneckerOperator", "TriCornerMatrix",
     "kron_apply", "tune_allocator",
-    "Pencil1D", "PencilDifference", "CorrectionMatrix",
+    "Pencil1D", "PencilDifference",
     "assemble_pencil", "assemble_periodic_pencil", "pencil_difference",
-    "build_operator_A", "build_operator_B", "build_correction",
+    "build_operator_A", "build_operator_B",
     "EigenBasis", "circulant_eigenbasis", "dct1_eigen", "boundary_green",
     "clear_eigen_cache",
-    "SolverPlan2D", "PartialSolution", "SingularBlock", "plan2d", "solve2d",
+    "SolverPlan", "PartialSolution", "SingularBlock", "plan2d", "solve2d",
     "solve_aux_partial", "solve_correction", "solve_final",
-    "SolverPlan3D", "plan3d", "solve3d", "solve_block_system",
+    "plan3d", "solve3d", "solve_block_system",
     "DenseProblem", "SizeLimit", "dense_problem", "dense_solve",
     "dense_partial_solution", "dense_eigensolve_pencil",
     "solve_pencil_eigen", "EigensolverFailure", "NormalizationFailure",

@@ -91,23 +91,19 @@ class PencilDifference:
 
     dk: np.ndarray  # (2, 2) complex
     dm: np.ndarray  # (2, 2) complex
-    n: int
 
 
 def pencil_difference(original: Pencil1D, periodic: Pencil1D) -> PencilDifference:
     if original.n != periodic.n:
         raise ValueError("pencil sizes differ")
-    ends = [0, original.n - 1]
-    dk = np.zeros((2, 2), dtype=np.complex128)
-    dm = np.zeros((2, 2), dtype=np.complex128)
-    for a, i in enumerate(ends):
-        dk[a, a] = periodic.K.diag[i] - original.K.diag[i]
-        dm[a, a] = periodic.M.diag[i] - original.M.diag[i]
-    dk[0, 1] = dk[1, 0] = periodic.K.corner - 0.0
-    dm[0, 1] = dm[1, 0] = periodic.M.corner - 0.0
-    dk.flags.writeable = False
-    dm.flags.writeable = False
-    return PencilDifference(dk=dk, dm=dm, n=original.n)
+    blocks = []
+    for aux, orig in ((periodic.K, original.K), (periodic.M, original.M)):
+        c = np.zeros((2, 2), dtype=np.complex128)
+        c[0, 0], c[1, 1] = aux.diag[0] - orig.diag[0], aux.diag[-1] - orig.diag[-1]
+        c[0, 1] = c[1, 0] = aux.corner
+        c.flags.writeable = False
+        blocks.append(c)
+    return PencilDifference(*blocks)
 
 
 def _shifted(K: TriCornerMatrix, M: TriCornerMatrix, c: complex) -> TriCornerMatrix:
@@ -143,53 +139,3 @@ def build_operator_B(grid: Grid, omega: float, twist: float = 0.0) -> KroneckerO
     p1 = assemble_periodic_pencil(grid.n[0], grid.h[0], twist)
     cross = [assemble_pencil(grid.n[j], grid.h[j]) for j in range(1, grid.dims)]
     return KroneckerOperator(grid, _separable_terms(p1, cross, omega ** 2))
-
-
-class CorrectionMatrix:
-    """Boundary-block difference C_bb = B_bb - A_bb in factored form.
-
-    Stored as (dk - sigma dm) ox M_cross + dm ox K_cross, where dk/dm are the
-    2 x 2 corner blocks of the swept direction's pencil difference and
-    M_cross/K_cross are the mass/stiffness Kronecker combinations over the
-    remaining directions.  Application is matrix-free, O(block) per call.
-    """
-
-    def __init__(self, diff: PencilDifference, cross: list[Pencil1D], sigma: complex):
-        self.sigma = complex(sigma)
-        self.dk = diff.dk
-        self.dm = diff.dm
-        self.cross_shape = tuple(p.n for p in cross)
-        self.block = int(np.prod(self.cross_shape))
-        self._cross = list(cross)
-
-    def _cross_mass(self, x: np.ndarray) -> np.ndarray:
-        # axis 0 of x is the boundary-plane pair; cross directions follow
-        for axis, p in enumerate(self._cross):
-            x = p.M.apply(x, axis=axis + 1)
-        return x
-
-    def _cross_stiff(self, x: np.ndarray) -> np.ndarray:
-        acc = None
-        for j in range(len(self._cross)):
-            t = x
-            for axis, p in enumerate(self._cross):
-                t = (p.K if axis == j else p.M).apply(t, axis=axis + 1)
-            acc = t if acc is None else acc + t
-        return acc
-
-    def apply(self, v_b: np.ndarray) -> np.ndarray:
-        """Apply to boundary data of shape (2, block) (or flat (2*block,))."""
-        flat = v_b.ndim == 1
-        v = v_b.reshape((2,) + self.cross_shape)
-        Mv = self._cross_mass(v).reshape(2, self.block)
-        Kv = self._cross_stiff(v).reshape(2, self.block)
-        out = (self.dk - self.sigma * self.dm) @ Mv + self.dm @ Kv
-        return out.reshape(-1) if flat else out.reshape(v_b.shape)
-
-
-def build_correction(diff_1: PencilDifference, cross_pencils: list[Pencil1D],
-                     sigma: complex) -> CorrectionMatrix:
-    """C_bb for the given shift; sigma = omega^2 for the outer problem."""
-    if not cross_pencils:
-        raise ValueError("need at least one cross direction")
-    return CorrectionMatrix(diff_1, cross_pencils, sigma)

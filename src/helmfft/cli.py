@@ -139,14 +139,15 @@ def write_rhs_file(path: str, d: int, data: np.ndarray) -> None:
 
 def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
     bc = config.bc_kind()
+    if config.d == 3 and bc != BoundaryKind.ABSORBING:
+        raise ConfigError("3D solves support only absorbing x_1 ends")
     t0 = time.perf_counter()
-    if config.d == 2:
-        plan = plan2d(grid, config.omega if bc == BoundaryKind.ABSORBING
-                      else complex(config.omega) ** 2, bc_x1=bc)
-    else:
-        if bc != BoundaryKind.ABSORBING:
-            raise ConfigError("the 3D driver supports only absorbing x_1 ends")
-        plan = plan3d(grid, config.omega)
+    try:
+        plan = (plan3d(grid, config.omega) if config.d == 3 else
+                plan2d(grid, config.omega if bc == BoundaryKind.ABSORBING
+                       else complex(config.omega) ** 2, bc_x1=bc))
+    except (ValueError, OverflowError) as exc:      # omega or omega^2 not finite
+        raise ConfigError(f"bad omega {config.omega!r}: {exc}") from exc
     init_seconds = time.perf_counter() - t0
 
     f = make_rhs(config, grid)

@@ -1,4 +1,4 @@
-"""The three-step pipeline that the 2D and the 3D solver share.
+"""The plan and the three-step pipeline that the 2D and the 3D solver share.
 
 The x_1 direction runs the paper's three steps: the auxiliary problem,
 wrapped periodically or anti-periodically in x_1 (whichever the plan finds
@@ -21,34 +21,98 @@ with coefficient c = Lambda_{1,l} - sigma is then a divide by rho (c + lam),
 with rho the product of the cross weights w = 2 D / E = h (n-1) (2 + cos
 theta) / 3 and lam the sum of the cross eigenvalues.  The divisors are formed
 a few x_1 slabs at a time from the 1D arrays; none of field size is stored.
-Step 2 is, per cross mode, the 2 x 2 corner block of the inverse of
-K_1 - sigma M_1 + lam M_1, over rho.
+C_bb = B_bb - A_bb is (dk - sigma dm) ox M_cross + dm ox K_cross, dk and dm
+the 2 x 2 corner blocks of the x_1 pencil difference; per cross mode, over
+rho, it is (dk - sigma dm) + lam dm, and step 2 the 2 x 2 corner block of
+the inverse of K_1 - sigma M_1 + lam M_1.
 
-A plan serves the pipeline through ``grid``, ``pencil_x1``,
+One ``SolverPlan``, built by ``make_plan`` for any number of cross axes,
+serves the pipeline through ``grid``, ``sigma``, ``pencil_x1``,
 ``basis_circulant_x1``, ``shifts_B`` (sigma - Lambda_{1,l}), ``correction``
-(C_bb), ``cross_lambdas``, and the private ``_w`` (cross weights), ``_s1``
+(dk and dm), ``cross_lambdas`` and the private ``_w`` (cross weights), ``_s1``
 (x_1 mode scales), ``_RW1`` and ``_RW1c`` (x_1 boundary rows).
 """
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import functools
+import math
 
 import numpy as np
 import scipy.fft
 
-from .core import checked_field, defect_correction
-from .spectral import boundary_green
+from .assembly import (Pencil1D, PencilDifference, assemble_pencil,
+                       pencil_difference, _separable_terms)
+from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
+                   defect_correction, freeze_arrays)
+from .spectral import EigenBasis, boundary_green, choose_wrap, dct1_eigen
 
 # scalars of divisor scratch per slab chunk (at least one x_1 slab)
 SLAB_SCRATCH = 1 << 16
 
 
-def mass_weights(D):
-    """w = 2 D / E of a cross direction, from the D of ``dct1_eigen``."""
-    w = D.copy()
-    w[1:-1] *= 2.0
-    return w
+@dataclasses.dataclass(frozen=True)
+class SolverPlan:
+    """Immutable precomputed state of a 2D or 3D solve; build with make_plan."""
+
+    grid: Grid
+    omega: float
+    sigma: complex
+    bc_x1: BoundaryKind
+    pencil_x1: Pencil1D
+    pencil_x1_periodic: Pencil1D        # the auxiliary wrap the plan chose
+    cross_pencils: tuple                # Neumann pencils of x_2 .. x_d
+    basis_circulant_x1: EigenBasis
+    cross_lambdas: tuple                # their closed-form DCT-I eigenvalues
+    correction: PencilDifference        # dk, dm of C_bb (auxiliary - original x_1)
+    shifts_B: np.ndarray                # p_B,l = sigma - Lambda^B_{1,l}
+    operator: KroneckerOperator         # (K_1 - sigma M_1) ox M_cross + M_1 ox K_cross
+    wrap_gaps: tuple[float, float]      # relative gaps, periodic and anti-periodic
+    _w: tuple = dataclasses.field(repr=False, default=None)
+    _RW1: np.ndarray = dataclasses.field(repr=False, default=None)
+    _RW1c: np.ndarray = dataclasses.field(repr=False, default=None)
+    _s1: np.ndarray = dataclasses.field(repr=False, default=None)
+
+    def __post_init__(self):
+        freeze_arrays(vars(self).values())
+
+    @property
+    def twist(self) -> float:
+        """Phase of the auxiliary x_1 wrap: 0 periodic, pi anti-periodic."""
+        return self.pencil_x1_periodic.twist
+
+
+def make_plan(grid: Grid, omega: float, sigma: complex,
+              bc_x1: BoundaryKind) -> SolverPlan:
+    """Choose the auxiliary wrap; closed forms only, O(n_1 + ... + n_d) memory.
+
+    omega enters only the absorbing x_1 corners, sigma is the shift.  Raises
+    ValueError if either is not finite, SingularBlock if resonant (choose_wrap).
+    """
+    if not (math.isfinite(omega) and cmath.isfinite(sigma)):
+        raise ValueError(f"omega and sigma must be finite, got {omega!r} and {sigma!r}")
+    sigma = complex(sigma)
+    (n1, *ns), (h1, *hs) = grid.n, grid.h
+    p1 = assemble_pencil(n1, h1, omega, bc_x1)
+    cross = tuple(assemble_pencil(n, h) for n, h in zip(ns, hs))
+    lams, weights = zip(*map(dct1_eigen, cross))
+    for w in weights:
+        w[1:-1] *= 2.0                  # w = 2 D / E
+    wrap = choose_wrap(p1, sigma, lams)
+    p1B, w1 = wrap.pencil, wrap.basis
+    RW1 = w1.boundary_rows()
+    return SolverPlan(
+        grid=grid, omega=omega, sigma=sigma, bc_x1=bc_x1,
+        pencil_x1=p1, pencil_x1_periodic=p1B, cross_pencils=cross,
+        basis_circulant_x1=w1, cross_lambdas=lams,
+        correction=pencil_difference(p1, p1B),
+        shifts_B=(sigma if sigma.imag else sigma.real) - w1.lambdas,
+        operator=KroneckerOperator(grid, _separable_terms(p1, cross, sigma)),
+        wrap_gaps=wrap.gaps,
+        _w=weights, _RW1=RW1, _RW1c=np.conj(RW1), _s1=w1.scales,
+    )
 
 
 def cross_planes(plan):
@@ -59,7 +123,7 @@ def cross_planes(plan):
 
 def green(plan):
     """``boundary_green`` of the original x_1 pencil over the cross modes."""
-    return boundary_green(plan.pencil_x1, plan.correction.sigma, cross_planes(plan)[1])
+    return boundary_green(plan.pencil_x1, plan.sigma, cross_planes(plan)[1])
 
 
 def field(plan, f):
@@ -116,7 +180,7 @@ def _along_x1(a, ndim):
 def _boundary_corr(plan, vb, lam):
     """C_bb per cross mode, over rho: ((dk - sigma dm) + lam dm) vb."""
     C = plan.correction
-    c = np.tensordot(C.dk - C.sigma * C.dm, vb, axes=1)
+    c = np.tensordot(C.dk - plan.sigma * C.dm, vb, axes=1)
     c += lam * np.tensordot(C.dm, vb, axes=1)
     return c
 

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from helmfft import (BoundaryKind, Grid, assemble_pencil,
-                     assemble_periodic_pencil, build_correction,
-                     build_operator_A, build_operator_B, kron_apply,
-                     pencil_difference)
+                     assemble_periodic_pencil, build_operator_A,
+                     build_operator_B, kron_apply, pencil_difference, plan2d)
 from helmfft.assembly import PencilDifference
-from conftest import rand_field
+from helmfft import pipeline
 
 
 def test_neumann_pencil_n3():
@@ -127,52 +126,64 @@ def test_b_minus_a_supported_on_boundary_planes(shape, omega):
 
 
 def test_correction_entry_formula():
-    # Coupling of node (1,1) with (1,1) for the 2D outer problem.
+    # Corner entries of the periodic minus the absorbing x_1 pencil: C_bb's
+    # coupling of node (1,1) with itself is (dk - omega^2 dm)[0, 0] M_2[0, 0]
+    # + dm[0, 0] K_2[0, 0] for the 2D outer problem.
     omega = 2 * np.pi
-    g = Grid((3, 3))
-    h1, h2 = g.h
-    p1 = assemble_pencil(3, h1, omega, BoundaryKind.ABSORBING)
-    p1B = assemble_periodic_pencil(3, h1)
-    p2 = assemble_pencil(3, h2)
-    corr = build_correction(pencil_difference(p1, p1B), [p2], omega ** 2)
-
-    e = np.zeros(2 * 3, dtype=complex)
-    e[0] = 1.0
-    entry = corr.apply(e)[0]
-    expected = (((1 + 1j * omega * h1) / h1 - omega ** 2 * h1 / 3) * p2.M.diag[0]
-                + (h1 / 3) * p2.K.diag[0])
-    assert entry == pytest.approx(expected, rel=1e-13)
+    h1 = Grid((3, 3)).h[0]
+    diff = pencil_difference(assemble_pencil(3, h1, omega, BoundaryKind.ABSORBING),
+                             assemble_periodic_pencil(3, h1))
+    assert diff.dk[0, 0] == pytest.approx((1 + 1j * omega * h1) / h1, rel=1e-13)
+    assert diff.dm[0, 0] == pytest.approx(h1 / 3, rel=1e-13)
+    assert diff.dk[0, 1] == pytest.approx(-1 / h1, rel=1e-13)
+    assert diff.dm[0, 1] == pytest.approx(h1 / 6, rel=1e-13)
 
 
 def test_correction_sigma_enters_through_dm_only():
+    import dataclasses
+    plan = plan2d(Grid((5, 4)), 2 * np.pi)
     diff = PencilDifference(dk=np.array([[2.0, -1], [-1, 2.0]], dtype=complex),
-                            dm=np.zeros((2, 2), dtype=complex), n=5)
-    p2 = assemble_pencil(4, 1 / 3)
-    v = np.arange(8, dtype=complex) + 1j
-    out1 = build_correction(diff, [p2], 0.0).apply(v)
-    out2 = build_correction(diff, [p2], 123.4 - 5j).apply(v)
+                            dm=np.zeros((2, 2), dtype=complex))
+    v = np.arange(8, dtype=complex).reshape(2, 4) + 1j
+    lam = pipeline.cross_planes(plan)[1]
+    out1, out2 = (pipeline._boundary_corr(dataclasses.replace(plan, correction=diff,
+                                                              sigma=sigma), v, lam)
+                  for sigma in (0j, 123.4 - 5j))
     assert np.array_equal(out1, out2)
 
 
 @pytest.mark.parametrize("shape,omega", [((4, 3), 2 * np.pi), ((3, 4, 5), 1.0)])
 def test_correction_matches_dense_b_minus_a(shape, omega):
+    # For either wrap: dk and dm are the corner blocks of the dense pencil
+    # difference, which is zero elsewhere, and (dk - omega^2 dm) ox M_cross +
+    # dm ox K_cross is the boundary block of the dense B - A.
     g = Grid(shape)
     n1 = shape[0]
     block = g.npoints // n1
+    ends = np.r_[:block, g.npoints - block:g.npoints]
     p1 = assemble_pencil(n1, g.h[0], omega, BoundaryKind.ABSORBING)
-    p1B = assemble_periodic_pencil(n1, g.h[0])
     cross = [assemble_pencil(g.n[j], g.h[j]) for j in range(1, g.dims)]
-    corr = build_correction(pencil_difference(p1, p1B), cross, omega ** 2)
 
-    D = build_operator_B(g, omega).dense() - build_operator_A(g, omega).dense()
-    y = rand_field(g, 5)[: 2 * block]
-    padded = np.zeros(g.npoints, dtype=complex)
-    padded[:block] = y[:block]
-    padded[-block:] = y[block:]
-    full = D @ padded
-    expected = np.concatenate([full[:block], full[-block:]])
-    got = corr.apply(y)
-    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    def kron(*factors):
+        out = np.ones((1, 1))
+        for f in factors:
+            out = np.kron(out, f)
+        return out
+
+    M = kron(*(p.M.dense() for p in cross))
+    K = sum(kron(*(q.K.dense() if q is p else q.M.dense() for q in cross)) for p in cross)
+    for twist in (0.0, np.pi):
+        p1B = assemble_periodic_pencil(n1, g.h[0], twist)
+        diff = pencil_difference(p1, p1B)
+        for got, B, A in ((diff.dk, p1B.K, p1.K), (diff.dm, p1B.M, p1.M)):
+            full = B.dense() - A.dense()
+            assert np.array_equal(full[np.ix_([0, -1], [0, -1])], got)
+            full[np.ix_([0, -1], [0, -1])] = 0.0
+            assert np.abs(full).max() == 0.0
+        D = build_operator_B(g, omega, twist).dense() - build_operator_A(g, omega).dense()
+        cbb = np.kron(diff.dk - omega ** 2 * diff.dm, M) + np.kron(diff.dm, K)
+        expected = D[np.ix_(ends, ends)]
+        assert np.linalg.norm(cbb - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_pure_neumann_null_space():

@@ -153,6 +153,18 @@ def test_exit_code_config_error():
     assert cli.main(["solve", "--rhs", "random:notanint"]) == 2
 
 
+@pytest.mark.parametrize("omega", ["nan", "inf", "-inf", "1e200"])
+@pytest.mark.parametrize("flags", [["--d", "2"], ["--d", "2", "--bc", "neumann"],
+                                   ["--d", "3", "--n3", "5"]], ids=["2d", "2d-neumann", "3d"])
+def test_exit_code_non_finite_omega(flags, omega, capsys):
+    # a wave number that is not finite, or whose square is not, is a
+    # configuration error: no record with a NaN residual is written
+    assert cli.main(["solve", *flags, "--n1", "5", "--n2", "4", f"--omega={omega}",
+                     "--repeats", "1", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err
+
+
 def test_exit_code_verify_size_cap():
     assert cli.main(["verify", "--d", "2", "--n1", "201", "--n2", "201",
                      "--rhs", "paper", "--repeats", "1"]) == 2

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 
-from helmfft import Grid, _tridiag, core, solve_block_system
+from helmfft import Grid, _tridiag, core, plan2d, plan3d, solve_block_system
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,3 +36,15 @@ def test_perfbench_names_resolve(monkeypatch):
     assert workloads.plan_bytes(plan) > 0
     assert (_tridiag.factor_blocks, _tridiag.solve_blocks, scipy.fft.fft,
             core.TriCornerMatrix.apply) == before
+
+
+def test_plan_bytes_sees_the_plan(monkeypatch):
+    # plan_bytes follows only objects of helmfft's own modules; a plan it
+    # cannot walk into would read as a bogus plan_mb gain
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    for plan in (plan2d(Grid((17, 33)), 2 * np.pi), plan3d(Grid((9, 7, 5)), 2 * np.pi)):
+        held = [plan.shifts_B, plan._RW1, plan._RW1c, plan._s1, *plan._w,
+                *plan.cross_lambdas]
+        assert workloads.plan_bytes(plan) >= sum(a.nbytes for a in held)

@@ -13,7 +13,7 @@ from helmfft import (BoundaryKind, Grid, PartialSolution, SingularBlock,
                      kron_apply, plan2d, plan3d, solve2d, solve_aux_partial,
                      solve_correction, solve_final)
 from helmfft import pipeline
-from helmfft.assembly import PencilDifference, build_correction
+from helmfft.assembly import PencilDifference
 from conftest import rand_field, relerr
 
 # wave numbers at which plan2d on the (5, 4) grid picks each auxiliary wrap
@@ -29,29 +29,29 @@ def test_plan_blocks_match_dense_assembly():
                                       ((5, 4), 7.5 - 3.2j, BoundaryKind.NEUMANN)]:
         plan = plan2d(Grid(shape), omega_or_shift, bc_x1=bc)
         n2 = shape[1]
-        p2 = plan.pencil_x2
+        p2 = plan.cross_pencils[0]
         V = np.cos(np.outer(np.arange(n2), np.pi * np.arange(n2) / (n2 - 1)))
         lamB = plan.basis_circulant_x1.lambdas
         assert np.allclose(plan.shifts_B, plan.sigma - lamB, rtol=1e-14, atol=0)
         for l in range(shape[0]):
             T = (lamB[l] - plan.sigma) * p2.M.dense() + p2.K.dense()
             got = np.linalg.solve(T, p2.M.dense() @ V)
-            expected = V / (lamB[l] - plan.sigma + plan.lambdas_x2)
+            expected = V / (lamB[l] - plan.sigma + plan.cross_lambdas[0])
             assert np.linalg.norm(got - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
 def test_plan_neumann_negative_shift_is_coercive():
     plan = plan2d(Grid((6, 5)), -1.0, bc_x1=BoundaryKind.NEUMANN)
     # every auxiliary block eigenvalue Lambda_l - sigma + lambda_k is >= 1
-    eig = np.add.outer(plan.basis_circulant_x1.lambdas - plan.sigma, plan.lambdas_x2)
+    eig = np.add.outer(plan.basis_circulant_x1.lambdas - plan.sigma, plan.cross_lambdas[0])
     gap = plan.wrap_gaps[int(plan.twist != 0.0)] * abs(plan.sigma)
     assert np.isclose(gap, np.abs(eig).min(), rtol=1e-12)
     assert gap >= 1.0 - 1e-12
     # each original x_1 block K_1 + (lam_c + 1) M_1 is SPD; its boundary
     # Green's function is the corner block of the dense inverse
     p1 = plan.pencil_x1
-    g, g_far = boundary_green(p1, plan.sigma, plan.lambdas_x2)
-    for k, lam in enumerate(plan.lambdas_x2):
+    g, g_far = boundary_green(p1, plan.sigma, plan.cross_lambdas[0])
+    for k, lam in enumerate(plan.cross_lambdas[0]):
         T_inv = np.linalg.inv(p1.K.dense() + (lam + 1.0) * p1.M.dense())
         corner = np.array([[g[k], g_far[k]], [g_far[k], g[k]]])
         assert np.allclose(T_inv[np.ix_([0, -1], [0, -1])], corner, rtol=1e-12, atol=0)
@@ -86,13 +86,36 @@ def test_plan_resonant_original_block_raises():
     plan2d(g, 1.01 * sigma, bc_x1=BoundaryKind.NEUMANN)
 
 
-def test_plan_holds_no_field_sized_array():
-    # O(n1 + n2) memory: x_1 mode data and cross weights, no block factors
-    n1, n2 = 33, 65
-    plan = plan2d(Grid((n1, n2)), 2 * np.pi)
+@pytest.mark.parametrize("plan", [plan2d(Grid((33, 65)), 2 * np.pi),
+                                  plan2d(Grid((33, 65)), 7.5 - 3.2j, bc_x1=BoundaryKind.NEUMANN),
+                                  plan3d(Grid((33, 17, 65)), 2 * np.pi)],
+                         ids=["2d", "2d-neumann", "3d"])
+def test_plan_holds_no_field_sized_array(plan):
+    # O(n1 + ... + nd) memory: x_1 mode data and cross weights, no block factors
     arrays = [a for v in vars(plan).values()
               for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
-    assert arrays and all(a.size <= 2 * max(n1, n2) for a in arrays)
+    assert arrays and all(a.size <= 2 * max(plan.grid.n) for a in arrays)
+
+
+def test_one_plan_class_for_both_solvers():
+    assert type(plan2d(Grid((5, 4)), 2 * np.pi)) is type(plan3d(Grid((5, 4, 3)), 2 * np.pi))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_plan_rejects_non_finite_omega(value):
+    for make in (lambda: plan2d(Grid((5, 4)), value), lambda: plan3d(Grid((4, 5, 3)), value)):
+        with pytest.raises(ValueError):
+            make()
+    for shift in (complex(value, 0.0), complex(1.0, value)):
+        with pytest.raises(ValueError):
+            plan2d(Grid((5, 4)), shift, bc_x1=BoundaryKind.NEUMANN)
+
+
+def test_plan_rejects_complex_omega_with_absorbing_ends():
+    with pytest.raises(ValueError):
+        plan2d(Grid((5, 4)), 2 + 1j)
+    assert plan2d(Grid((5, 4)), 2 + 0j).omega == 2.0
+    plan2d(Grid((5, 4)), 2 + 1j, bc_x1=BoundaryKind.NEUMANN)    # a complex shift
 
 
 def test_plan_raises_at_zero_omega():
@@ -159,9 +182,8 @@ def test_correction_zeroed_cbb_gives_zero():
     g = Grid((5, 4))
     plan = plan2d(g, 2 * np.pi)
     zero_diff = PencilDifference(dk=np.zeros((2, 2), dtype=complex),
-                                 dm=np.zeros((2, 2), dtype=complex), n=5)
-    plan0 = dataclasses.replace(
-        plan, correction=build_correction(zero_diff, [plan.pencil_x2], plan.sigma))
+                                 dm=np.zeros((2, 2), dtype=complex))
+    plan0 = dataclasses.replace(plan, correction=zero_diff)
     vb = rand_field(g, 3)[:8]
     assert np.abs(solve_correction(plan0, vb)).max() == 0.0
 
@@ -172,13 +194,23 @@ def test_correction_zeroed_cbb_gives_zero():
                          ids=["2d", "2d-neumann", "3d"])
 def test_pipeline_cbb_matches_correction_apply(plan):
     # The pipeline applies C_bb per DCT-I cross mode, over rho; taken back to
-    # right-hand-side form (dct1 of E x over the cross axes) it must equal
-    # C_bb applied in physical space.
-    cross = plan.grid.n[1:]
-    v = np.random.default_rng(5).standard_normal((2,) + cross) + 1j
+    # right-hand-side form (dct1 of E x over the cross axes) it must equal the
+    # boundary block of the dense B - A, assembled entrywise by the oracle.
+    g = plan.grid
+    block = g.npoints // g.n[0]
+    if plan.bc_x1 == BoundaryKind.NEUMANN:
+        # B - A is affine in sigma, and the oracle's shift is a real omega^2
+        D0, D1 = (dense_problem(g, omega, plan.bc_x1, plan.twist) for omega in (0.0, 1.0))
+        D = (D0.B - D0.A) + plan.sigma * ((D1.B - D1.A) - (D0.B - D0.A))
+    else:
+        prob = dense_problem(g, plan.omega, plan.bc_x1, plan.twist)
+        D = prob.B - prob.A
+    ends = np.r_[:block, g.npoints - block:g.npoints]
+    v = np.random.default_rng(5).standard_normal((2,) + g.n[1:]) + 1j
     rho, lam = pipeline.cross_planes(plan)
     got = rho * pipeline._boundary_corr(plan, pipeline.boundary_modes(v), lam)
-    expected = pipeline.dct_cross(plan.correction.apply(v), None, scale_ends=True)
+    cbb_v = (D[np.ix_(ends, ends)] @ v.reshape(-1)).reshape(v.shape)
+    expected = pipeline.dct_cross(cbb_v, None, scale_ends=True)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -328,7 +360,8 @@ def test_solve2d_shared_plan_across_threads():
     plan = plan2d(g, 2 * np.pi)
     arrays = {name: val for name, val in vars(plan).items()
               if isinstance(val, np.ndarray)}
-    arrays.update({f"_w[{k}]": v for k, v in enumerate(plan._w)})
+    arrays.update({f"{name}[{k}]": v for name in ("_w", "cross_lambdas")
+                   for k, v in enumerate(getattr(plan, name))})
     saved = {name: val.copy() for name, val in arrays.items()}
     fs = [rand_field(g, 17 + k) for k in range(4)]
     serial = [solve2d(plan, f) for f in fs]

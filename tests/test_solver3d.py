@@ -18,8 +18,7 @@ def test_plan_circulant_eigenvalues_match_dense():
     g = Grid((3, 4, 5))
     plan = plan3d(g, 2 * np.pi)
     pairs = ((plan.pencil_x1_periodic, plan.basis_circulant_x1.lambdas),
-             (plan.pencil_x2, plan.lambdas_x2),
-             (plan.pencil_x3, plan.lambdas_x3))
+             *zip(plan.cross_pencils, plan.cross_lambdas))
     for pencil, lam in pairs:
         ref, _ = dense_eigensolve_pencil(pencil.K.dense(), pencil.M.dense())
         got = np.sort_complex(lam)
@@ -83,7 +82,7 @@ def test_block_system_matches_dense_blocks(which, rng):
     omega = 2 * np.pi
     plan = plan3d(g, omega)
     n1, n2, n3 = g.n
-    p2, p3 = plan.pencil_x2, plan.pencil_x3
+    p2, p3 = plan.cross_pencils
     lam1 = plan.basis_circulant_x1.lambdas
 
     rhs = rand_field(g, 9)
@@ -214,7 +213,7 @@ def test_solve3d_shift_sets():
     g = Grid((4, 3, 3))
     plan = plan3d(g, 2 * np.pi)
     # the absorbing x_1 blocks are genuinely complex, the periodic shifts real
-    lam = np.add.outer(plan.lambdas_x2, plan.lambdas_x3)
+    lam = np.add.outer(*plan.cross_lambdas)
     green = boundary_green(plan.pencil_x1, (2 * np.pi) ** 2, lam)
     assert min(np.abs(part.imag).max() for part in green) > 1e-6
     assert np.abs(plan.shifts_B.imag).max() <= 1e-12
