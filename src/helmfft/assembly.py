@@ -112,18 +112,10 @@ def _shifted(K: TriCornerMatrix, M: TriCornerMatrix, c: complex) -> TriCornerMat
                            corner=K.corner + c * M.corner)
 
 
-def _separable_terms(p1: Pencil1D, cross: list[Pencil1D], sigma: complex):
-    """Terms of (K_1 - sigma M_1) ox M_rest + M_1 ox (sum K_j ox M_rest)."""
-    d = 1 + len(cross)
-    K1s = _shifted(p1.K, p1.M, -sigma)
-    terms = [(1.0 + 0j, tuple([K1s] + [p.M for p in cross]))]
-    for j, pj in enumerate(cross):
-        factors = [p1.M]
-        for i, p in enumerate(cross):
-            factors.append(pj.K if i == j else p.M)
-        terms.append((1.0 + 0j, tuple(factors)))
-    assert all(len(f) == d for _, f in terms)
-    return tuple(terms)
+def separable_operator(grid: Grid, p1: Pencil1D, cross, sigma: complex) -> KroneckerOperator:
+    """(K_1 - sigma M_1) ox M_2 ox ... + M_1 ox K_2 ox ... + ..., as d (K, M) pairs."""
+    return KroneckerOperator(grid, ((_shifted(p1.K, p1.M, -sigma), p1.M),)
+                             + tuple((p.K, p.M) for p in cross))
 
 
 def build_operator_A(grid: Grid, omega: float,
@@ -131,11 +123,11 @@ def build_operator_A(grid: Grid, omega: float,
     """The discrete Helmholtz operator with bc_x1 on the x_1 ends."""
     p1 = assemble_pencil(grid.n[0], grid.h[0], omega, bc_x1)
     cross = [assemble_pencil(grid.n[j], grid.h[j]) for j in range(1, grid.dims)]
-    return KroneckerOperator(grid, _separable_terms(p1, cross, omega ** 2))
+    return separable_operator(grid, p1, cross, omega ** 2)
 
 
 def build_operator_B(grid: Grid, omega: float, twist: float = 0.0) -> KroneckerOperator:
     """Auxiliary operator: x_1 pencil replaced by its wrap with phase twist."""
     p1 = assemble_periodic_pencil(grid.n[0], grid.h[0], twist)
     cross = [assemble_pencil(grid.n[j], grid.h[j]) for j in range(1, grid.dims)]
-    return KroneckerOperator(grid, _separable_terms(p1, cross, omega ** 2))
+    return separable_operator(grid, p1, cross, omega ** 2)

@@ -151,6 +151,8 @@ def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
     init_seconds = time.perf_counter() - t0
 
     f = make_rhs(config, grid)
+    if not f.any():
+        raise ConfigError("the right-hand side is all zero; its relative residual is undefined")
     solve = solve2d if config.d == 2 else solve3d
     best = math.inf
     u = None

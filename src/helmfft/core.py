@@ -11,7 +11,7 @@ real matrices, so there is a single code path.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -139,43 +139,46 @@ class TriCornerMatrix:
 
 @dataclass(frozen=True)
 class KroneckerOperator:
-    """Sum of scaled Kronecker products of per-direction TriCornerMatrix factors.
+    """The separable operator sum_k M_1 ox ... ox M_{k-1} ox K_k ox M_{k+1} ox ... ox M_d.
 
-    ``terms`` is a sequence of ``(coeff, (F_1, ..., F_d))`` entries.  The
-    operator is applied matrix-free; nothing dense is ever formed here.
+    ``pairs`` holds one ``(K, M)`` pair of TriCornerMatrix per direction; for
+    the Helmholtz operator A the first is (K_1 - sigma M_1, M_1).  The
+    operator is applied matrix-free by ``kron_apply``; ``dense`` is for
+    small verification problems only.
     """
 
     grid: Grid
-    terms: tuple = field(default_factory=tuple)
+    pairs: tuple
 
     def __post_init__(self):
-        for coeff, factors in self.terms:
-            if len(factors) != self.grid.dims:
-                raise ValueError("every term needs exactly one factor per direction")
-            for F, n in zip(factors, self.grid.n):
-                if F.n != n:
-                    raise ValueError(f"factor size {F.n} does not match grid {self.grid.n}")
+        if len(self.pairs) != self.grid.dims:
+            raise ValueError("the operator needs exactly one (K, M) pair per direction")
+        for (K, M), n in zip(self.pairs, self.grid.n):
+            if K.n != n or M.n != n:
+                raise ValueError(f"pair sizes {K.n}, {M.n} do not match grid {self.grid.n}")
 
     def dense(self) -> np.ndarray:
-        """Explicit N x N matrix; intended for small verification problems."""
+        """Explicit N x N matrix, summed term by term from the Kronecker products."""
         N = self.grid.npoints
         A = np.zeros((N, N), dtype=np.complex128)
-        for coeff, factors in self.terms:
+        for k in range(self.grid.dims):
             term = np.array([[1.0 + 0j]])
-            for F in factors:
-                term = np.kron(term, F.dense())
-            A += coeff * term
+            for j, (K, M) in enumerate(self.pairs):
+                term = np.kron(term, (K if j == k else M).dense())
+            A += term
         return A
 
 
 def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
-    """Evaluate ``sum_t c_t (F_1 ox ... ox F_d) x`` without dense matrices.
+    """Evaluate ``op x`` in 3d - 2 one-dimensional passes, without dense matrices.
 
-    ``x`` is a field vector of length N or the d-dim array, in any memory
-    layout (a transposed view included).  The result has the shape of ``x``
-    and goes to ``out`` when given, which must not alias ``x``.  Cost is
-    O(N d) per term; scratch is two arrays laid out like ``x`` plus the
-    bounded chunks of ``TriCornerMatrix.apply``.
+    Outward over the axes: S_0 = K_0 x and D_0 = M_0 x, then S_k = M_k S_{k-1}
+    + K_k D_{k-1} and D_k = M_k D_{k-1} (not needed on the last axis); S_{d-1}
+    is ``op x``.  ``x`` is a field vector of length N or the d-dim array, in
+    any memory layout (a transposed view included).  The result has the
+    shape of ``x`` and goes to ``out`` when given, which must not alias
+    ``x``.  Scratch is two arrays laid out like ``x`` plus the bounded chunks
+    of ``TriCornerMatrix.apply``.
     """
     x = np.asarray(x, dtype=np.complex128)
     shape = op.grid.shape
@@ -187,23 +190,19 @@ def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
         raise ValueError(f"out has shape {out.shape}, field has {x.shape}")
     # a 1-D array, or one already in the grid's shape, reshapes without a copy
     X, Y = x.reshape(shape), out.reshape(shape)
-    if not op.terms:
-        Y[...] = 0.0
-    a, b = np.empty_like(X), np.empty_like(X)
-    for t, (coeff, factors) in enumerate(op.terms):
-        src = X
-        for axis, F in enumerate(factors):
-            # the first term's last factor writes the result in place
-            if t == 0 and axis == len(factors) - 1:
-                dst = Y
-            else:
-                dst = b if src is a else a
-            F.apply(src, axis=axis, out=dst)
-            src = dst
-        if coeff != 1.0:
-            src *= coeff
-        if t > 0:
-            Y += src
+    S, D, free = np.empty_like(X), np.empty_like(X), Y
+    (K, M), *rest = op.pairs
+    K.apply(X, 0, out=S)
+    M.apply(X, 0, out=D)
+    for axis, (K, M) in enumerate(rest, 1):
+        M.apply(S, axis, out=free)
+        K.apply(D, axis, out=S)         # S_{k-1} is spent
+        if axis == len(rest):
+            np.add(free, S, out=Y)
+        else:
+            free += S
+            M.apply(D, axis, out=S)
+            S, D, free = free, S, D
     return out
 
 

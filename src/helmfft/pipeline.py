@@ -30,7 +30,10 @@ One ``SolverPlan``, built by ``make_plan`` for any number of cross axes,
 serves the pipeline through ``grid``, ``sigma``, ``pencil_x1``,
 ``basis_circulant_x1``, ``shifts_B`` (sigma - Lambda_{1,l}), ``correction``
 (dk and dm), ``cross_lambdas`` and the private ``_w`` (cross weights), ``_s1``
-(x_1 mode scales), ``_RW1`` and ``_RW1c`` (x_1 boundary rows).
+(x_1 mode scales), ``_RW1`` and ``_RW1c`` (x_1 boundary rows).  The
+refinement loop's residual applies ``operator``, A held as its d (K, M)
+pairs, through ``core.kron_apply``: 3d - 2 one-dimensional passes and two
+field-sized scratch arrays.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
-import math
 
 import numpy as np
 import scipy.fft
 
 from .assembly import (Pencil1D, PencilDifference, assemble_pencil,
-                       pencil_difference, _separable_terms)
+                       pencil_difference, separable_operator)
 from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
                    defect_correction, freeze_arrays)
 from .spectral import EigenBasis, boundary_green, choose_wrap, dct1_eigen
@@ -68,7 +70,7 @@ class SolverPlan:
     cross_lambdas: tuple                # their closed-form DCT-I eigenvalues
     correction: PencilDifference        # dk, dm of C_bb (auxiliary - original x_1)
     shifts_B: np.ndarray                # p_B,l = sigma - Lambda^B_{1,l}
-    operator: KroneckerOperator         # (K_1 - sigma M_1) ox M_cross + M_1 ox K_cross
+    operator: KroneckerOperator         # A as its d (K, M) pairs, (K_1 - sigma M_1, M_1) first
     wrap_gaps: tuple[float, float]      # relative gaps, periodic and anti-periodic
     _w: tuple = dataclasses.field(repr=False, default=None)
     _RW1: np.ndarray = dataclasses.field(repr=False, default=None)
@@ -84,16 +86,27 @@ class SolverPlan:
         return self.pencil_x1_periodic.twist
 
 
-def make_plan(grid: Grid, omega: float, sigma: complex,
-              bc_x1: BoundaryKind) -> SolverPlan:
+def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
     """Choose the auxiliary wrap; closed forms only, O(n_1 + ... + n_d) memory.
 
-    omega enters only the absorbing x_1 corners, sigma is the shift.  Raises
-    ValueError if either is not finite, SingularBlock if resonant (choose_wrap).
+    With absorbing x_1 ends the second argument is the real wave number
+    omega, which enters the x_1 corners, and the shift is sigma = omega^2;
+    with Neumann ends it is the complex shift sigma.  Raises ValueError for a
+    non-real or non-finite omega, a non-finite sigma or another boundary
+    kind, and SingularBlock if resonant (choose_wrap).
     """
-    if not (math.isfinite(omega) and cmath.isfinite(sigma)):
-        raise ValueError(f"omega and sigma must be finite, got {omega!r} and {sigma!r}")
-    sigma = complex(sigma)
+    if bc_x1 == BoundaryKind.ABSORBING:
+        if np.imag(omega_or_shift) != 0 or not np.isfinite(omega_or_shift):
+            raise ValueError("absorbing ends need a real, finite wave number, "
+                             f"got {omega_or_shift!r}")
+        omega = float(np.real(omega_or_shift))
+        sigma = complex(omega ** 2)
+    elif bc_x1 == BoundaryKind.NEUMANN:
+        omega, sigma = 0.0, complex(omega_or_shift)
+        if not cmath.isfinite(sigma):
+            raise ValueError(f"the shift must be finite, got {omega_or_shift!r}")
+    else:
+        raise ValueError(f"unsupported x_1 boundary kind: {bc_x1}")
     (n1, *ns), (h1, *hs) = grid.n, grid.h
     p1 = assemble_pencil(n1, h1, omega, bc_x1)
     cross = tuple(assemble_pencil(n, h) for n, h in zip(ns, hs))
@@ -109,7 +122,7 @@ def make_plan(grid: Grid, omega: float, sigma: complex,
         basis_circulant_x1=w1, cross_lambdas=lams,
         correction=pencil_difference(p1, p1B),
         shifts_B=(sigma if sigma.imag else sigma.real) - w1.lambdas,
-        operator=KroneckerOperator(grid, _separable_terms(p1, cross, sigma)),
+        operator=separable_operator(grid, p1, cross, sigma),
         wrap_gaps=wrap.gaps,
         _w=weights, _RW1=RW1, _RW1c=np.conj(RW1), _s1=w1.scales,
     )

@@ -48,22 +48,16 @@ def plan2d(grid: Grid, omega_or_shift,
 
     With absorbing x_1 ends the second argument is the real wave number and
     the shift is omega^2; with Neumann ends it is the complex shift sigma.
-    Raises ValueError for a non-real wave number or a non-finite omega or
-    sigma, and SingularBlock for a resonant shift: of the chosen auxiliary
-    blocks, or in closed form of the original blocks with Neumann ends or
-    omega = 0.  With absorbing ends and omega != 0 the original blocks cannot
-    be resonant (see boundary_green).
+    Raises ValueError for a non-real wave number, a non-finite omega or
+    sigma, or another x_1 boundary kind (``pipeline.make_plan``), and
+    SingularBlock for a resonant shift: of the chosen auxiliary blocks, or in
+    closed form of the original blocks with Neumann ends or omega = 0.  With
+    absorbing ends and omega != 0 the original blocks cannot be resonant (see
+    boundary_green).
     """
     if grid.dims != 2:
         raise ValueError("plan2d needs a 2D grid")
-    if bc_x1 == BoundaryKind.ABSORBING:
-        if np.imag(omega_or_shift) != 0:
-            raise ValueError(f"absorbing ends need a real wave number, got {omega_or_shift!r}")
-        omega = float(np.real(omega_or_shift))
-        return pipeline.make_plan(grid, omega, omega ** 2, bc_x1)
-    if bc_x1 == BoundaryKind.NEUMANN:
-        return pipeline.make_plan(grid, 0.0, omega_or_shift, bc_x1)
-    raise ValueError(f"unsupported x_1 boundary kind: {bc_x1}")
+    return pipeline.make_plan(grid, omega_or_shift, bc_x1)
 
 
 def _boundary(plan, v, name):

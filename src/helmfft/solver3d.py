@@ -22,15 +22,14 @@ from .pipeline import SolverPlan
 def plan3d(grid: Grid, omega: float) -> SolverPlan:
     """Closed forms only; O(n1 + n2 + n3) memory.
 
-    Raises ValueError for a non-finite omega, and SingularBlock if a block
-    of the chosen auxiliary wrap is resonant, or if omega = 0, where the
-    original problem is singular; with omega != 0 the original blocks cannot
-    be (see ``spectral.boundary_green``).
+    Raises ValueError for a non-real or non-finite omega, and SingularBlock
+    if a block of the chosen auxiliary wrap is resonant, or if omega = 0,
+    where the original problem is singular; with omega != 0 the original
+    blocks cannot be (see ``spectral.boundary_green``).
     """
     if grid.dims != 3:
         raise ValueError("plan3d needs a 3D grid")
-    omega = float(omega)
-    return pipeline.make_plan(grid, omega, omega ** 2, BoundaryKind.ABSORBING)
+    return pipeline.make_plan(grid, omega, BoundaryKind.ABSORBING)
 
 
 def solve_block_system(plan: SolverPlan, which: str, rhs: np.ndarray,

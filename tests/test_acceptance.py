@@ -205,10 +205,17 @@ def test_criterion_8_step2_linear_cost():
     n2 = 257
     rng = np.random.default_rng(0)
     vb = rng.standard_normal(2 * n2) + 1j * rng.standard_normal(2 * n2)
-    times = {}
-    for n1 in (257, 513, 1025):
-        plan = plan2d(Grid((n1, n2)), 2 * np.pi)
-        times[n1 * n2] = _best_time(lambda: solve_correction(plan, vb), repeats=7)
+    plans = {n1 * n2: plan2d(Grid((n1, n2)), 2 * np.pi) for n1 in (257, 513, 1025)}
+    for plan in plans.values():
+        solve_correction(plan, vb)             # warm caches and heap
+    # round-robin over the sizes, so that a slow phase of the host falls on
+    # all of them; each size keeps its best time
+    times = dict.fromkeys(plans, math.inf)
+    for _ in range(15):
+        for N, plan in plans.items():
+            start = time.perf_counter()
+            solve_correction(plan, vb)
+            times[N] = min(times[N], time.perf_counter() - start)
     slope = _loglog_slope(times)
     ok = 0.7 <= slope <= 1.2
     _report(8, "step-2 linear cost", ok,

@@ -107,9 +107,9 @@ def test_operator_a_3d_complex_symmetric():
 
 def test_operator_b_x1_factors_real():
     B = build_operator_B(Grid((4, 3)), 2 * np.pi)
-    for _coeff, factors in B.terms:
-        assert np.abs(factors[0].diag.imag).max() == 0.0
-        assert factors[0].corner.imag == 0.0
+    for F in B.pairs[0]:
+        assert np.abs(F.diag.imag).max() == 0.0
+        assert F.corner.imag == 0.0
 
 
 @pytest.mark.parametrize("shape,omega", [((3, 3), 2 * np.pi), ((4, 3), 1.0),

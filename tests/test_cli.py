@@ -153,6 +153,16 @@ def test_exit_code_config_error():
     assert cli.main(["solve", "--rhs", "random:notanint"]) == 2
 
 
+def test_exit_code_zero_rhs(tmp_path, capsys):
+    # the relative residual of f = 0 is 0/0: a configuration error, no record
+    path = str(tmp_path / "zeros.bin")
+    write_rhs_file(path, 2, np.zeros(20))
+    assert cli.main(["solve", "--n1", "5", "--n2", "4", f"--rhs=file:{path}",
+                     "--repeats", "1", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "all zero" in err
+
+
 @pytest.mark.parametrize("omega", ["nan", "inf", "-inf", "1e200"])
 @pytest.mark.parametrize("flags", [["--d", "2"], ["--d", "2", "--bc", "neumann"],
                                    ["--d", "3", "--n3", "5"]], ids=["2d", "2d-neumann", "3d"])

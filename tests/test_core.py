@@ -8,8 +8,8 @@ from helmfft import (Grid, KroneckerOperator, TriCornerMatrix, build_operator_A,
 from conftest import rand_field
 
 
-def identity_factor(n):
-    return TriCornerMatrix(np.ones(n), np.zeros(n - 1))
+def identity_factor(n, value=1.0):
+    return TriCornerMatrix(np.full(n, value), np.zeros(n - 1))
 
 
 def test_grid_spacing():
@@ -55,10 +55,13 @@ def test_tricorner_apply_out_chunked(rng):
 
 
 def test_kron_apply_identity(rng):
-    g = Grid((4, 5))
-    op = KroneckerOperator(g, ((1.0, (identity_factor(4), identity_factor(5))),))
-    x = rand_field(g, 0)
-    assert np.array_equal(kron_apply(op, x), x)
+    # pairs (I, I), (0, I), ...: every term but the first is zero
+    for shape in ((4, 5), (4, 5, 3)):
+        g = Grid(shape)
+        pairs = tuple((identity_factor(n, float(k == 0)), identity_factor(n))
+                      for k, n in enumerate(shape))
+        x = rand_field(g, 0)
+        assert np.array_equal(kron_apply(KroneckerOperator(g, pairs), x), x)
 
 
 def test_kron_apply_mass_on_ones():
@@ -67,7 +70,7 @@ def test_kron_apply_mass_on_ones():
     from helmfft import assemble_pencil
     p1 = assemble_pencil(3, 0.5)
     p2 = assemble_pencil(3, 0.5)
-    op = KroneckerOperator(g, ((1.0, (p1.M, p2.M)),))
+    op = KroneckerOperator(g, ((p1.M, p1.M), (identity_factor(3, 0.0), p2.M)))
     y = kron_apply(op, np.ones(9, dtype=complex))
     rs1 = p1.M.dense().sum(axis=1)
     rs2 = p2.M.dense().sum(axis=1)
@@ -86,11 +89,13 @@ def test_kron_apply_matches_dense(shape, rng):
 
 
 def _weighted_operator(g):
-    # The terms of A with non-unit coefficients, so that both the first term
-    # and a later one take the scaling branch.
+    # The terms of A with non-unit complex weights, folded into the K factors,
+    # so that the pairs are not those of A.
     A = build_operator_A(g, 2 * np.pi)
-    coeffs = (2.0 - 1.0j, 1.0, -0.5)[:len(A.terms)]
-    return KroneckerOperator(g, tuple((c, f) for c, (_, f) in zip(coeffs, A.terms)))
+    coeffs = (2.0 - 1.0j, 1.0, -0.5)
+    return KroneckerOperator(g, tuple(
+        (TriCornerMatrix(c * K.diag, c * K.off, c * K.corner), M)
+        for c, (K, M) in zip(coeffs, A.pairs)))
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (3, 4, 5)])
@@ -180,7 +185,25 @@ def test_kron_apply_dimension_mismatch():
 
 def test_kron_operator_rejects_bad_factors():
     g = Grid((4, 5))
-    with pytest.raises(ValueError):
-        KroneckerOperator(g, ((1.0, (identity_factor(4),)),))
-    with pytest.raises(ValueError):
-        KroneckerOperator(g, ((1.0, (identity_factor(5), identity_factor(4))),))
+    I4, I5 = identity_factor(4), identity_factor(5)
+    for pairs in (((I4, I4),), ((I5, I5), (I4, I4)), ((I4, I4), (I5, I4))):
+        with pytest.raises(ValueError):
+            KroneckerOperator(g, pairs)
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (3, 4, 5)])
+def test_kron_apply_makes_3d_minus_2_passes(shape, monkeypatch):
+    calls = []
+    apply = TriCornerMatrix.apply
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(TriCornerMatrix, "apply", counted)
+    g = Grid(shape)
+    op = build_operator_A(g, 2 * np.pi)
+    x = rand_field(g, 7)
+    y = kron_apply(op, x)
+    assert len(calls) == 3 * g.dims - 2
+    assert np.linalg.norm(y - op.dense() @ x) <= 1e-12 * np.linalg.norm(y)

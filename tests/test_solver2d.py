@@ -112,9 +112,10 @@ def test_plan_rejects_non_finite_omega(value):
 
 
 def test_plan_rejects_complex_omega_with_absorbing_ends():
-    with pytest.raises(ValueError):
-        plan2d(Grid((5, 4)), 2 + 1j)
-    assert plan2d(Grid((5, 4)), 2 + 0j).omega == 2.0
+    for make in (lambda w: plan2d(Grid((5, 4)), w), lambda w: plan3d(Grid((4, 5, 3)), w)):
+        with pytest.raises(ValueError, match="real, finite wave number"):
+            make(2 + 1j)
+        assert make(2 + 0j).omega == 2.0
     plan2d(Grid((5, 4)), 2 + 1j, bc_x1=BoundaryKind.NEUMANN)    # a complex shift
 
 
