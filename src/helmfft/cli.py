@@ -1,14 +1,19 @@
 """Command-line front end: solve / verify / bench modes and a slope fitter.
 
-Configuration comes from flags, optionally seeded by a flat ``key=value``
-config file (UTF-8, ``#`` comments); flags override file entries.  Records are
-emitted as CSV or JSON with floats at 17 significant digits.
+``RunConfig`` is the one table of options: each field holds its default, and
+its metadata the choices and help of its flag; each mode's flags are made from
+it (``sizes`` for ``bench`` only).  A flat ``key=value`` config file (UTF-8,
+``#`` comments) is parsed as ``--key=value`` by the mode's own parser, so its
+values get the flags' type and choice checks; flags override file entries.
+Records are CSV or JSON, from one key table and one value formatter (floats
+at 17 significant digits).
 
 JSON records also carry the plan's auxiliary x_1 wrap: its twist (0
 periodic, pi anti-periodic) and the relative spectral gaps of both wraps.
 
-Exit codes: 0 success, 2 configuration error, 3 solver error (singular
-block), 4 verification failure.
+Exit codes: 0 success, 2 configuration error (among them a bad config-file
+value, a non-finite right-hand side and an unreadable results file), 3 solver
+error (singular block), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import os
 import struct
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -31,36 +36,42 @@ from .solver3d import plan3d, solve3d
 
 RHS_MAGIC = b"HHFFTRHS"
 VERIFY_TOL = 1e-9
-CSV_HEADER = "mode,d,n1,n2,n3,omega,init_seconds,solve_seconds,residual,oracle_error"
-JSON_KEYS = tuple(CSV_HEADER.split(",")) + ("twist", "gap_periodic", "gap_antiperiodic")
+CSV_KEYS = ("mode", "d", "n1", "n2", "n3", "omega", "init_seconds", "solve_seconds",
+            "residual", "oracle_error")
+CSV_HEADER = ",".join(CSV_KEYS)
+JSON_KEYS = CSV_KEYS + ("twist", "gap_periodic", "gap_antiperiodic")
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _option(default, help=None, choices=None):
+    """A RunConfig field: its default, and the help and choices of its flag."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass
 class RunConfig:
+    """Every option of a run; each field but ``mode`` is also a flag and a config key."""
     mode: str = "solve"
-    d: int = 2
+    d: int = _option(2, choices=(2, 3))
     n1: int = 65
     n2: int = 65
     n3: int = 65
     omega: float = 2.0 * math.pi
-    bc: str = "abc"                 # x_1 boundary: abc | neumann
-    rhs: str = "paper"              # paper | random:<seed> | file:<path>
-    out: str | None = None
-    format: str = "csv"
+    bc: str = _option("abc", choices=("abc", "neumann"))        # x_1 boundary
+    rhs: str = _option("paper", "paper | random:<seed> | file:<path>")
+    out: str | None = _option(None, "output path (default: stdout)")
+    format: str = _option("csv", choices=("csv", "json"))
     repeats: int = 3
-    threads: int = 0                # 0 = auto
-    refine: int = 1
-    sizes: str | None = None        # bench sweep, comma-separated n values
+    threads: int = _option(0, "0 = auto")
+    refine: int = _option(1, "defect-correction passes per solve (default 1)")
+    sizes: str | None = _option(None, "comma-separated n list, e.g. 257,513,1025")  # bench only
 
     def grid(self, n: int | None = None) -> Grid:
-        if n is not None:
-            return Grid((n, n) if self.d == 2 else (n, n, n))
-        shape = (self.n1, self.n2) if self.d == 2 else (self.n1, self.n2, self.n3)
-        return Grid(shape)
+        shape = (self.n1, self.n2, self.n3) if n is None else (n, n, n)
+        return Grid(shape[:self.d])
 
     def bc_kind(self) -> BoundaryKind:
         try:
@@ -153,6 +164,8 @@ def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
     f = make_rhs(config, grid)
     if not f.any():
         raise ConfigError("the right-hand side is all zero; its relative residual is undefined")
+    if not np.isfinite(f).all():
+        raise ConfigError("the right-hand side has non-finite entries")
     solve = solve2d if config.d == 2 else solve3d
     best = math.inf
     u = None
@@ -185,15 +198,11 @@ def run(config: RunConfig) -> list[RunRecord]:
     tune_allocator()
     workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
 
-    grids = []
-    if config.mode == "bench" and config.sizes:
-        for tok in config.sizes.split(","):
-            try:
-                grids.append(config.grid(int(tok)))
-            except ValueError:
-                raise ConfigError(f"bad size {tok!r} in sizes list") from None
-    else:
-        grids.append(config.grid())
+    sizes = config.sizes.split(",") if config.mode == "bench" and config.sizes else [None]
+    try:
+        grids = [config.grid(None if tok is None else int(tok)) for tok in sizes]
+    except ValueError as exc:
+        raise ConfigError(f"bad grid size: {exc}") from None
 
     records = []
     for grid in grids:
@@ -208,12 +217,16 @@ def run(config: RunConfig) -> list[RunRecord]:
 
 # -- serialization ------------------------------------------------------------
 
-def _fmt(x) -> str:
+_INT_FIELDS = {"d", "n1", "n2", "n3"}
+
+
+def _fmt(x, as_json: bool = False) -> str:
+    """One CSV or JSON value: None is empty or null, a float has 17 significant digits."""
     if x is None:
-        return ""
+        return "null" if as_json else ""
     if isinstance(x, float):
         return f"{x:.17g}"
-    return str(x)
+    return json.dumps(x) if as_json and isinstance(x, str) else str(x)
 
 
 def emit(records: list[RunRecord], fmt: str = "csv", path: str | None = None) -> str:
@@ -221,27 +234,12 @@ def emit(records: list[RunRecord], fmt: str = "csv", path: str | None = None) ->
     if not records:
         raise ValueError("no records to emit")
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            lines.append(",".join(_fmt(v) for v in (
-                r.mode, r.d, r.n1, r.n2, r.n3, r.omega,
-                r.init_seconds, r.solve_seconds, r.residual, r.oracle_error)))
+        lines = [CSV_HEADER] + [",".join(_fmt(getattr(r, k)) for k in CSV_KEYS)
+                                for r in records]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        objs = []
-        for r in records:
-            items = []
-            for key in JSON_KEYS:
-                v = getattr(r, key)
-                if v is None:
-                    items.append(f'"{key}": null')
-                elif isinstance(v, str):
-                    items.append(f'"{key}": {json.dumps(v)}')
-                elif isinstance(v, float):
-                    items.append(f'"{key}": {v:.17g}')
-                else:
-                    items.append(f'"{key}": {v}')
-            objs.append("{" + ", ".join(items) + "}")
+        objs = ("{" + ", ".join(f'"{k}": {_fmt(getattr(r, k), True)}' for k in JSON_KEYS) + "}"
+                for r in records)
         text = "[\n" + ",\n".join(objs) + "\n]\n"
     else:
         raise ConfigError(f"unknown format {fmt!r}")
@@ -252,43 +250,33 @@ def emit(records: list[RunRecord], fmt: str = "csv", path: str | None = None) ->
 
 
 def read_records(path: str, fmt: str | None = None) -> list[RunRecord]:
-    """Parse a file produced by emit back into records."""
+    """Parse a file produced by emit back into records; any fault is a ConfigError."""
     if fmt is None:
         fmt = "json" if path.endswith(".json") else "csv"
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    out = []
-    if fmt == "csv":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0] != CSV_HEADER:
-            raise ConfigError(f"{path}: unexpected CSV header")
-        for ln in lines[1:]:
-            vals = ln.split(",")
-            out.append(_record_from(dict(zip(CSV_HEADER.split(","), vals))))
-    else:
-        for obj in json.loads(text):
-            out.append(_record_from(obj))
-    return out
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if fmt == "csv":
+            lines = [ln for ln in text.splitlines() if ln.strip()]
+            if lines[:1] != [CSV_HEADER]:
+                raise ValueError("unexpected CSV header")
+            rows = [dict(zip(CSV_KEYS, ln.split(","))) for ln in lines[1:]]
+        else:
+            rows = json.loads(text)
+        return [_record_from(row) for row in rows]
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ConfigError(f"{path}: not a results file ({type(exc).__name__}: {exc})") from None
 
 
-def _record_from(d: dict) -> RunRecord:
-    def fl(v):
+def _record_from(row: dict) -> RunRecord:
+    """A record from a CSV row or JSON object: fields without a default are required."""
+    def value(f):
+        v = row[f.name] if f.default is MISSING else row.get(f.name)
         if v is None or v == "":
             return None
-        return float(v)
+        return str(v) if f.name == "mode" else int(v) if f.name in _INT_FIELDS else float(v)
 
-    def it(v):
-        if v is None or v == "":
-            return None
-        return int(v)
-
-    return RunRecord(mode=str(d["mode"]), d=int(d["d"]), n1=int(d["n1"]),
-                     n2=int(d["n2"]), n3=it(d["n3"]), omega=fl(d["omega"]),
-                     init_seconds=fl(d["init_seconds"]),
-                     solve_seconds=fl(d["solve_seconds"]),
-                     residual=fl(d["residual"]), oracle_error=fl(d["oracle_error"]),
-                     twist=fl(d.get("twist")), gap_periodic=fl(d.get("gap_periodic")),
-                     gap_antiperiodic=fl(d.get("gap_antiperiodic")))
+    return RunRecord(**{f.name: value(f) for f in fields(RunRecord)})
 
 
 # -- slope post-processing ----------------------------------------------------
@@ -297,18 +285,17 @@ def fit_slope(records: list[RunRecord]) -> float:
     """Log-log slope of solve time versus total unknowns N."""
     if len(records) < 2:
         raise ConfigError("need at least two records to fit a slope")
-    xs, ys = [], []
-    for r in records:
-        N = r.n1 * r.n2 * (r.n3 or 1)
-        xs.append(math.log(N))
-        ys.append(math.log(r.solve_seconds))
+    xs = [math.log(r.n1 * r.n2 * (r.n3 or 1)) for r in records]
+    ys = [math.log(r.solve_seconds) for r in records]
     return float(np.polyfit(xs, ys, 1)[0])
 
 
 # -- argument handling ----------------------------------------------------------
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _config_tokens(path: str) -> list[str]:
+    """A config file's ``key = value`` lines as ``--key=value`` flags."""
+    names = {f.name for f in fields(RunConfig)}
+    tokens = []
     try:
         with open(path, encoding="utf-8") as fh:
             for ln, raw in enumerate(fh, 1):
@@ -318,72 +305,53 @@ def _load_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{ln}: expected key=value")
                 key, val = (s.strip() for s in line.split("=", 1))
-                values[key] = val
-    except OSError as exc:
+                if key not in names:        # exact names: the parser expands prefixes
+                    raise ConfigError(f"unknown config key {key!r}")
+                tokens.append(f"--{key}={val}")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    return values
-
-_INT_KEYS = {"d", "n1", "n2", "n3", "repeats", "threads", "refine"}
-_FLOAT_KEYS = {"omega"}
+    return tokens
 
 
-def _config_from(file_values: dict, args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(mode=args.mode)
-    names = {f.name for f in fields(RunConfig)}
-    for key, val in file_values.items():
-        if key not in names or key == "mode":
-            raise ConfigError(f"unknown config key {key!r}")
+def _config_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    """The mode's flags over its config file's entries over RunConfig's defaults."""
+    flags = vars(args)
+    path = flags.pop("config", None)
+    values = argparse.Namespace()
+    if path:
+        parser.exit_on_error = False    # a bad value raises instead of exiting with usage
         try:
-            if key in _INT_KEYS:
-                val = int(val)
-            elif key in _FLOAT_KEYS:
-                val = float(val)
-        except ValueError:
-            raise ConfigError(f"bad value for {key!r}: {val!r}") from None
-        config = replace(config, **{key: val})
-    for key in names - {"mode"}:
-        val = getattr(args, key, None)
-        if val is not None:
-            config = replace(config, **{key: val})
-    return config
+            values, unknown = parser.parse_known_args(_config_tokens(path))
+        except argparse.ArgumentError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        if unknown:                     # mode, or a key this mode has no flag for
+            raise ConfigError(f"unknown config key {unknown[0][2:].split('=')[0]!r}")
+    return RunConfig(**{**vars(values), **flags})
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each mode's subparser."""
     top = argparse.ArgumentParser(prog="helmfft",
                                   description="FFT-based fast direct Helmholtz solver")
     sub = top.add_subparsers(dest="mode", required=True)
-
-    def add_run_flags(p):
-        p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--d", type=int, choices=(2, 3))
-        p.add_argument("--n1", type=int)
-        p.add_argument("--n2", type=int)
-        p.add_argument("--n3", type=int)
-        p.add_argument("--omega", type=float)
-        p.add_argument("--bc", choices=("abc", "neumann"))
-        p.add_argument("--rhs", help="paper | random:<seed> | file:<path>")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--repeats", type=int)
-        p.add_argument("--threads", type=int, help="0 = auto")
-        p.add_argument("--refine", type=int,
-                       help="defect-correction passes per solve (default 1)")
-
     for mode, doc in (("solve", "run the fast solver and report the residual"),
                       ("verify", "solve and compare against the dense oracle"),
                       ("bench", "sweep grid sizes and emit one record per size")):
-        p = sub.add_parser(mode, help=doc)
-        add_run_flags(p)
-        if mode == "bench":
-            p.add_argument("--sizes", help="comma-separated n list, e.g. 257,513,1025")
+        p = sub.add_parser(mode, help=doc, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for f in fields(RunConfig):
+            if f.name != "mode" and (f.name != "sizes" or mode == "bench"):
+                p.add_argument(f"--{f.name}", **f.metadata,
+                               type=str if f.default is None else type(f.default))
 
     p = sub.add_parser("slope", help="fit the log-log solve-time slope of a bench file")
     p.add_argument("results", help="CSV or JSON file produced by bench")
-    return top
+    return top, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    top, modes = _build_parser()
+    args = top.parse_args(argv)
     try:
         if args.mode == "slope":
             records = read_records(args.results)
@@ -392,9 +360,7 @@ def main(argv=None) -> int:
             for a, b in zip(records, records[1:]):
                 print(f"ratio n1={b.n1}/{a.n1}: {b.solve_seconds / a.solve_seconds:.3f}")
             return 0
-        config = _config_from(
-            _load_config_file(args.config) if getattr(args, "config", None) else {},
-            args)
+        config = _config_from(args, modes[args.mode])
         records = run(config)
         text = emit(records, config.format, config.out)
         if not config.out:
@@ -406,7 +372,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 4
         return 0
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:           # OSError: an RHS or --out path
         print(f"helmfft: config error: {exc}", file=sys.stderr)
         return 2
     except SingularBlock as exc:

@@ -11,6 +11,7 @@ accidental O(N^3) blowups out of CI.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +43,12 @@ class DenseProblem:
     omega: float
     bc_x1: BoundaryKind
     A: np.ndarray
-    B: np.ndarray
+    twist: float = 0.0
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """The dense wrapped operator, assembled on first use (A's cost again)."""
+        return build_operator_B(self.grid, self.omega, self.twist).dense()
 
 
 class DenseSolveResult(NamedTuple):
@@ -53,7 +59,7 @@ class DenseSolveResult(NamedTuple):
 def dense_problem(grid: Grid, omega: float,
                   bc_x1: BoundaryKind = BoundaryKind.ABSORBING,
                   twist: float = 0.0) -> DenseProblem:
-    """Assemble dense A and B by explicit Kronecker expansion (N <= 20000).
+    """Assemble dense A by explicit Kronecker expansion (N <= 20000); B follows on first use.
 
     B wraps x_1 with phase ``twist``, as ``build_operator_B``; pass a plan's
     ``twist`` to check against the wrap it chose.
@@ -61,13 +67,14 @@ def dense_problem(grid: Grid, omega: float,
     if grid.npoints > DENSE_SIZE_CAP:
         raise SizeLimit(f"N = {grid.npoints} exceeds dense cap {DENSE_SIZE_CAP}")
     A = build_operator_A(grid, omega, bc_x1).dense()
-    B = build_operator_B(grid, omega, twist).dense()
-    return DenseProblem(grid=grid, omega=float(omega), bc_x1=bc_x1, A=A, B=B)
+    return DenseProblem(grid=grid, omega=float(omega), bc_x1=bc_x1, A=A, twist=float(twist))
 
 
 def dense_solve(problem: DenseProblem, which: str, f: np.ndarray) -> DenseSolveResult:
     """LU solve with partial pivoting against A or B; reports the residual."""
-    M = {"A": problem.A, "B": problem.B}[which.upper()]
+    if which.upper() not in ("A", "B"):
+        raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+    M = getattr(problem, which.upper())       # B is assembled only when asked for
     f = np.asarray(f, dtype=np.complex128).reshape(-1)
     if f.shape[0] != M.shape[0]:
         raise ValueError(f"rhs length {f.shape[0]} does not match N = {M.shape[0]}")

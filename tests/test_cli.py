@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from helmfft import cli
+from helmfft import cli, oracle
 from helmfft.cli import (CSV_HEADER, ConfigError, RunConfig, RunRecord, emit,
                          fit_slope, make_rhs, read_records, read_rhs_file, run,
                          write_rhs_file)
@@ -238,3 +239,92 @@ def test_console_script_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)
+
+
+def test_exit_code_non_finite_rhs(tmp_path, capsys):
+    path = str(tmp_path / "nan.bin")
+    data = np.ones(20, dtype=complex)
+    data[3], data[11] = np.nan, np.inf
+    write_rhs_file(path, 2, data)
+    assert cli.main(["solve", "--n1", "5", "--n2", "4", f"--rhs=file:{path}",
+                     "--repeats", "1", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("name,text", [("empty.csv", ""),
+                                       ("partial.json", '[{"mode": "bench"}]'),
+                                       ("missing.csv", None)],
+                         ids=["empty", "no-fields", "missing"])
+def test_slope_bad_results_file(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError):
+        read_records(str(path))
+    assert cli.main(["slope", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_verify_builds_no_dense_b(monkeypatch, capsys):
+    def no_b(*args, **kwargs):
+        raise AssertionError("verify assembled the wrapped operator B")
+    monkeypatch.setattr(oracle, "build_operator_B", no_b)
+    assert cli.main(["verify", "--n1", "9", "--n2", "9", "--rhs", "paper",
+                     "--repeats", "1"]) == 0
+
+
+@pytest.mark.parametrize("line", ["format = xml", "d = 4", "bc = foo", "n1 = x",
+                                  "sizes = 33", "config = other.cfg", "mode = bench"])
+def test_config_file_values_checked_like_flags(tmp_path, monkeypatch, capsys, line):
+    # a bad file value fails before any plan is built, as the same flag would
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was built")
+    monkeypatch.setattr(cli, "plan2d", no_plan)
+    monkeypatch.setattr(cli, "plan3d", no_plan)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(line + "\n", encoding="utf-8")
+    assert cli.main(["solve", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err
+
+
+def test_config_file_sizes_in_bench(tmp_path):
+    cfg_path = tmp_path / "bench.cfg"
+    cfg_path.write_text("sizes = 5,7\nformat = json\nrepeats = 1\n", encoding="utf-8")
+    out = tmp_path / "bench.json"
+    assert cli.main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert [r.n1 for r in read_records(str(out))] == [5, 7]
+
+
+@pytest.mark.parametrize("flags", [["solve", "--d", "3", "--n1", "5", "--n2", "5", "--n3", "5"],
+                                   ["verify", "--n1", "9", "--n2", "7"],
+                                   ["bench", "--sizes", "5,9"]], ids=["solve", "verify", "bench"])
+def test_json_output_parses_and_reads_back(tmp_path, flags):
+    path = tmp_path / "out.json"
+    assert cli.main([*flags, "--repeats", "1", "--format", "json", "--out", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    objs = json.loads(text)
+    recs = read_records(str(path))
+    assert [dataclasses.asdict(r) for r in recs] == objs
+    assert emit(recs, "json") == text
+
+
+@pytest.mark.parametrize("case", ["config-value", "nan-rhs", "results-file",
+                                  "missing-rhs", "small-grid"])
+def test_no_input_path_leaks_a_traceback(tmp_path, case):
+    cfg, rhs, results = tmp_path / "run.cfg", tmp_path / "nan.bin", tmp_path / "r.json"
+    cfg.write_text("bc = foo\n", encoding="utf-8")
+    write_rhs_file(str(rhs), 2, np.full(25, np.nan))
+    results.write_text('[{"mode": "bench"}]', encoding="utf-8")
+    argv = {"config-value": ["solve", "--config", str(cfg)],
+            "nan-rhs": ["solve", "--n1", "5", "--n2", "5", f"--rhs=file:{rhs}"],
+            "results-file": ["slope", str(results)],
+            "missing-rhs": ["solve", "--n1", "5", "--n2", "5",
+                            f"--rhs=file:{tmp_path / 'absent.bin'}"],
+            "small-grid": ["solve", "--n1", "2", "--n2", "5"]}[case]
+    proc = subprocess.run([sys.executable, "-m", "helmfft.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "helmfft: config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
