@@ -285,6 +285,10 @@ def fit_slope(records: list[RunRecord]) -> float:
     """Log-log slope of solve time versus total unknowns N."""
     if len(records) < 2:
         raise ConfigError("need at least two records to fit a slope")
+    for r in records:
+        sizes = (r.n1, r.n2) + (() if r.n3 is None else (r.n3,))
+        if not (0 < (r.solve_seconds or 0) < math.inf and all((n or 0) > 0 for n in sizes)):
+            raise ConfigError("every record needs a positive, finite solve time and positive sizes")
     xs = [math.log(r.n1 * r.n2 * (r.n3 or 1)) for r in records]
     ys = [math.log(r.solve_seconds) for r in records]
     return float(np.polyfit(xs, ys, 1)[0])

@@ -169,40 +169,79 @@ class KroneckerOperator:
         return A
 
 
-def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
-    """Evaluate ``op x`` in 3d - 2 one-dimensional passes, without dense matrices.
+# Scalars of scratch per chunk of x_1 slabs (at least one slab each): the
+# pipeline's divisor, or kron_apply's two slab buffers together, which then
+# stay in L2.  Step 1 sums the boundary pair chunk by chunk, so a new value
+# changes the last bits of every solve.
+SLAB_SCRATCH = 1 << 16
 
-    Outward over the axes: S_0 = K_0 x and D_0 = M_0 x, then S_k = M_k S_{k-1}
-    + K_k D_{k-1} and D_k = M_k D_{k-1} (not needed on the last axis); S_{d-1}
-    is ``op x``.  ``x`` is a field vector of length N or the d-dim array, in
-    any memory layout (a transposed view included).  The result has the
-    shape of ``x`` and goes to ``out`` when given, which must not alias
-    ``x``.  Scratch is two arrays laid out like ``x`` plus the bounded chunks
-    of ``TriCornerMatrix.apply``.
+
+def slabs(shape, buffers: int = 1) -> list[slice]:
+    """Chunks of the x_1 slabs of ``shape`` for ``buffers`` slab buffers in SLAB_SCRATCH."""
+    step = max(1, SLAB_SCRATCH // (buffers * int(np.prod(shape[1:]))))
+    return [slice(a, min(a + step, shape[0])) for a in range(0, shape[0], step)]
+
+
+def _mass_split(K: TriCornerMatrix, M: TriCornerMatrix):
+    """(delta, beta) with K = diag(delta) - beta M; ValueError if K has no such form."""
+    k, m = np.append(K.off, K.corner), np.append(M.off, M.corner)
+    i = np.argmax(np.abs(m))
+    beta = -k[i] / m[i] if m[i] else 0.0
+    if np.abs(k + beta * m).max() > 1e-14 * np.abs(k).max():
+        raise ValueError("a K factor is not diag(delta) - beta M of its pair")
+    return K.diag + beta * M.diag, beta
+
+
+def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
+    """Evaluate ``op x`` in 2(d - 1) one-dimensional passes of mass factors only.
+
+    Each K_k is diag(delta_k) - beta_k M_k (``_mass_split``), so op is
+    sum_k delta_k ox (ox_{j!=k} M_j) - (sum_k beta_k) ox_j M_j.  Per chunk of
+    x_1 slabs (``slabs``), the cross axes run P = M_d x, T = delta_d x - beta P,
+    then, in 3D, T <- M_2 T + delta_2 P and P <- M_2 P; T goes to the one
+    field-sized scratch array and delta_1 P straight into the result.  A last
+    chunked x_1 pass adds M_1 T, corners included.  In 3D, P and T first live
+    in two slab buffers.  ``x`` is a field vector of length N or the d-dim
+    array, in any memory layout (a transposed view included).  The result has
+    the shape of ``x`` and goes to ``out`` when given, which must not alias
+    ``x``.  Raises ValueError for a pair without that form.
     """
     x = np.asarray(x, dtype=np.complex128)
-    shape = op.grid.shape
+    shape, d = op.grid.shape, op.grid.dims
     if x.shape not in ((op.grid.npoints,), shape):
         raise ValueError(f"field has shape {x.shape}, grid is {shape}")
     if out is None:
         out = np.empty_like(x)
     elif out.shape != x.shape:
         raise ValueError(f"out has shape {out.shape}, field has {x.shape}")
+    (delta1, *deltas), betas = zip(*(_mass_split(K, M) for K, M in op.pairs))
+    beta = sum(betas)
+    M1, *Ms = (M for _, M in op.pairs)
+    along = lambda v, axis: v.reshape((-1,) + (1,) * (d - 1 - axis))  # noqa: E731
     # a 1-D array, or one already in the grid's shape, reshapes without a copy
     X, Y = x.reshape(shape), out.reshape(shape)
-    S, D, free = np.empty_like(X), np.empty_like(X), Y
-    (K, M), *rest = op.pairs
-    K.apply(X, 0, out=S)
-    M.apply(X, 0, out=D)
-    for axis, (K, M) in enumerate(rest, 1):
-        M.apply(S, axis, out=free)
-        K.apply(D, axis, out=S)         # S_{k-1} is spent
-        if axis == len(rest):
-            np.add(free, S, out=Y)
-        else:
-            free += S
-            M.apply(D, axis, out=S)
-            S, D, free = free, S, D
+    S, chunks = np.empty_like(X), slabs(shape, 2)
+    if d == 3:
+        bufs = np.empty((2, chunks[0].stop) + shape[1:], dtype=np.complex128)
+    for s in chunks:
+        P, T = (Y[s], S[s]) if d == 2 else bufs[:, :s.stop - s.start]
+        Ms[-1].apply(X[s], d - 1, out=P)
+        np.multiply(along(deltas[-1], d - 1), X[s], out=T)
+        T -= beta * P
+        if d == 3:                          # the one further cross axis, x_2
+            Ms[0].apply(T, 1, out=S[s])
+            S[s] += along(deltas[0], 1) * P
+            Ms[0].apply(P, 1, out=Y[s])
+        Y[s] *= along(delta1[s], 0)
+    m, o = along(M1.diag, 0), along(M1.off, 0)
+    for s in chunks:
+        t = slice(s.start, min(s.stop, M1.n - 1))     # off-diagonal entries
+        Y[s] += m[s] * S[s]
+        Y[t.start + 1:t.stop + 1] += o[t] * S[t]
+        Y[t] += o[t] * S[t.start + 1:t.stop + 1]
+    if M1.corner != 0.0:
+        Y[0] += M1.corner * S[-1]
+        Y[-1] += M1.corner * S[0]
     return out
 
 
@@ -224,7 +263,7 @@ def defect_correction(op: KroneckerOperator, f, u, solve, passes: int):
     overwrite ``r``.  Each pass costs one solve and one residual; a pass that
     does not reduce the residual norm is dropped and ends the loop, so the
     best iterate is returned.  Besides ``f`` and ``u``, at most the trial
-    iterate, its residual and the residual's two scratch arrays are live.
+    iterate, its residual and the residual's one scratch array are live.
     """
     if passes <= 0:
         return u

@@ -32,8 +32,8 @@ serves the pipeline through ``grid``, ``sigma``, ``pencil_x1``,
 (dk and dm), ``cross_lambdas`` and the private ``_w`` (cross weights), ``_s1``
 (x_1 mode scales), ``_RW1`` and ``_RW1c`` (x_1 boundary rows).  The
 refinement loop's residual applies ``operator``, A held as its d (K, M)
-pairs, through ``core.kron_apply``: 3d - 2 one-dimensional passes and two
-field-sized scratch arrays.
+pairs, through ``core.kron_apply``: 2(d - 1) one-dimensional passes of the
+mass factors over chunks of x_1 slabs, and one field-sized scratch array.
 """
 
 from __future__ import annotations
@@ -48,11 +48,8 @@ import scipy.fft
 from .assembly import (Pencil1D, PencilDifference, assemble_pencil,
                        pencil_difference, separable_operator)
 from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
-                   defect_correction, freeze_arrays)
+                   defect_correction, freeze_arrays, slabs)
 from .spectral import EigenBasis, boundary_green, choose_wrap, dct1_eigen
-
-# scalars of divisor scratch per slab chunk (at least one x_1 slab)
-SLAB_SCRATCH = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,13 +165,6 @@ def boundary_values(vb, workers=None):
     return X
 
 
-def slabs(plan):
-    """Chunks of x_1 slabs with about SLAB_SCRATCH points each."""
-    n1 = plan.grid.n[0]
-    step = max(1, SLAB_SCRATCH // (plan.grid.npoints // n1))
-    return [slice(a, min(a + step, n1)) for a in range(0, n1, step)]
-
-
 def inverse_divisor(shifts, rho, lam, scale=1.0):
     """scale / (rho (lam - p_l)) over a slab's shifts; shape (k,) + lam.shape.
 
@@ -211,7 +201,7 @@ def step1(plan, F, workers=None):
     F = dct_cross(F, workers, scale_ends=True)
     rho, lam = cross_planes(plan)
     vb = np.zeros((2,) + F.shape[1:], dtype=np.complex128)
-    for s in slabs(plan):
+    for s in slabs(F.shape):
         Fs = F[s]
         Fs *= _along_x1(plan._s1[s], F.ndim)
         vb += np.tensordot(plan._RW1[:, s],
@@ -242,7 +232,7 @@ def step3(plan, F, vbw, workers=None):
     c *= rho
     # the x_1 synthesis scales and the back transforms' 1 / 2^(d-1), folded
     scale = plan._s1 * (plan.grid.n[0] / 2.0 ** (F.ndim - 1))
-    for s in slabs(plan):
+    for s in slabs(F.shape):
         Fs = F[s]
         Fs += np.tensordot(plan._RW1c[:, s].T, c, axes=1)
         Fs *= inverse_divisor(plan.shifts_B[s], rho, lam, _along_x1(scale[s], F.ndim))

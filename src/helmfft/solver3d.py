@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import pipeline
-from .core import BoundaryKind, Grid, checked_field
+from .core import BoundaryKind, Grid, checked_field, slabs
 from .oracle import solve_pencil_eigen  # noqa: F401  (perfbench traces this name)
 from .pipeline import SolverPlan
 
@@ -45,7 +45,7 @@ def solve_block_system(plan: SolverPlan, which: str, rhs: np.ndarray,
     X = pipeline.field(plan, checked_field(rhs, plan.grid.npoints, "rhs"))
     X = pipeline.dct_cross(X, workers, scale_ends=True)
     rho, lam = pipeline.cross_planes(plan)
-    for s in pipeline.slabs(plan):
+    for s in slabs(X.shape):
         X[s] *= pipeline.inverse_divisor(plan.shifts_B[s], rho, lam, 0.25)
     return pipeline.dct_cross(X, workers, scale_ends=False).reshape(-1)
 
@@ -54,6 +54,7 @@ def solve3d(plan: SolverPlan, f: np.ndarray, refine: int = 1,
             workers: int | None = None) -> np.ndarray:
     """Solve the 3D system; refine counts safeguarded defect-correction passes.
 
-    Never holds more than about five field-sized scratch arrays at once.
+    Holds about three field-sized scratch arrays at once, four while a
+    refinement pass runs.
     """
     return pipeline.solve(plan, f, refine, workers)

@@ -266,6 +266,17 @@ def test_slope_bad_results_file(tmp_path, capsys, name, text):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seconds", ["0", ""], ids=["zero", "empty"])
+def test_slope_unfittable_records(tmp_path, capsys, seconds):
+    # records that read back but hold no positive solve time to take a log of
+    rows = [f"bench,2,{n},{n},,6.28,0.01,{t},1e-15," for n, t in ((65, "0.02"), (129, seconds))]
+    path = tmp_path / "bench.csv"
+    path.write_text("\n".join([CSV_HEADER] + rows) + "\n", encoding="utf-8")
+    assert len(read_records(str(path))) == 2
+    assert cli.main(["slope", str(path)]) == 2
+    assert "solve time" in capsys.readouterr().err
+
+
 def test_verify_builds_no_dense_b(monkeypatch, capsys):
     def no_b(*args, **kwargs):
         raise AssertionError("verify assembled the wrapped operator B")

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helmfft import (Grid, KroneckerOperator, TriCornerMatrix, build_operator_A,
-                     dense_problem, dense_solve, kron_apply)
+import helmfft.core as core
+from helmfft import (BoundaryKind, Grid, KroneckerOperator, TriCornerMatrix,
+                     build_operator_A, build_operator_B, dense_problem, dense_solve,
+                     kron_apply, plan2d)
 from conftest import rand_field
 
 
@@ -137,12 +139,18 @@ def test_kron_apply_out_rejects_bad_out():
         kron_apply(op, x, out=np.empty((4, 5), dtype=complex))
 
 
+def _slab_planes(monkeypatch, grid, planes):
+    # SLAB_SCRATCH for chunks of ``planes`` x_1 slabs in kron_apply's two buffers
+    monkeypatch.setattr(core, "SLAB_SCRATCH", 2 * planes * (grid.npoints // grid.n[0]))
+
+
 @pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
-def test_kron_apply_out_scratch_is_two_fields(shape, monkeypatch):
-    # Small off-diagonal chunks, so that what is left is the two scratch
-    # fields and numpy's ufunc buffers (8192 scalars, 128 KiB).
-    monkeypatch.setattr(TriCornerMatrix, "_CHUNK", 256)
+def test_kron_apply_out_scratch_is_one_field(shape, monkeypatch):
+    # One-plane slabs, so that what is left beyond the scratch field is the
+    # two slab buffers (3D), slab-sized temporaries and numpy's ufunc buffers
+    # (8192 scalars, 128 KiB).
     g = Grid(shape)
+    _slab_planes(monkeypatch, g, 1)
     op = build_operator_A(g, 2 * np.pi)
     x = rand_field(g, 6).reshape(shape)
     out = np.empty_like(x)
@@ -154,7 +162,57 @@ def test_kron_apply_out_scratch_is_two_fields(shape, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base <= 2 * x.nbytes + 256 * 1024
+    assert peak - base <= x.nbytes + 256 * 1024
+
+
+SLAB_OPERATORS = {
+    # K_1 - sigma M_1 with a complex sigma: a complex beta in the x_1 pair
+    "neumann-2d": lambda: plan2d(Grid((5, 4)), 7.5 - 3.2j,
+                                 bc_x1=BoundaryKind.NEUMANN).operator,
+    # the x_1 corners of the periodic and the anti-periodic wrap
+    "B-2d-periodic": lambda: build_operator_B(Grid((7, 5)), 2 * np.pi, 0.0),
+    "B-2d-antiperiodic": lambda: build_operator_B(Grid((7, 5)), 2 * np.pi, np.pi),
+    "B-3d-periodic": lambda: build_operator_B(Grid((5, 4, 3)), 2 * np.pi, 0.0),
+    "B-3d-antiperiodic": lambda: build_operator_B(Grid((5, 4, 3)), 2 * np.pi, np.pi),
+    "A-3d": lambda: build_operator_A(Grid((5, 4, 3)), 2 * np.pi),
+}
+
+
+@pytest.mark.parametrize("planes", [None, 1, 3], ids=["default", "one-plane", "ragged"])
+@pytest.mark.parametrize("name", SLAB_OPERATORS)
+def test_kron_apply_slabs_match_dense(name, planes, monkeypatch):
+    # n_1 is 5 or 7, so chunks of 3 planes leave a ragged last chunk
+    op = SLAB_OPERATORS[name]()
+    if planes:
+        _slab_planes(monkeypatch, op.grid, planes)
+    x = rand_field(op.grid, 8)
+    expected = op.dense() @ x
+    assert np.linalg.norm(kron_apply(op, x) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("shape", [(6, 9), (5, 4, 3)])
+def test_kron_apply_into_transposed_out(shape, monkeypatch):
+    g = Grid(shape)
+    _slab_planes(monkeypatch, g, 2)
+    op = build_operator_B(g, 2 * np.pi, np.pi)
+    x = rand_field(g, 9).reshape(shape)
+    expected = (op.dense() @ x.reshape(-1)).reshape(shape)
+    tol = 1e-12 * np.linalg.norm(expected)
+    for X in (x, np.ascontiguousarray(x.T).T):
+        R = np.full(shape[::-1], np.nan, dtype=complex)
+        kron_apply(op, X, out=R.T)
+        assert np.linalg.norm(R.T - expected) <= tol
+
+
+def test_kron_apply_rejects_pair_without_mass_form():
+    # K_k must be diag(delta) - beta M_k: off-diagonals and corner in proportion
+    g = Grid((4, 5))
+    (K, M), rest = build_operator_A(g, 1.0).pairs[0], build_operator_A(g, 1.0).pairs[1:]
+    off = K.off.copy()
+    off[1] *= 1.5
+    for bad in (TriCornerMatrix(K.diag, off), TriCornerMatrix(K.diag, K.off, 0.5)):
+        with pytest.raises(ValueError):
+            kron_apply(KroneckerOperator(g, ((bad, M),) + rest), np.ones(20, dtype=complex))
 
 
 def test_kron_apply_linearity(rng):
@@ -192,7 +250,10 @@ def test_kron_operator_rejects_bad_factors():
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (3, 4, 5)])
-def test_kron_apply_makes_3d_minus_2_passes(shape, monkeypatch):
+def test_kron_apply_makes_2d_minus_2_passes(shape, monkeypatch):
+    # With one slab over the grid the cross axes take 2d - 3 calls of
+    # TriCornerMatrix.apply, on mass factors only; kron_apply's own chunked
+    # loop makes the last pass, in x_1.
     calls = []
     apply = TriCornerMatrix.apply
 
@@ -202,8 +263,11 @@ def test_kron_apply_makes_3d_minus_2_passes(shape, monkeypatch):
 
     monkeypatch.setattr(TriCornerMatrix, "apply", counted)
     g = Grid(shape)
+    monkeypatch.setattr(core, "SLAB_SCRATCH", 2 * g.npoints)
     op = build_operator_A(g, 2 * np.pi)
     x = rand_field(g, 7)
     y = kron_apply(op, x)
-    assert len(calls) == 3 * g.dims - 2
+    assert len(calls) == 2 * g.dims - 3
+    assert all(any(c is M for _, M in op.pairs[1:]) for c in calls)
+    assert not any(c is K for K, _ in op.pairs for c in calls)
     assert np.linalg.norm(y - op.dense() @ x) <= 1e-12 * np.linalg.norm(y)

@@ -1,7 +1,7 @@
 """At-scale properties: residuals without any dense matrix, accuracy at the
 paper's wave number against a sparse direct solve, the auxiliary wrap each
-plan keeps, complexity slopes, and the bench/slope tooling on the full size
-sweep.
+plan keeps, complexity slopes, the bench/slope tooling on the full size
+sweep, and the scratch memory of a default solve.
 
 At omega = 2 pi on the unit box the periodic auxiliary problem is
 asymptotically resonant (its spectral gap closes like O(h^2)), so the plans
@@ -15,9 +15,11 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+import helmfft.core as core
 from helmfft import (Grid, build_operator_A, kron_apply, plan2d, plan3d,
                      solve2d, solve3d, tune_allocator)
 from helmfft.cli import RunConfig, emit, fit_slope, read_records, run
@@ -140,3 +142,25 @@ def test_solve_mode_allocates_no_dense_matrix():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert (peak - base) <= 32 * 16 * grid.npoints
+
+
+@pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
+def test_default_solve_scratch_is_three_fields(shape, monkeypatch):
+    # On the benchmark's kind of data, f = A u*, the stop test skips the pass.
+    # Beyond f, the peak is the solution, its residual and kron_apply's one
+    # scratch field; with one-plane slabs the rest is slab-sized arrays and
+    # numpy's ufunc buffers (8192 scalars, 128 KiB).
+    monkeypatch.setattr(core, "SLAB_SCRATCH", 256)
+    grid = Grid(shape)
+    plan, solve = (plan2d, solve2d) if grid.dims == 2 else (plan3d, solve3d)
+    plan = plan(grid, 2 * np.pi)
+    f = kron_apply(plan.operator, rand_field(grid, 6))
+    solve(plan, f, workers=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve(plan, f, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 3 * f.nbytes + 256 * 1024
