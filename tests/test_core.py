@@ -207,12 +207,12 @@ def test_kron_apply_into_transposed_out(shape, monkeypatch):
 def test_kron_apply_rejects_pair_without_mass_form():
     # K_k must be diag(delta) - beta M_k: off-diagonals and corner in proportion
     g = Grid((4, 5))
-    (K, M), rest = build_operator_A(g, 1.0).pairs[0], build_operator_A(g, 1.0).pairs[1:]
+    (K, M), *rest = build_operator_A(g, 1.0).pairs
     off = K.off.copy()
     off[1] *= 1.5
     for bad in (TriCornerMatrix(K.diag, off), TriCornerMatrix(K.diag, K.off, 0.5)):
         with pytest.raises(ValueError):
-            kron_apply(KroneckerOperator(g, ((bad, M),) + rest), np.ones(20, dtype=complex))
+            kron_apply(KroneckerOperator(g, ((bad, M), *rest)), np.ones(20, dtype=complex))
 
 
 def test_kron_apply_linearity(rng):
