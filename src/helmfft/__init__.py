@@ -23,8 +23,8 @@ from .oracle import (DenseProblem, EigensolverFailure, NormalizationFailure,
                      SizeLimit, dense_eigensolve_pencil, dense_partial_solution,
                      dense_problem, dense_solve, solve_pencil_eigen)
 from .pipeline import SolverPlan
-from .solver2d import (PartialSolution, plan2d, solve2d, solve_aux_partial,
-                       solve_correction, solve_final)
+from .solver2d import (plan2d, solve2d, solve_aux_partial, solve_correction,
+                       solve_final)
 from .solver3d import plan3d, solve3d, solve_block_system
 from .spectral import (EigenBasis, boundary_green, circulant_eigenbasis,
                        clear_eigen_cache, dct1_eigen)
@@ -39,7 +39,7 @@ __all__ = [
     "build_operator_A", "build_operator_B",
     "EigenBasis", "circulant_eigenbasis", "dct1_eigen", "boundary_green",
     "clear_eigen_cache",
-    "SolverPlan", "PartialSolution", "SingularBlock", "plan2d", "solve2d",
+    "SolverPlan", "SingularBlock", "plan2d", "solve2d",
     "solve_aux_partial", "solve_correction", "solve_final",
     "plan3d", "solve3d", "solve_block_system",
     "DenseProblem", "SizeLimit", "dense_problem", "dense_solve",

@@ -95,13 +95,12 @@ class TriCornerMatrix:
         m = max(np.abs(self.diag).max(), np.abs(self.off).max())
         return float(max(m, abs(self.corner)))
 
-    _CHUNK = 1 << 21  # complex scalars of off-diagonal scratch per chunk
-
     def apply(self, x: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
         """Apply the matrix along ``axis`` of ``x``, into ``out`` when given.
 
-        ``out`` must not alias ``x``.  Scratch stays bounded, so repeated
-        applications do not inflate the peak memory of a solve.
+        ``out`` must not alias ``x``.  The off-diagonal products take one
+        temporary the size of ``x``; ``kron_apply`` keeps it small by applying
+        a chunk of x_1 slabs at a time.
         """
         x = np.asarray(x)
         if x.shape[axis] != self.n:
@@ -112,12 +111,8 @@ class TriCornerMatrix:
         shp = (self.n,) + (1,) * (xm.ndim - 1)
         o = self.off.reshape((self.n - 1,) + shp[1:])
         np.multiply(self.diag.reshape(shp), xm, out=ym)
-        rest = max(1, xm[0].size)
-        step = max(1, self._CHUNK // rest)
-        for s in range(0, self.n - 1, step):
-            e = min(self.n - 1, s + step)
-            ym[1 + s:1 + e] += o[s:e] * xm[s:e]
-            ym[s:e] += o[s:e] * xm[1 + s:1 + e]
+        ym[1:] += o * xm[:-1]
+        ym[:-1] += o * xm[1:]
         if self.corner != 0.0:
             ym[0] += self.corner * xm[-1]
             ym[-1] += self.corner * xm[0]

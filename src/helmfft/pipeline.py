@@ -29,8 +29,8 @@ the inverse of K_1 - sigma M_1 + lam M_1.
 One ``SolverPlan``, built by ``make_plan`` for any number of cross axes,
 serves the pipeline through ``grid``, ``sigma``, ``pencil_x1``,
 ``basis_circulant_x1``, ``shifts_B`` (sigma - Lambda_{1,l}), ``correction``
-(dk and dm), ``cross_lambdas`` and the private ``_w`` (cross weights), ``_s1``
-(x_1 mode scales), ``_RW1`` and ``_RW1c`` (x_1 boundary rows).  The
+(dk and dm), ``cross_lambdas`` and the private ``_w`` (cross weights) and
+``_RW1`` (x_1 boundary rows; step 3 takes their conjugate per slab).  The
 refinement loop's residual applies ``operator``, A held as its d (K, M)
 pairs, through ``core.kron_apply``: 2(d - 1) one-dimensional passes of the
 mass factors over chunks of x_1 slabs, and one field-sized scratch array.
@@ -61,9 +61,8 @@ class SolverPlan:
     sigma: complex
     bc_x1: BoundaryKind
     pencil_x1: Pencil1D
-    pencil_x1_periodic: Pencil1D        # the auxiliary wrap the plan chose
     cross_pencils: tuple                # Neumann pencils of x_2 .. x_d
-    basis_circulant_x1: EigenBasis
+    basis_circulant_x1: EigenBasis      # of the auxiliary wrap the plan chose
     cross_lambdas: tuple                # their closed-form DCT-I eigenvalues
     correction: PencilDifference        # dk, dm of C_bb (auxiliary - original x_1)
     shifts_B: np.ndarray                # p_B,l = sigma - Lambda^B_{1,l}
@@ -71,8 +70,6 @@ class SolverPlan:
     wrap_gaps: tuple[float, float]      # relative gaps, periodic and anti-periodic
     _w: tuple = dataclasses.field(repr=False, default=None)
     _RW1: np.ndarray = dataclasses.field(repr=False, default=None)
-    _RW1c: np.ndarray = dataclasses.field(repr=False, default=None)
-    _s1: np.ndarray = dataclasses.field(repr=False, default=None)
 
     def __post_init__(self):
         freeze_arrays(vars(self).values())
@@ -80,7 +77,7 @@ class SolverPlan:
     @property
     def twist(self) -> float:
         """Phase of the auxiliary x_1 wrap: 0 periodic, pi anti-periodic."""
-        return self.pencil_x1_periodic.twist
+        return self.basis_circulant_x1.twist
 
 
 def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
@@ -111,17 +108,16 @@ def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
     for w in weights:
         w[1:-1] *= 2.0                  # w = 2 D / E
     wrap = choose_wrap(p1, sigma, lams)
-    p1B, w1 = wrap.pencil, wrap.basis
-    RW1 = w1.boundary_rows()
+    w1 = wrap.basis
     return SolverPlan(
         grid=grid, omega=omega, sigma=sigma, bc_x1=bc_x1,
-        pencil_x1=p1, pencil_x1_periodic=p1B, cross_pencils=cross,
+        pencil_x1=p1, cross_pencils=cross,
         basis_circulant_x1=w1, cross_lambdas=lams,
-        correction=pencil_difference(p1, p1B),
+        correction=pencil_difference(p1, wrap.pencil),
         shifts_B=(sigma if sigma.imag else sigma.real) - w1.lambdas,
         operator=separable_operator(grid, p1, cross, sigma),
         wrap_gaps=wrap.gaps,
-        _w=weights, _RW1=RW1, _RW1c=np.conj(RW1), _s1=w1.scales,
+        _w=weights, _RW1=w1.boundary_rows(),
     )
 
 
@@ -203,7 +199,7 @@ def step1(plan, F, workers=None):
     vb = np.zeros((2,) + F.shape[1:], dtype=np.complex128)
     for s in slabs(F.shape):
         Fs = F[s]
-        Fs *= _along_x1(plan._s1[s], F.ndim)
+        Fs *= _along_x1(plan.basis_circulant_x1.scales[s], F.ndim)
         vb += np.tensordot(plan._RW1[:, s],
                            Fs * inverse_divisor(plan.shifts_B[s], rho, lam), axes=1)
     return F, vb
@@ -231,10 +227,10 @@ def step3(plan, F, vbw, workers=None):
     c = _boundary_corr(plan, vbw, lam)
     c *= rho
     # the x_1 synthesis scales and the back transforms' 1 / 2^(d-1), folded
-    scale = plan._s1 * (plan.grid.n[0] / 2.0 ** (F.ndim - 1))
+    scale = plan.basis_circulant_x1.scales * (plan.grid.n[0] / 2.0 ** (F.ndim - 1))
     for s in slabs(F.shape):
         Fs = F[s]
-        Fs += np.tensordot(plan._RW1c[:, s].T, c, axes=1)
+        Fs += np.tensordot(np.conj(plan._RW1[:, s]).T, c, axes=1)
         Fs *= inverse_divisor(plan.shifts_B[s], rho, lam, _along_x1(scale[s], F.ndim))
     F = dct_cross(F, workers, scale_ends=False)
     U = scipy.fft.ifft(F, axis=0, overwrite_x=True, workers=workers)

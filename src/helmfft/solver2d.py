@@ -25,21 +25,12 @@ back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import pipeline
 from .core import BoundaryKind, Grid, checked_field
 from .oracle import solve_pencil_eigen  # noqa: F401  (perfbench traces this name)
 from .pipeline import SolverPlan
-
-
-@dataclass
-class PartialSolution:
-    """Boundary-plane values on x_1 in {1, n_1}; flat layout (2 * block,)."""
-
-    v_b: np.ndarray
 
 
 def plan2d(grid: Grid, omega_or_shift,
@@ -61,8 +52,7 @@ def plan2d(grid: Grid, omega_or_shift,
 
 
 def _boundary(plan, v, name):
-    """Checked boundary data (2 * n2,) or a PartialSolution, as a (2, n2) view."""
-    v = v.v_b if isinstance(v, PartialSolution) else v
+    """Checked boundary data (2 * n2,) as a (2, n2) view."""
     return checked_field(v, 2 * plan.grid.n[1], name).reshape(2, -1)
 
 
@@ -75,13 +65,13 @@ def solve_aux_partial(plan: SolverPlan, f: np.ndarray,
                       workers: int | None = None):
     """Step 1: boundary values of the auxiliary solve plus the saved transform.
 
-    Returns (PartialSolution, f_hat) where f_hat is the scaled x_1 FFT and
-    x_2 DCT-I of f, flat and opaque, reused verbatim by solve_final.
+    Returns (v_b, f_hat): v_b holds the boundary-plane values on x_1 in
+    {1, n_1}, flat (2 * n2,); f_hat is the scaled x_1 FFT and x_2 DCT-I of
+    f, flat and opaque, reused verbatim by solve_final.
     """
     F = pipeline.field(plan, checked_field(f, plan.grid.npoints))
     fhat, vb = pipeline.step1(plan, F, workers)
-    v_b = pipeline.boundary_values(vb, workers)
-    return PartialSolution(v_b=v_b.reshape(-1)), fhat.reshape(-1)
+    return pipeline.boundary_values(vb, workers).reshape(-1), fhat.reshape(-1)
 
 
 def solve_correction(plan: SolverPlan, v_b, workers: int | None = None) -> np.ndarray:

@@ -122,37 +122,50 @@ _FLUSH_STEPS = 32
 _FLUSH_BELOW = 1e-250
 
 
+def _uniform(T) -> bool:
+    """One off-diagonal value, one interior diagonal value, equal end rows, no corner."""
+    d = T.diag
+    return bool(T.corner == 0 and d[0] == d[-1] and (d[1:-1] == d[1]).all()
+                and (T.off == T.off[0]).all())
+
+
 def boundary_green(pencil: Pencil1D, sigma: complex, lam) -> tuple[np.ndarray, np.ndarray]:
     """Corner entries of T(lam)^-1, T(lam) = K - sigma M + lam M, per cross mode.
 
     Returns ``(g, g_far)`` shaped like ``lam``, g = (T^-1)_11 = (T^-1)_nn and
     g_far = (T^-1)_1n, so the 2 x 2 corner block of T^-1 maps a pair x to
-    ``g * x + g_far * x[::-1]``; the pencil must be persymmetric, as Neumann
-    and absorbing ones are.  With pivots p_1 = d_1, p_k = d_k - o_{k-1}^2 /
-    p_{k-1}: (T^-1)_nn = 1/p_n and (T^-1)_1n = prod_{k<n} (-o_k/p_k) / p_n
-    (G. Meurant, SIAM J. Matrix Anal. Appl. 13 (1992) 707-728); n steps over
-    all modes at once.  The recurrence does not pivot, so a pivot below
-    PIVOT_RTOL times the block's scale raises SingularBlock.  With absorbing
-    ends, omega != 0 and real lam - sigma it cannot break down:
-    Im(x^H T_k x) = -omega |x_1|^2 for each leading block T_k, so T_k x = 0
-    forces x_1 = 0, and then its rows force x = 0 (where o = 0, T_k is
-    diagonal with nonzero entries).
+    ``g * x + g_far * x[::-1]``.  The pencil must be persymmetric with
+    uniform interior rows (one off-diagonal value and one interior diagonal
+    value in K and in M, equal end rows, no corner), as the Neumann and
+    absorbing ones are; any other raises ValueError.  With pivots p_1 = d_1,
+    p_k = d_k - o^2 / p_{k-1}: (T^-1)_nn = 1/p_n and (T^-1)_1n = prod_{k<n}
+    (-o/p_k) / p_n (G. Meurant, SIAM J. Matrix Anal. Appl. 13 (1992)
+    707-728); n steps over all modes at once, with -o, the interior d and
+    the end row d_n = d_1 formed once.  The recurrence does not pivot, so a
+    pivot below PIVOT_RTOL times the block's scale raises SingularBlock.
+    With absorbing ends, omega != 0 and real lam - sigma it cannot break
+    down: Im(x^H T_k x) = -omega |x_1|^2 for each leading block T_k, so
+    T_k x = 0 forces x_1 = 0, and then its rows force x = 0 (where o = 0,
+    T_k is diagonal with nonzero entries).
     """
     K, M = pencil.K, pencil.M
+    if not (_uniform(K) and _uniform(M)):
+        raise ValueError("boundary_green needs a persymmetric pencil with uniform interior rows")
     c = np.asarray(lam, dtype=np.complex128) - sigma
     p = K.diag[0] + c * M.diag[0]
+    end = p.copy()                              # persymmetric: d_n = d_1
+    neg_off = c * -M.off[0]                     # -o, the same at every step
+    neg_off -= K.off[0]
+    inner = c * M.diag[1] + K.diag[1]
     amin = np.abs(p)
     prod = np.ones_like(p)
-    o, r, a = np.empty_like(p), np.empty_like(p), np.empty_like(amin)
+    sq, r, a = np.empty_like(p), np.empty_like(p), np.empty_like(amin)
     for k in range(1, pencil.n):
-        np.multiply(c, -M.off[k - 1], out=o)    # -o_{k-1}
-        o -= K.off[k - 1]
-        np.divide(o, p, out=r)
+        np.divide(neg_off, p, out=r)
         prod *= r
-        o *= r                                  # o_{k-1}^2 / p_{k-1}
-        np.multiply(c, M.diag[k], out=p)
-        p += K.diag[k]
-        p -= o
+        # o^2 / p_{k-1}; with the operands swapped the product can round differently
+        np.multiply(neg_off, r, out=sq)
+        np.subtract(inner if k < pencil.n - 1 else end, sq, out=p)
         np.abs(p, out=a)
         np.fmin(amin, a, out=amin)              # skips a nan pivot after a zero one
         if k % _FLUSH_STEPS == 0:

@@ -41,21 +41,6 @@ def test_tricorner_apply_matches_dense(rng):
         assert np.allclose(out, T.dense() @ x, atol=1e-14)
 
 
-def test_tricorner_apply_out_chunked(rng):
-    # force several chunks through the bounded-scratch path
-    n, rest = 37, 11
-    T = TriCornerMatrix(rng.standard_normal(n), rng.standard_normal(n - 1), 0.5j)
-    old = TriCornerMatrix._CHUNK
-    try:
-        TriCornerMatrix._CHUNK = 16
-        x = rng.standard_normal((n, rest)) + 1j * rng.standard_normal((n, rest))
-        out = np.empty_like(x)
-        T.apply(x, axis=0, out=out)
-        assert np.allclose(out, T.dense() @ x, atol=1e-13)
-    finally:
-        TriCornerMatrix._CHUNK = old
-
-
 def test_kron_apply_identity(rng):
     # pairs (I, I), (0, I), ...: every term but the first is zero
     for shape in ((4, 5), (4, 5, 3)):

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -8,7 +11,7 @@ from helmfft import (BoundaryKind, NormalizationFailure, SingularBlock,
                      boundary_green, circulant_eigenbasis, dct1_eigen,
                      dense_eigensolve_pencil, solve_pencil_eigen)
 from helmfft.assembly import Pencil1D
-from helmfft.spectral import choose_wrap
+from helmfft.spectral import _FLUSH_BELOW, _FLUSH_STEPS, choose_wrap
 
 
 def test_circulant_eigenvalues_closed_form():
@@ -242,3 +245,58 @@ def test_boundary_green_shape_follows_modes():
     assert g.shape == g_far.shape == (5, 7)
     g1, g_far1 = boundary_green(p, (2 * np.pi) ** 2, lam.ravel())
     assert np.array_equal(g.ravel(), g1) and np.array_equal(g_far.ravel(), g_far1)
+
+
+def _green_by_rows(pencil, sigma, lam):
+    """boundary_green's recurrence, reading every row from the pencil."""
+    K, M = pencil.K, pencil.M
+    c = np.asarray(lam, dtype=np.complex128) - sigma
+    p = K.diag[0] + c * M.diag[0]
+    prod = np.ones_like(p)
+    for k in range(1, pencil.n):
+        neg_off = c * -M.off[k - 1] - K.off[k - 1]
+        r = neg_off / p
+        prod *= r
+        p = (c * M.diag[k] + K.diag[k]) - neg_off * r
+        if k % _FLUSH_STEPS == 0:
+            for part in (p.imag, prod.real, prod.imag):
+                part[np.abs(part) < _FLUSH_BELOW] = 0.0
+    g = 1.0 / p
+    return g, prod * g
+
+
+@pytest.mark.parametrize("n1,shift,bc,modes", [
+    (3, 2 * np.pi, BoundaryKind.ABSORBING, (5, 7)),
+    (65, 1.0, BoundaryKind.ABSORBING, (33,)),
+    (257, 40.0, BoundaryKind.ABSORBING, (129,)),
+    (257, 7.5 - 3.2j, BoundaryKind.NEUMANN, (129,)),
+    (129, 2 * np.pi, BoundaryKind.ABSORBING, (17, 9)),
+])
+def test_boundary_green_bitwise_matches_row_recurrence(n1, shift, bc, modes):
+    # the hoisted loop does the same operations as one reading each row
+    if bc == BoundaryKind.ABSORBING:
+        p, sigma = assemble_pencil(n1, 1 / (n1 - 1), shift, bc), shift ** 2
+    else:
+        p, sigma = assemble_pencil(n1, 1 / (n1 - 1)), shift
+    lam = functools.reduce(np.add.outer, map(_cross_modes, modes))
+    for got, ref in zip(boundary_green(p, sigma, lam), _green_by_rows(p, sigma, lam)):
+        assert np.array_equal(got, ref)
+
+
+def _edited(pencil, which, i, value):
+    """``pencil`` with entry i of K's diagonal or off-diagonal set to value."""
+    diag, off = pencil.K.diag.copy(), pencil.K.off.copy()
+    (diag if which == "diag" else off)[i] = value
+    return dataclasses.replace(pencil, K=TriCornerMatrix(diag, off, pencil.K.corner))
+
+
+@pytest.mark.parametrize("which,i", [("off", 3), ("diag", 4), ("diag", -1)])
+def test_boundary_green_rejects_nonuniform_pencil(which, i):
+    p = _edited(assemble_pencil(9, 1 / 8), which, i, 1.5)
+    with pytest.raises(ValueError, match="uniform"):
+        boundary_green(p, 2.0, _cross_modes(5))
+
+
+def test_boundary_green_rejects_wrapped_pencil():
+    with pytest.raises(ValueError, match="uniform"):
+        boundary_green(assemble_periodic_pencil(9, 1 / 9), 2.0, _cross_modes(5))
