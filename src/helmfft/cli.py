@@ -230,7 +230,7 @@ def _fmt(x, as_json: bool = False) -> str:
 
 
 def emit(records: list[RunRecord], fmt: str = "csv", path: str | None = None) -> str:
-    """Serialize records; writes to path when given, always returns the text."""
+    """Serialize records (JSON refuses nan and inf); writes to path when given, returns the text."""
     if not records:
         raise ValueError("no records to emit")
     if fmt == "csv":
@@ -238,6 +238,11 @@ def emit(records: list[RunRecord], fmt: str = "csv", path: str | None = None) ->
                                 for r in records]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
+        for r in records:
+            for k in JSON_KEYS:
+                v = getattr(r, k)
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{k} = {v} has no JSON form")
         objs = ("{" + ", ".join(f'"{k}": {_fmt(getattr(r, k), True)}' for k in JSON_KEYS) + "}"
                 for r in records)
         text = "[\n" + ",\n".join(objs) + "\n]\n"

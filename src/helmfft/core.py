@@ -11,6 +11,7 @@ real matrices, so there is a single code path.
 from __future__ import annotations
 
 import ctypes
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,7 +43,10 @@ class Grid:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        n = tuple(int(k) for k in self.n)
+        try:                    # operator.index: integers only, numpy's included
+            n = tuple(operator.index(k) for k in self.n)
+        except TypeError:
+            raise ValueError(f"grid sizes must be integers, got {self.n!r}") from None
         object.__setattr__(self, "n", n)
         if len(n) not in (2, 3):
             raise ValueError(f"grid must be 2- or 3-dimensional, got {len(n)} directions")
@@ -134,31 +138,40 @@ class TriCornerMatrix:
 
 @dataclass(frozen=True)
 class KroneckerOperator:
-    """The separable operator sum_k M_1 ox ... ox M_{k-1} ox K_k ox M_{k+1} ox ... ox M_d.
+    """(K_1 - sigma M_1) ox M_2 ox ... + sum_{k>1} M_1 ox ... ox K_k ox ... ox M_d.
 
-    ``pairs`` holds one ``(K, M)`` pair of TriCornerMatrix per direction; for
-    the Helmholtz operator A the first is (K_1 - sigma M_1, M_1).  The
-    operator is applied matrix-free by ``kron_apply``; ``dense`` is for
-    small verification problems only.
+    Held as one ``assembly.Pencil1D`` per direction and the shift sigma.  The
+    operator is applied matrix-free by ``kron_apply``; ``dense`` is for small
+    verification problems only.
     """
 
     grid: Grid
-    pairs: tuple
+    pencils: tuple
+    sigma: complex
 
     def __post_init__(self):
-        if len(self.pairs) != self.grid.dims:
-            raise ValueError("the operator needs exactly one (K, M) pair per direction")
-        for (K, M), n in zip(self.pairs, self.grid.n):
-            if K.n != n or M.n != n:
-                raise ValueError(f"pair sizes {K.n}, {M.n} do not match grid {self.grid.n}")
+        if tuple(p.n for p in self.pencils) != self.grid.n:
+            raise ValueError(f"pencil sizes {[p.n for p in self.pencils]} "
+                             f"do not match grid {self.grid.n}")
+
+    def _factors(self):
+        """Each direction's (K, M) in turn, so kron_apply keeps no K; K_1 - sigma M_1 entrywise."""
+        for j, p in enumerate(self.pencils):
+            K, M = p.K, p.M
+            if j == 0:
+                c = -self.sigma
+                K = TriCornerMatrix(K.diag + c * M.diag, K.off + c * M.off,
+                                    corner=K.corner + c * M.corner)
+            yield K, M
 
     def dense(self) -> np.ndarray:
         """Explicit N x N matrix, summed term by term from the Kronecker products."""
         N = self.grid.npoints
         A = np.zeros((N, N), dtype=np.complex128)
+        factors = list(self._factors())
         for k in range(self.grid.dims):
             term = np.array([[1.0 + 0j]])
-            for j, (K, M) in enumerate(self.pairs):
+            for j, (K, M) in enumerate(factors):
                 term = np.kron(term, (K if j == k else M).dense())
             A += term
         return A
@@ -177,20 +190,17 @@ def slabs(shape, buffers: int = 1) -> list[slice]:
     return [slice(a, min(a + step, shape[0])) for a in range(0, shape[0], step)]
 
 
-def _mass_split(K: TriCornerMatrix, M: TriCornerMatrix):
-    """(delta, beta) with K = diag(delta) - beta M; ValueError if K has no such form."""
-    k, m = np.append(K.off, K.corner), np.append(M.off, M.corner)
-    i = np.argmax(np.abs(m))
-    beta = -k[i] / m[i] if m[i] else 0.0
-    if np.abs(k + beta * m).max() > 1e-14 * np.abs(k).max():
-        raise ValueError("a K factor is not diag(delta) - beta M of its pair")
-    return K.diag + beta * M.diag, beta
+def _mass_form(K: TriCornerMatrix, M: TriCornerMatrix):
+    """(M, delta, beta) with K = diag(delta) - beta M, beta from the first off-diagonals."""
+    beta = -K.off[0] / M.off[0]
+    return M, K.diag + beta * M.diag, beta
 
 
 def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
     """Evaluate ``op x`` in 2(d - 1) one-dimensional passes of mass factors only.
 
-    Each K_k is diag(delta_k) - beta_k M_k (``_mass_split``), so op is
+    Each K_k is diag(delta_k) - beta_k M_k, with beta_k = -K_k[1, 2] / M_k[1, 2]
+    taken from the entries (``_mass_form``; K_1 - sigma M_1 for k = 1), so op is
     sum_k delta_k ox (ox_{j!=k} M_j) - (sum_k beta_k) ox_j M_j.  Per chunk of
     x_1 slabs (``slabs``), the cross axes run P = M_d x, T = delta_d x - beta P,
     then, in 3D, T <- M_2 T + delta_2 P and P <- M_2 P; T goes to the one
@@ -199,7 +209,7 @@ def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
     in two slab buffers.  ``x`` is a field vector of length N or the d-dim
     array, in any memory layout (a transposed view included).  The result has
     the shape of ``x`` and goes to ``out`` when given, which must not alias
-    ``x``.  Raises ValueError for a pair without that form.
+    ``x``.
     """
     x = np.asarray(x, dtype=np.complex128)
     shape, d = op.grid.shape, op.grid.dims
@@ -209,9 +219,8 @@ def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
         out = np.empty_like(x)
     elif out.shape != x.shape:
         raise ValueError(f"out has shape {out.shape}, field has {x.shape}")
-    (delta1, *deltas), betas = zip(*(_mass_split(K, M) for K, M in op.pairs))
+    (M1, *Ms), (delta1, *deltas), betas = zip(*(_mass_form(K, M) for K, M in op._factors()))
     beta = sum(betas)
-    M1, *Ms = (M for _, M in op.pairs)
     along = lambda v, axis: v.reshape((-1,) + (1,) * (d - 1 - axis))  # noqa: E731
     # a 1-D array, or one already in the grid's shape, reshapes without a copy
     X, Y = x.reshape(shape), out.reshape(shape)

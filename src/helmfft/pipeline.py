@@ -27,13 +27,14 @@ rho, it is (dk - sigma dm) + lam dm, and step 2 the 2 x 2 corner block of
 the inverse of K_1 - sigma M_1 + lam M_1.
 
 One ``SolverPlan``, built by ``make_plan`` for any number of cross axes,
-serves the pipeline through ``grid``, ``sigma``, ``pencil_x1``,
-``basis_circulant_x1``, ``shifts_B`` (sigma - Lambda_{1,l}), ``correction``
-(dk and dm), ``cross_lambdas`` and the private ``_w`` (cross weights) and
-``_RW1`` (x_1 boundary rows; step 3 takes their conjugate per slab).  The
-refinement loop's residual applies ``operator``, A held as its d (K, M)
-pairs, through ``core.kron_apply``: 2(d - 1) one-dimensional passes of the
-mass factors over chunks of x_1 slabs, and one field-sized scratch array.
+serves the pipeline through ``grid``, ``sigma``, ``operator`` (A as its d
+pencils and sigma; step 2 reads the x_1 pencil there), ``basis_circulant_x1``,
+``shifts_B`` (sigma - Lambda_{1,l}), ``correction`` (dk and dm),
+``cross_lambdas`` and the private ``_w`` (cross weights) and ``_RW1`` (x_1
+boundary rows; step 3 takes their conjugate per slab).  Those are the only
+arrays a plan holds.  The refinement loop's residual applies ``operator``
+through ``core.kron_apply``: 2(d - 1) one-dimensional passes of the mass
+factors over chunks of x_1 slabs, and one field-sized scratch array.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ import functools
 import numpy as np
 import scipy.fft
 
-from .assembly import (Pencil1D, PencilDifference, assemble_pencil,
-                       pencil_difference, separable_operator)
+from .assembly import PencilDifference, assemble_pencil, pencil_difference
 from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
                    defect_correction, freeze_arrays, slabs)
 from .spectral import EigenBasis, boundary_green, choose_wrap, dct1_eigen
@@ -60,13 +60,11 @@ class SolverPlan:
     omega: float
     sigma: complex
     bc_x1: BoundaryKind
-    pencil_x1: Pencil1D
-    cross_pencils: tuple                # Neumann pencils of x_2 .. x_d
     basis_circulant_x1: EigenBasis      # of the auxiliary wrap the plan chose
     cross_lambdas: tuple                # their closed-form DCT-I eigenvalues
     correction: PencilDifference        # dk, dm of C_bb (auxiliary - original x_1)
     shifts_B: np.ndarray                # p_B,l = sigma - Lambda^B_{1,l}
-    operator: KroneckerOperator         # A as its d (K, M) pairs, (K_1 - sigma M_1, M_1) first
+    operator: KroneckerOperator         # A as its d pencils and sigma, x_1 first
     wrap_gaps: tuple[float, float]      # relative gaps, periodic and anti-periodic
     _w: tuple = dataclasses.field(repr=False, default=None)
     _RW1: np.ndarray = dataclasses.field(repr=False, default=None)
@@ -111,11 +109,10 @@ def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
     w1 = wrap.basis
     return SolverPlan(
         grid=grid, omega=omega, sigma=sigma, bc_x1=bc_x1,
-        pencil_x1=p1, cross_pencils=cross,
         basis_circulant_x1=w1, cross_lambdas=lams,
         correction=pencil_difference(p1, wrap.pencil),
         shifts_B=(sigma if sigma.imag else sigma.real) - w1.lambdas,
-        operator=separable_operator(grid, p1, cross, sigma),
+        operator=KroneckerOperator(grid, (p1, *cross), sigma),
         wrap_gaps=wrap.gaps,
         _w=weights, _RW1=w1.boundary_rows(),
     )
@@ -129,7 +126,7 @@ def cross_planes(plan):
 
 def green(plan):
     """``boundary_green`` of the original x_1 pencil over the cross modes."""
-    return boundary_green(plan.pencil_x1, plan.sigma, cross_planes(plan)[1])
+    return boundary_green(plan.operator.pencils[0], plan.sigma, cross_planes(plan)[1])
 
 
 def field(plan, f):

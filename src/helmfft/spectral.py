@@ -44,15 +44,6 @@ def _angles(n: int, twist: float) -> np.ndarray:
     return (2.0 * np.pi * np.arange(n) + twist) / n
 
 
-def _circulant_pair(pencil: Pencil1D):
-    if pencil.bc != BoundaryKind.PERIODIC:
-        raise ValueError("circulant eigenvalues require a periodic pencil")
-    num, den = _symbols(pencil, _angles(pencil.n, pencil.twist))
-    if np.abs(den).min() < 1e-14:
-        raise ValueError("degenerate circulant mass eigenvalue")
-    return num / den, den
-
-
 @dataclass(frozen=True)
 class EigenBasis:
     """Closed-form eigenbasis of a wrapped pencil; no matrix is stored.
@@ -84,9 +75,12 @@ class EigenBasis:
 
 
 def circulant_eigenbasis(pencil: Pencil1D) -> EigenBasis:
-    lam, mu = _circulant_pair(pencil)
-    scales = 1.0 / np.sqrt(pencil.n * mu)
-    return EigenBasis(n=pencil.n, lambdas=lam, scales=scales, twist=pencil.twist)
+    """The wrapped pencil's eigenbasis; the mass symbol h (2 + cos theta)/3 is >= h/3."""
+    if pencil.bc != BoundaryKind.PERIODIC:
+        raise ValueError("circulant eigenvalues require a periodic pencil")
+    num, mu = _symbols(pencil, _angles(pencil.n, pencil.twist))
+    return EigenBasis(n=pencil.n, lambdas=num / mu, scales=1.0 / np.sqrt(pencil.n * mu),
+                      twist=pencil.twist)
 
 
 def dct1_eigen(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
@@ -122,35 +116,27 @@ _FLUSH_STEPS = 32
 _FLUSH_BELOW = 1e-250
 
 
-def _uniform(T) -> bool:
-    """One off-diagonal value, one interior diagonal value, equal end rows, no corner."""
-    d = T.diag
-    return bool(T.corner == 0 and d[0] == d[-1] and (d[1:-1] == d[1]).all()
-                and (T.off == T.off[0]).all())
-
-
 def boundary_green(pencil: Pencil1D, sigma: complex, lam) -> tuple[np.ndarray, np.ndarray]:
     """Corner entries of T(lam)^-1, T(lam) = K - sigma M + lam M, per cross mode.
 
     Returns ``(g, g_far)`` shaped like ``lam``, g = (T^-1)_11 = (T^-1)_nn and
     g_far = (T^-1)_1n, so the 2 x 2 corner block of T^-1 maps a pair x to
-    ``g * x + g_far * x[::-1]``.  The pencil must be persymmetric with
-    uniform interior rows (one off-diagonal value and one interior diagonal
-    value in K and in M, equal end rows, no corner), as the Neumann and
-    absorbing ones are; any other raises ValueError.  With pivots p_1 = d_1,
-    p_k = d_k - o^2 / p_{k-1}: (T^-1)_nn = 1/p_n and (T^-1)_1n = prod_{k<n}
-    (-o/p_k) / p_n (G. Meurant, SIAM J. Matrix Anal. Appl. 13 (1992)
-    707-728); n steps over all modes at once, with -o, the interior d and
-    the end row d_n = d_1 formed once.  The recurrence does not pivot, so a
-    pivot below PIVOT_RTOL times the block's scale raises SingularBlock.
-    With absorbing ends, omega != 0 and real lam - sigma it cannot break
-    down: Im(x^H T_k x) = -omega |x_1|^2 for each leading block T_k, so
-    T_k x = 0 forces x_1 = 0, and then its rows force x = 0 (where o = 0,
-    T_k is diagonal with nonzero entries).
+    ``g * x + g_far * x[::-1]``.  The pencil must be a Neumann or absorbing
+    one, which is persymmetric with uniform interior rows; a PERIODIC one
+    raises ValueError.  With pivots p_1 = d_1, p_k = d_k - o^2 / p_{k-1}:
+    (T^-1)_nn = 1/p_n and (T^-1)_1n = prod_{k<n} (-o/p_k) / p_n (G. Meurant,
+    SIAM J. Matrix Anal. Appl. 13 (1992) 707-728); n steps over all modes at
+    once, with -o, the interior d and the end row d_n = d_1 formed once.
+    The recurrence does not pivot, so a pivot below PIVOT_RTOL times the
+    block's scale raises SingularBlock.  With absorbing ends, omega != 0 and
+    real lam - sigma it cannot break down: Im(x^H T_k x) = -omega |x_1|^2 for
+    each leading block T_k, so T_k x = 0 forces x_1 = 0, and then its rows
+    force x = 0 (where o = 0, T_k is diagonal with nonzero entries).
     """
+    if pencil.bc == BoundaryKind.PERIODIC:
+        raise ValueError("boundary_green needs uniform interior rows and no wrap: "
+                         "a Neumann or absorbing pencil")
     K, M = pencil.K, pencil.M
-    if not (_uniform(K) and _uniform(M)):
-        raise ValueError("boundary_green needs a persymmetric pencil with uniform interior rows")
     c = np.asarray(lam, dtype=np.complex128) - sigma
     p = K.diag[0] + c * M.diag[0]
     end = p.copy()                              # persymmetric: d_n = d_1

@@ -4,7 +4,7 @@ import pytest
 from helmfft import (BoundaryKind, Grid, assemble_pencil,
                      assemble_periodic_pencil, build_operator_A,
                      build_operator_B, kron_apply, pencil_difference, plan2d)
-from helmfft.assembly import PencilDifference
+from helmfft.assembly import Pencil1D, PencilDifference
 from helmfft import pipeline
 
 
@@ -58,6 +58,16 @@ def test_pencil_validation():
         assemble_pencil(5, 0.25, bc=BoundaryKind.PERIODIC)
     with pytest.raises(ValueError):
         assemble_periodic_pencil(2, 0.5)
+    for kw in ({"h": 0.0}, {"h": -0.25}, {"h": float("nan")}, {"twist": np.pi / 2}):
+        with pytest.raises(ValueError):
+            Pencil1D(**{"n": 5, "h": 0.25, "bc": BoundaryKind.PERIODIC, **kw})
+
+
+def test_pencil_fields_are_scalars():
+    # the pencil is its defining scalars; K and M are rebuilt from them
+    p = assemble_pencil(6, 0.2, 2 * np.pi, BoundaryKind.ABSORBING)
+    assert p == Pencil1D(6, 0.2, BoundaryKind.ABSORBING, 2 * np.pi)
+    assert not any(isinstance(v, np.ndarray) for v in vars(p).values())
 
 
 def test_assembled_matrices_symmetric():
@@ -106,10 +116,12 @@ def test_operator_a_3d_complex_symmetric():
 
 
 def test_operator_b_x1_factors_real():
-    B = build_operator_B(Grid((4, 3)), 2 * np.pi)
-    for F in B.pairs[0]:
-        assert np.abs(F.diag.imag).max() == 0.0
-        assert F.corner.imag == 0.0
+    for twist in (0.0, np.pi):
+        B = build_operator_B(Grid((4, 3)), 2 * np.pi, twist)
+        assert B.sigma == (2 * np.pi) ** 2
+        for F in (B.pencils[0].K, B.pencils[0].M):
+            assert np.abs(F.diag.imag).max() == 0.0
+            assert F.corner.imag == 0.0 and F.corner != 0.0
 
 
 @pytest.mark.parametrize("shape,omega", [((3, 3), 2 * np.pi), ((4, 3), 1.0),

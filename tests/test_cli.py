@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from helmfft import cli, oracle
 from helmfft.cli import (CSV_HEADER, ConfigError, RunConfig, RunRecord, emit,
                          fit_slope, make_rhs, read_records, read_rhs_file, run,
                          write_rhs_file)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_paper_rhs_layout():
@@ -87,6 +91,16 @@ def test_emit_json_nulls_and_17_digits():
     # 17 significant digits round-trip the double exactly
     assert objs[1]["init_seconds"] == 1.0 / 3.0
     assert "0.33333333333333331" in text
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_emit_json_rejects_non_finite(value):
+    # strict JSON has no nan or inf; CSV keeps writing them as before
+    records = sample_records()
+    records[1] = dataclasses.replace(records[1], solve_seconds=value)
+    with pytest.raises(ValueError, match="solve_seconds"):
+        emit(records, "json")
+    assert f",{value}," in emit(records, "csv")
 
 
 def test_json_reports_the_wrap(capsys):
@@ -232,11 +246,17 @@ def test_slope_subcommand(tmp_path, capsys):
     assert "slope=1.0000" in out
 
 
+def _child_env():
+    """This environment with the package's source first on PYTHONPATH."""
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def test_console_script_entrypoint():
     proc = subprocess.run([sys.executable, "-m", "helmfft.cli", "solve", "--d", "2",
                            "--n1", "5", "--n2", "5", "--rhs", "random:7",
                            "--repeats", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)
 
@@ -335,7 +355,7 @@ def test_no_input_path_leaks_a_traceback(tmp_path, case):
                             f"--rhs=file:{tmp_path / 'absent.bin'}"],
             "small-grid": ["solve", "--n1", "2", "--n2", "5"]}[case]
     proc = subprocess.run([sys.executable, "-m", "helmfft.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 2
     assert "helmfft: config error" in proc.stderr
     assert "Traceback" not in proc.stderr

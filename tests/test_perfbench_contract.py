@@ -62,6 +62,9 @@ def test_plan_bytes_sees_the_plan(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
+    # ... and it holds nothing but these arrays: no pencil or operator array
     for plan in (plan2d(Grid((17, 33)), 2 * np.pi), plan3d(Grid((9, 7, 5)), 2 * np.pi)):
-        held = [plan.shifts_B, plan._RW1, *plan._w, *plan.cross_lambdas]
-        assert workloads.plan_bytes(plan) >= sum(a.nbytes for a in held)
+        basis, corr = plan.basis_circulant_x1, plan.correction
+        held = [plan.shifts_B, plan._RW1, *plan._w, *plan.cross_lambdas,
+                basis.lambdas, basis.scales, corr.dk, corr.dm]
+        assert workloads.plan_bytes(plan) == sum(a.nbytes for a in held)

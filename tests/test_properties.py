@@ -77,6 +77,27 @@ def test_default_solve_accuracy_at_paper_omega_2d():
     assert err <= 1e-11, f"forward error {err:.3e}"
 
 
+@pytest.mark.parametrize("rhs", ["random", "paper"])
+def test_default_solve_accuracy_where_the_pass_runs_2d(rhs):
+    # At omega = 1 the default refinement pass runs, so this pins the
+    # residual applying exactly the operator whose entries the pipeline
+    # inverts; the reference is a sparse LU solve plus one refinement step.
+    n, omega = 129, 1.0
+    grid = Grid((n, n))
+    if rhs == "random":
+        f = rand_field(grid, n)
+    else:
+        f = np.ones(grid.npoints, dtype=complex)
+        f[:n] = 0.01
+    u = solve2d(plan2d(grid, omega), f)
+    A = _sparse_operator_2d(n, omega)
+    lu = scipy.sparse.linalg.splu(A)
+    ref = lu.solve(f)
+    ref += lu.solve(f - A @ ref)
+    err = float(np.linalg.norm(u - ref) / np.linalg.norm(ref))
+    assert err <= 2e-12, f"forward error {err:.3e}"
+
+
 def test_plan_keeps_the_wider_wrap_2d():
     grid = Grid((513, 513))
     plan = plan2d(grid, 2 * np.pi)

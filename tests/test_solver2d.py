@@ -29,7 +29,7 @@ def test_plan_blocks_match_dense_assembly():
                                       ((5, 4), 7.5 - 3.2j, BoundaryKind.NEUMANN)]:
         plan = plan2d(Grid(shape), omega_or_shift, bc_x1=bc)
         n2 = shape[1]
-        p2 = plan.cross_pencils[0]
+        p2 = plan.operator.pencils[1]
         V = np.cos(np.outer(np.arange(n2), np.pi * np.arange(n2) / (n2 - 1)))
         lamB = plan.basis_circulant_x1.lambdas
         assert np.allclose(plan.shifts_B, plan.sigma - lamB, rtol=1e-14, atol=0)
@@ -49,7 +49,7 @@ def test_plan_neumann_negative_shift_is_coercive():
     assert gap >= 1.0 - 1e-12
     # each original x_1 block K_1 + (lam_c + 1) M_1 is SPD; its boundary
     # Green's function is the corner block of the dense inverse
-    p1 = plan.pencil_x1
+    p1 = plan.operator.pencils[0]
     g, g_far = boundary_green(p1, plan.sigma, plan.cross_lambdas[0])
     for k, lam in enumerate(plan.cross_lambdas[0]):
         T_inv = np.linalg.inv(p1.K.dense() + (lam + 1.0) * p1.M.dense())

@@ -20,7 +20,7 @@ def test_plan_circulant_eigenvalues_match_dense():
     plan = plan3d(g, 2 * np.pi)
     aux = assemble_periodic_pencil(g.n[0], g.h[0], plan.twist)
     pairs = ((aux, plan.basis_circulant_x1.lambdas),
-             *zip(plan.cross_pencils, plan.cross_lambdas))
+             *zip(plan.operator.pencils[1:], plan.cross_lambdas))
     for pencil, lam in pairs:
         ref, _ = dense_eigensolve_pencil(pencil.K.dense(), pencil.M.dense())
         got = np.sort_complex(lam)
@@ -84,7 +84,7 @@ def test_block_system_matches_dense_blocks(which, rng):
     omega = 2 * np.pi
     plan = plan3d(g, omega)
     n1, n2, n3 = g.n
-    p2, p3 = plan.cross_pencils
+    p2, p3 = plan.operator.pencils[1:]
     lam1 = plan.basis_circulant_x1.lambdas
 
     rhs = rand_field(g, 9)
@@ -216,7 +216,7 @@ def test_solve3d_shift_sets():
     plan = plan3d(g, 2 * np.pi)
     # the absorbing x_1 blocks are genuinely complex, the periodic shifts real
     lam = np.add.outer(*plan.cross_lambdas)
-    green = boundary_green(plan.pencil_x1, (2 * np.pi) ** 2, lam)
+    green = boundary_green(plan.operator.pencils[0], (2 * np.pi) ** 2, lam)
     assert min(np.abs(part.imag).max() for part in green) > 1e-6
     assert np.abs(plan.shifts_B.imag).max() <= 1e-12
     lamB = circulant_eigenbasis(assemble_periodic_pencil(g.n[0], g.h[0], plan.twist)).lambdas
