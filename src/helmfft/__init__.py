@@ -14,9 +14,8 @@ The solvers run in O(N log N) time and never form a volumetric matrix; the
 `oracle` module provides an independent dense reference for verification.
 """
 
-from .assembly import (Pencil1D, PencilDifference, assemble_pencil,
-                       assemble_periodic_pencil, build_operator_A,
-                       build_operator_B, pencil_difference)
+from .assembly import (Pencil1D, assemble_pencil, assemble_periodic_pencil,
+                       build_operator_A, build_operator_B)
 from .core import (BoundaryKind, Grid, KroneckerOperator, SingularBlock,
                    TriCornerMatrix, kron_apply, tune_allocator)
 from .oracle import (DenseProblem, EigensolverFailure, NormalizationFailure,
@@ -34,8 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryKind", "Grid", "KroneckerOperator", "TriCornerMatrix",
     "kron_apply", "tune_allocator",
-    "Pencil1D", "PencilDifference",
-    "assemble_pencil", "assemble_periodic_pencil", "pencil_difference",
+    "Pencil1D", "assemble_pencil", "assemble_periodic_pencil",
     "build_operator_A", "build_operator_B",
     "EigenBasis", "circulant_eigenbasis", "dct1_eigen", "boundary_green",
     "clear_eigen_cache",

@@ -78,31 +78,6 @@ def assemble_periodic_pencil(n: int, h: float, twist: float = 0.0) -> Pencil1D:
     return Pencil1D(n, h, BoundaryKind.PERIODIC, twist=float(twist))
 
 
-@dataclass(frozen=True)
-class PencilDifference:
-    """Corner blocks of (periodic - original) for one direction.
-
-    The difference is nonzero only on the 2 x 2 index set {1, n}; dk and dm
-    are those corner blocks, ordered (low end, high end).
-    """
-
-    dk: np.ndarray  # (2, 2) complex
-    dm: np.ndarray  # (2, 2) complex
-
-
-def pencil_difference(original: Pencil1D, periodic: Pencil1D) -> PencilDifference:
-    if original.n != periodic.n:
-        raise ValueError("pencil sizes differ")
-    blocks = []
-    for aux, orig in ((periodic.K, original.K), (periodic.M, original.M)):
-        c = np.zeros((2, 2), dtype=np.complex128)
-        c[0, 0], c[1, 1] = aux.diag[0] - orig.diag[0], aux.diag[-1] - orig.diag[-1]
-        c[0, 1] = c[1, 0] = aux.corner
-        c.flags.writeable = False
-        blocks.append(c)
-    return PencilDifference(*blocks)
-
-
 def build_operator_A(grid: Grid, omega: float,
                      bc_x1: BoundaryKind = BoundaryKind.ABSORBING) -> KroneckerOperator:
     """The discrete Helmholtz operator with bc_x1 on the x_1 ends."""

@@ -195,6 +195,8 @@ def run(config: RunConfig) -> list[RunRecord]:
         raise ConfigError(f"unknown mode {config.mode!r}")
     if config.d not in (2, 3):
         raise ConfigError(f"d must be 2 or 3, got {config.d}")
+    if config.refine < 0:
+        raise ConfigError(f"refine must be >= 0, got {config.refine}")
     tune_allocator()
     workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
 

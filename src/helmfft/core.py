@@ -11,6 +11,7 @@ real matrices, so there is a single code path.
 from __future__ import annotations
 
 import ctypes
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -260,6 +261,16 @@ def residual(op: KroneckerOperator, f: np.ndarray, u: np.ndarray) -> np.ndarray:
     return r
 
 
+def _norm(x) -> float:
+    """The 2-norm by einsum, not BLAS, whose idle threads take milliseconds to wake.
+
+    A contiguous complex128 or float64 ``x`` is not copied.
+    """
+    x = np.ascontiguousarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
+    v = x.reshape(-1).view(np.float64)
+    return math.sqrt(np.einsum("i,i", v, v))
+
+
 def defect_correction(op: KroneckerOperator, f, u, solve, passes: int):
     """Safeguarded defect correction of ``u`` towards ``op u = f``.
 
@@ -271,9 +282,9 @@ def defect_correction(op: KroneckerOperator, f, u, solve, passes: int):
     """
     if passes <= 0:
         return u
-    fnorm = np.linalg.norm(f)
+    fnorm = _norm(f)
     r = residual(op, f, u)
-    best = np.linalg.norm(r)
+    best = _norm(r)
     for _ in range(passes):
         if best <= REFINE_STOP_RTOL * fnorm:
             break
@@ -281,7 +292,7 @@ def defect_correction(op: KroneckerOperator, f, u, solve, passes: int):
         del r
         trial += u
         r = residual(op, f, trial)
-        nrm = np.linalg.norm(r)
+        nrm = _norm(r)
         if not nrm < best:
             break
         u, best = trial, nrm
@@ -308,18 +319,21 @@ def freeze_arrays(values) -> None:
             freeze_arrays(val)
 
 
-def tune_allocator(threshold: int = 1 << 30) -> bool:
+ALLOCATOR_THRESHOLD = 1 << 30      # glibc's mmap and trim thresholds after tune_allocator
+
+
+def tune_allocator() -> bool:
     """Keep large freed blocks reusable instead of returning them to the OS.
 
     glibc mmaps/munmaps every allocation above ~128 KiB by default, which makes
     each fresh multi-MB scratch array pay a page-fault storm.  Raising the mmap
-    and trim thresholds lets repeated solves reuse the heap.  No-op (returns
-    False) on non-glibc platforms.
+    and trim thresholds to ALLOCATOR_THRESHOLD lets repeated solves reuse the
+    heap.  No-op (returns False) on non-glibc platforms.
     """
     try:
         libc = ctypes.CDLL("libc.so.6", use_errno=True)
-        ok1 = libc.mallopt(-1, threshold)  # M_TRIM_THRESHOLD
-        ok2 = libc.mallopt(-3, threshold)  # M_MMAP_THRESHOLD
+        ok1 = libc.mallopt(-1, ALLOCATOR_THRESHOLD)  # M_TRIM_THRESHOLD
+        ok2 = libc.mallopt(-3, ALLOCATOR_THRESHOLD)  # M_MMAP_THRESHOLD
         return bool(ok1 and ok2)
     except (OSError, AttributeError):
         return False

@@ -22,14 +22,15 @@ with rho the product of the cross weights w = 2 D / E = h (n-1) (2 + cos
 theta) / 3 and lam the sum of the cross eigenvalues.  The divisors are formed
 a few x_1 slabs at a time from the 1D arrays; none of field size is stored.
 C_bb = B_bb - A_bb is (dk - sigma dm) ox M_cross + dm ox K_cross, dk and dm
-the 2 x 2 corner blocks of the x_1 pencil difference; per cross mode, over
-rho, it is (dk - sigma dm) + lam dm, and step 2 the 2 x 2 corner block of
-the inverse of K_1 - sigma M_1 + lam M_1.
+the 2 x 2 corner blocks of the persymmetric x_1 pencil difference: pairs
+[[end, corner], [corner, end]], as is step 2's corner block G of the inverse
+of K_1 - sigma M_1 + lam M_1.  Per cross mode, over rho, C_bb is the pair
+(dk - sigma dm) + lam dm; ``_pair`` applies a pair to x as p x + q x[::-1].
 
 One ``SolverPlan``, built by ``make_plan`` for any number of cross axes,
 serves the pipeline through ``grid``, ``sigma``, ``operator`` (A as its d
 pencils and sigma; step 2 reads the x_1 pencil there), ``basis_circulant_x1``,
-``shifts_B`` (sigma - Lambda_{1,l}), ``correction`` (dk and dm),
+``shifts_B`` (sigma - Lambda_{1,l}), ``correction`` (dk and dm as pairs),
 ``cross_lambdas`` and the private ``_w`` (cross weights) and ``_RW1`` (x_1
 boundary rows; step 3 takes their conjugate per slab).  Those are the only
 arrays a plan holds.  The refinement loop's residual applies ``operator``
@@ -42,11 +43,12 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import numbers
 
 import numpy as np
 import scipy.fft
 
-from .assembly import PencilDifference, assemble_pencil, pencil_difference
+from .assembly import assemble_pencil
 from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
                    defect_correction, freeze_arrays, slabs)
 from .spectral import EigenBasis, boundary_green, choose_wrap, dct1_eigen
@@ -62,7 +64,7 @@ class SolverPlan:
     bc_x1: BoundaryKind
     basis_circulant_x1: EigenBasis      # of the auxiliary wrap the plan chose
     cross_lambdas: tuple                # their closed-form DCT-I eigenvalues
-    correction: PencilDifference        # dk, dm of C_bb (auxiliary - original x_1)
+    correction: np.ndarray              # C_bb: [[dk_end, dk_corner], [dm_end, dm_corner]]
     shifts_B: np.ndarray                # p_B,l = sigma - Lambda^B_{1,l}
     operator: KroneckerOperator         # A as its d pencils and sigma, x_1 first
     wrap_gaps: tuple[float, float]      # relative gaps, periodic and anti-periodic
@@ -110,7 +112,9 @@ def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
     return SolverPlan(
         grid=grid, omega=omega, sigma=sigma, bc_x1=bc_x1,
         basis_circulant_x1=w1, cross_lambdas=lams,
-        correction=pencil_difference(p1, wrap.pencil),
+        # both pencils are persymmetric: each difference is an end and a corner entry
+        correction=np.array([[aux.diag[0] - orig.diag[0], aux.corner] for aux, orig in
+                             ((wrap.pencil.K, p1.K), (wrap.pencil.M, p1.M))]),
         shifts_B=(sigma if sigma.imag else sigma.real) - w1.lambdas,
         operator=KroneckerOperator(grid, (p1, *cross), sigma),
         wrap_gaps=wrap.gaps,
@@ -173,12 +177,15 @@ def _along_x1(a, ndim):
     return a.reshape((-1,) + (1,) * (ndim - 1))
 
 
+def _pair(p, q, x):
+    """The persymmetric 2 x 2 block [[p, q], [q, p]] per cross mode on the pair x."""
+    return p * x + q * x[::-1]
+
+
 def _boundary_corr(plan, vb, lam):
-    """C_bb per cross mode, over rho: ((dk - sigma dm) + lam dm) vb."""
-    C = plan.correction
-    c = np.tensordot(C.dk - plan.sigma * C.dm, vb, axes=1)
-    c += lam * np.tensordot(C.dm, vb, axes=1)
-    return c
+    """C_bb per cross mode, over rho: the pair (dk - sigma dm) + lam dm on vb."""
+    p, q = ((dk - plan.sigma * dm) + lam * dm for dk, dm in plan.correction.T)
+    return _pair(p, q, vb)
 
 
 def step1(plan, F, workers=None):
@@ -208,11 +215,7 @@ def step2(plan, vb, G):
     Both pairs are in the pipeline's cross basis, where rho cancels; G is
     ``green(plan)``.
     """
-    c = _boundary_corr(plan, vb, cross_planes(plan)[1])
-    g, g_far = G
-    w = g * c
-    w += g_far * c[::-1]
-    return w
+    return _pair(*G, _boundary_corr(plan, vb, cross_planes(plan)[1]))
 
 
 def step3(plan, F, vbw, workers=None):
@@ -248,7 +251,10 @@ def solve(plan, f, refine, workers):
     """The pipeline plus ``refine`` safeguarded defect-correction passes.
 
     The residuals read the caller's f, so no second copy of it is kept.
+    Raises ValueError unless ``refine`` is an integer >= 0.
     """
+    if not isinstance(refine, numbers.Integral) or refine < 0:
+        raise ValueError(f"refine must be an integer >= 0, got {refine!r}")
     f = checked_field(f, plan.grid.npoints)
     G = green(plan)
     U = run(plan, field(plan, f), G, workers)

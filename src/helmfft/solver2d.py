@@ -10,11 +10,11 @@ the original operator for the boundary correction w_b driven by C_bb v_b, and
 step 3 solves the auxiliary problem once more with a right-hand side
 corrected so the auxiliary solution agrees with the original one.
 ``plan2d`` checks its arguments and builds the ``pipeline.SolverPlan`` that
-3D shares (1D arrays only, O(n1 + n2); C_bb as the two 2 x 2 corner blocks
-of the x_1 pencil difference), and the solve runs the shared ``pipeline``:
-an x_1 FFT and a DCT-I over x_2 make steps 1 and 3 diagonal divides,
-O(N log N), and step 2 applies, per DCT-I mode of x_2, the 2 x 2 corner
-block G of the inverse x_1 matrix (``boundary_green``, O(N) once per solve).
+3D shares (1D arrays only, O(n1 + n2); C_bb as its four numbers), and the
+solve runs the shared ``pipeline``: an x_1 FFT and a DCT-I over x_2 make
+steps 1 and 3 diagonal divides, O(N log N), and step 2 applies, per DCT-I
+mode of x_2, C_bb and the corner block G of the inverse x_1 matrix
+(``boundary_green``, O(N) once per solve) as persymmetric 2 x 2 pairs.
 
 ``solve2d`` additionally applies safeguarded defect-correction passes
 (default one).  The three-step composition amplifies roundoff by how close

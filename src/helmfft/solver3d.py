@@ -3,10 +3,10 @@
 Solves ``((K_1 - omega^2 M_1) ox M_2 ox M_3 + M_1 ox (K_2 ox M_3 + M_2 ox
 K_3)) u = f`` with absorbing x_1 ends and Neumann x_2 and x_3 ends.
 ``plan3d`` checks its arguments and builds the ``pipeline.SolverPlan`` that
-2D shares: 1D arrays only, O(n1 + n2 + n3), with C_bb held as the two 2 x 2
-corner blocks of the x_1 pencil difference.  The solve runs the shared
-pipeline (``pipeline``): an x_1 FFT, DCT-I over x_2 and x_3, and a diagonal
-divide per block.
+2D shares: 1D arrays only, O(n1 + n2 + n3), with C_bb held as four numbers
+that give one persymmetric 2 x 2 pair per cross mode.  The solve runs the
+shared pipeline (``pipeline``): an x_1 FFT, DCT-I over x_2 and x_3, and a
+diagonal divide per block.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .assembly import Pencil1D, assemble_pencil, assemble_periodic_pencil
-from .core import PIVOT_RTOL, BoundaryKind, SingularBlock
+from .core import PIVOT_RTOL, BoundaryKind, SingularBlock, freeze_arrays
 
 
 def _symbols(pencil: Pencil1D, theta):
@@ -57,6 +57,9 @@ class EigenBasis:
     lambdas: np.ndarray
     scales: np.ndarray
     twist: float
+
+    def __post_init__(self):
+        freeze_arrays(vars(self).values())
 
     def boundary_rows(self) -> np.ndarray:
         """Rows 1 and n of the scaled eigenvector matrix, shape (2, n)."""

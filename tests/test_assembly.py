@@ -3,8 +3,8 @@ import pytest
 
 from helmfft import (BoundaryKind, Grid, assemble_pencil,
                      assemble_periodic_pencil, build_operator_A,
-                     build_operator_B, kron_apply, pencil_difference, plan2d)
-from helmfft.assembly import Pencil1D, PencilDifference
+                     build_operator_B, kron_apply, plan2d, plan3d)
+from helmfft.assembly import Pencil1D
 from helmfft import pipeline
 
 
@@ -138,42 +138,51 @@ def test_b_minus_a_supported_on_boundary_planes(shape, omega):
 
 
 def test_correction_entry_formula():
-    # Corner entries of the periodic minus the absorbing x_1 pencil: C_bb's
-    # coupling of node (1,1) with itself is (dk - omega^2 dm)[0, 0] M_2[0, 0]
-    # + dm[0, 0] K_2[0, 0] for the 2D outer problem.
+    # Corner entries of the auxiliary minus the absorbing x_1 pencil, held as
+    # pairs [[dk_end, dk_corner], [dm_end, dm_corner]]: C_bb's coupling of node
+    # (1,1) with itself is (dk_end - omega^2 dm_end) M_2[0, 0] + dm_end K_2[0, 0]
+    # for the 2D outer problem.  The corners change sign with the wrap.
     omega = 2 * np.pi
-    h1 = Grid((3, 3)).h[0]
-    diff = pencil_difference(assemble_pencil(3, h1, omega, BoundaryKind.ABSORBING),
-                             assemble_periodic_pencil(3, h1))
-    assert diff.dk[0, 0] == pytest.approx((1 + 1j * omega * h1) / h1, rel=1e-13)
-    assert diff.dm[0, 0] == pytest.approx(h1 / 3, rel=1e-13)
-    assert diff.dk[0, 1] == pytest.approx(-1 / h1, rel=1e-13)
-    assert diff.dm[0, 1] == pytest.approx(h1 / 6, rel=1e-13)
+    plan = plan2d(Grid((3, 3)), omega)
+    h1 = plan.grid.h[0]
+    sign = 1.0 if plan.twist == 0.0 else -1.0
+    assert plan.correction.shape == (2, 2)
+    (dk_end, dk_corner), (dm_end, dm_corner) = plan.correction
+    assert dk_end == pytest.approx((1 + 1j * omega * h1) / h1, rel=1e-13)
+    assert dm_end == pytest.approx(h1 / 3, rel=1e-13)
+    assert dk_corner == pytest.approx(-sign / h1, rel=1e-13)
+    assert dm_corner == pytest.approx(sign * h1 / 6, rel=1e-13)
 
 
 def test_correction_sigma_enters_through_dm_only():
     import dataclasses
     plan = plan2d(Grid((5, 4)), 2 * np.pi)
-    diff = PencilDifference(dk=np.array([[2.0, -1], [-1, 2.0]], dtype=complex),
-                            dm=np.zeros((2, 2), dtype=complex))
+    dk_only = np.array([[2.0, -1], [0, 0]], dtype=complex)
     v = np.arange(8, dtype=complex).reshape(2, 4) + 1j
     lam = pipeline.cross_planes(plan)[1]
-    out1, out2 = (pipeline._boundary_corr(dataclasses.replace(plan, correction=diff,
+    out1, out2 = (pipeline._boundary_corr(dataclasses.replace(plan, correction=dk_only,
                                                               sigma=sigma), v, lam)
                   for sigma in (0j, 123.4 - 5j))
     assert np.array_equal(out1, out2)
 
 
-@pytest.mark.parametrize("shape,omega", [((4, 3), 2 * np.pi), ((3, 4, 5), 1.0)])
+@pytest.mark.parametrize("shape,omega", [((4, 3), 2 * np.pi), ((3, 4, 5), 1.0),
+                                         ((4, 3), 2.0), ((3, 4, 5), 5.0)])
 def test_correction_matches_dense_b_minus_a(shape, omega):
-    # For either wrap: dk and dm are the corner blocks of the dense pencil
-    # difference, which is zero elsewhere, and (dk - omega^2 dm) ox M_cross +
-    # dm ox K_cross is the boundary block of the dense B - A.
+    # For either wrap (the plan picks the anti-periodic one at omega = 2 pi
+    # and 1, the periodic one at 2 and 5): the pairs are the corner blocks
+    # [[end, corner], [corner, end]] of the dense pencil difference, which is
+    # zero elsewhere, and (dk - omega^2 dm) ox M_cross + dm ox K_cross is the
+    # boundary block of the dense B - A.
     g = Grid(shape)
+    plan = plan2d(g, omega) if g.dims == 2 else plan3d(g, omega)
+    twist = plan.twist
+    assert twist == (0.0 if omega in (2.0, 5.0) else np.pi)
     n1 = shape[0]
     block = g.npoints // n1
     ends = np.r_[:block, g.npoints - block:g.npoints]
     p1 = assemble_pencil(n1, g.h[0], omega, BoundaryKind.ABSORBING)
+    p1B = assemble_periodic_pencil(n1, g.h[0], twist)
     cross = [assemble_pencil(g.n[j], g.h[j]) for j in range(1, g.dims)]
 
     def kron(*factors):
@@ -184,18 +193,16 @@ def test_correction_matches_dense_b_minus_a(shape, omega):
 
     M = kron(*(p.M.dense() for p in cross))
     K = sum(kron(*(q.K.dense() if q is p else q.M.dense() for q in cross)) for p in cross)
-    for twist in (0.0, np.pi):
-        p1B = assemble_periodic_pencil(n1, g.h[0], twist)
-        diff = pencil_difference(p1, p1B)
-        for got, B, A in ((diff.dk, p1B.K, p1.K), (diff.dm, p1B.M, p1.M)):
-            full = B.dense() - A.dense()
-            assert np.array_equal(full[np.ix_([0, -1], [0, -1])], got)
-            full[np.ix_([0, -1], [0, -1])] = 0.0
-            assert np.abs(full).max() == 0.0
-        D = build_operator_B(g, omega, twist).dense() - build_operator_A(g, omega).dense()
-        cbb = np.kron(diff.dk - omega ** 2 * diff.dm, M) + np.kron(diff.dm, K)
-        expected = D[np.ix_(ends, ends)]
-        assert np.linalg.norm(cbb - expected) <= 1e-12 * np.linalg.norm(expected)
+    dk, dm = (np.array([[end, corner], [corner, end]]) for end, corner in plan.correction)
+    for got, B, A in ((dk, p1B.K, p1.K), (dm, p1B.M, p1.M)):
+        full = B.dense() - A.dense()
+        assert np.array_equal(full[np.ix_([0, -1], [0, -1])], got)
+        full[np.ix_([0, -1], [0, -1])] = 0.0
+        assert np.abs(full).max() == 0.0
+    D = build_operator_B(g, omega, twist).dense() - build_operator_A(g, omega).dense()
+    cbb = np.kron(dk - omega ** 2 * dm, M) + np.kron(dm, K)
+    expected = D[np.ix_(ends, ends)]
+    assert np.linalg.norm(cbb - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_pure_neumann_null_space():

@@ -168,6 +168,15 @@ def test_exit_code_config_error():
     assert cli.main(["solve", "--rhs", "random:notanint"]) == 2
 
 
+@pytest.mark.parametrize("refine", ["-3", "-1"])
+def test_exit_code_negative_refine(refine, capsys):
+    # a negative refine is a configuration error, not a silent bare solve
+    assert cli.main(["solve", "--n1", "5", "--n2", "4", f"--refine={refine}",
+                     "--repeats", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err and "refine" in err
+
+
 def test_exit_code_zero_rhs(tmp_path, capsys):
     # the relative residual of f = 0 is 0/0: a configuration error, no record
     path = str(tmp_path / "zeros.bin")

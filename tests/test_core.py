@@ -228,3 +228,26 @@ def test_kron_apply_makes_2d_minus_2_passes(shape, monkeypatch):
     assert all(any(c.n == M.n and np.array_equal(c.diag, M.diag) for M in masses)
                for c in calls)
     assert np.linalg.norm(y - op.dense() @ x) <= 1e-12 * np.linalg.norm(y)
+
+
+def test_norm_matches_for_every_accepted_f(rng):
+    # the stop test's norm over float64, complex64 and a strided view of f
+    z = rng.standard_normal(2001) + 1j * rng.standard_normal(2001)
+    x = z.real.copy()
+    cases = [(z, z), (x, x), (z.astype(np.complex64), z.astype(np.complex64).astype(complex)),
+             (z[::3], z[::3].copy()), (z.real, x), (z.reshape(3, 667).T, z),
+             (np.arange(7), np.arange(7.0))]
+    for f, ref in cases:
+        assert core._norm(f) == pytest.approx(np.linalg.norm(ref), rel=1e-14)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_norm_copies_no_contiguous_field(dtype):
+    f = np.ones((257, 129), dtype=dtype)
+    tracemalloc.start()
+    try:
+        core._norm(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096

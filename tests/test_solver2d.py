@@ -10,10 +10,9 @@ from helmfft import (BoundaryKind, Grid, SingularBlock,
                      build_operator_A, circulant_eigenbasis, dct1_eigen,
                      dense_eigensolve_pencil,
                      dense_partial_solution, dense_problem, dense_solve,
-                     kron_apply, plan2d, plan3d, solve2d, solve_aux_partial,
+                     kron_apply, plan2d, plan3d, solve2d, solve3d, solve_aux_partial,
                      solve_correction, solve_final)
 from helmfft import pipeline
-from helmfft.assembly import PencilDifference
 from conftest import rand_field, relerr
 
 # wave numbers at which plan2d on the (5, 4) grid picks each auxiliary wrap
@@ -182,9 +181,7 @@ def test_correction_zeroed_cbb_gives_zero():
     import dataclasses
     g = Grid((5, 4))
     plan = plan2d(g, 2 * np.pi)
-    zero_diff = PencilDifference(dk=np.zeros((2, 2), dtype=complex),
-                                 dm=np.zeros((2, 2), dtype=complex))
-    plan0 = dataclasses.replace(plan, correction=zero_diff)
+    plan0 = dataclasses.replace(plan, correction=np.zeros((2, 2), dtype=complex))
     vb = rand_field(g, 3)[:8]
     assert np.abs(solve_correction(plan0, vb)).max() == 0.0
 
@@ -354,6 +351,43 @@ def test_plan_is_reusable_and_inputs_untouched():
     u2 = solve2d(plan, f)
     assert np.array_equal(f, f0)
     assert np.array_equal(u1, u2)
+
+
+def test_plan_arrays_reachable_are_read_only():
+    # walk every object of helmfft's own modules a plan reaches, the way
+    # perfbench's plan_bytes does: each array there must be read-only, or a
+    # write through it would change every later solve of the plan
+    for plan in (plan2d(Grid((6, 5)), 2 * np.pi), plan3d(Grid((5, 4, 3)), 2 * np.pi)):
+        seen, todo, arrays = set(), [plan], []
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+                if isinstance(obj.base, np.ndarray):
+                    todo.append(obj.base)
+            elif isinstance(obj, (list, tuple)):
+                todo.extend(obj)
+            elif isinstance(obj, dict):
+                todo.extend(obj.values())
+            elif type(obj).__module__.startswith("helmfft.") and hasattr(obj, "__dict__"):
+                todo.extend(vars(obj).values())
+        assert len(arrays) >= 7         # the held list of test_plan_bytes_sees_the_plan
+        assert not [a for a in arrays if a.flags.writeable]
+        with pytest.raises(ValueError):
+            plan.basis_circulant_x1.scales[0] = 0.0
+
+
+@pytest.mark.parametrize("refine", [-1, -2, 1.5, 1.0, "1", None])
+def test_bad_refine_raises(refine):
+    # refine counts passes: anything but an integer >= 0 raises, in 2D and 3D
+    g2, g3 = Grid((5, 4)), Grid((4, 3, 3))
+    for plan, solve, g in ((plan2d(g2, 2 * np.pi), solve2d, g2),
+                           (plan3d(g3, 2 * np.pi), solve3d, g3)):
+        with pytest.raises(ValueError, match="refine"):
+            solve(plan, rand_field(g, 1), refine=refine)
 
 
 def test_solve2d_shared_plan_across_threads():
