@@ -179,9 +179,10 @@ class KroneckerOperator:
 
 
 # Scalars of scratch per chunk of x_1 slabs (at least one slab each): the
-# pipeline's divisor, or kron_apply's two slab buffers together, which then
-# stay in L2.  Step 1 sums the boundary pair chunk by chunk, so a new value
-# changes the last bits of every solve.
+# pipeline's divisor, or kron_apply's two ring buffers of T together, which
+# then stay in L2 (each also holds a halo slab; 3D adds a chunk buffer of P).
+# Step 1 sums the boundary pair chunk by chunk, so a new value changes the
+# last bits of every solve.
 SLAB_SCRATCH = 1 << 16
 
 
@@ -204,13 +205,18 @@ def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
     taken from the entries (``_mass_form``; K_1 - sigma M_1 for k = 1), so op is
     sum_k delta_k ox (ox_{j!=k} M_j) - (sum_k beta_k) ox_j M_j.  Per chunk of
     x_1 slabs (``slabs``), the cross axes run P = M_d x, T = delta_d x - beta P,
-    then, in 3D, T <- M_2 T + delta_2 P and P <- M_2 P; T goes to the one
-    field-sized scratch array and delta_1 P straight into the result.  A last
-    chunked x_1 pass adds M_1 T, corners included.  In 3D, P and T first live
-    in two slab buffers.  ``x`` is a field vector of length N or the d-dim
-    array, in any memory layout (a transposed view included).  The result has
-    the shape of ``x`` and goes to ``out`` when given, which must not alias
-    ``x``.
+    then, in 3D, T <- M_2 T + delta_2 P and P <- M_2 P; delta_1 P goes straight
+    into the result and T into one of two ring buffers, each a chunk and a
+    halo slab.  The x_1 pass, which adds M_1 T, runs one chunk behind: right
+    after the cross passes of the next chunk, which set the result's row that
+    the pass also reaches and give the halo its slab of T.  So each entry
+    takes its terms in the same order as from a cross pass over the whole
+    field and then an x_1 pass.  A wrapped M_1 (B only) keeps a copy of T's
+    first slab for its corner.  In 3D, P lives in a chunk buffer and the first
+    T in the result.  ``x`` is a field vector of length N or the d-dim array,
+    in any memory layout (a transposed view included).  The result has the
+    shape of ``x`` and goes to ``out`` when given, which must not share memory
+    with ``x``.
     """
     x = np.asarray(x, dtype=np.complex128)
     shape, d = op.grid.shape, op.grid.dims
@@ -220,33 +226,45 @@ def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
         out = np.empty_like(x)
     elif out.shape != x.shape:
         raise ValueError(f"out has shape {out.shape}, field has {x.shape}")
+    elif np.may_share_memory(x, out):
+        raise ValueError("out shares memory with the field")
     (M1, *Ms), (delta1, *deltas), betas = zip(*(_mass_form(K, M) for K, M in op._factors()))
     beta = sum(betas)
     along = lambda v, axis: v.reshape((-1,) + (1,) * (d - 1 - axis))  # noqa: E731
     # a 1-D array, or one already in the grid's shape, reshapes without a copy
     X, Y = x.reshape(shape), out.reshape(shape)
-    S, chunks = np.empty_like(X), slabs(shape, 2)
+    chunks = slabs(shape, 2)
+    ring = np.empty((2, chunks[0].stop + 1) + shape[1:], dtype=np.complex128)
     if d == 3:
-        bufs = np.empty((2, chunks[0].stop) + shape[1:], dtype=np.complex128)
-    for s in chunks:
-        P, T = (Y[s], S[s]) if d == 2 else bufs[:, :s.stop - s.start]
-        Ms[-1].apply(X[s], d - 1, out=P)
-        np.multiply(along(deltas[-1], d - 1), X[s], out=T)
-        T -= beta * P
-        if d == 3:                          # the one further cross axis, x_2
-            Ms[0].apply(T, 1, out=S[s])
-            S[s] += along(deltas[0], 1) * P
-            Ms[0].apply(P, 1, out=Y[s])
-        Y[s] *= along(delta1[s], 0)
+        buf = np.empty((chunks[0].stop,) + shape[1:], dtype=np.complex128)
     m, o = along(M1.diag, 0), along(M1.off, 0)
-    for s in chunks:
-        t = slice(s.start, min(s.stop, M1.n - 1))     # off-diagonal entries
-        Y[s] += m[s] * S[s]
-        Y[t.start + 1:t.stop + 1] += o[t] * S[t]
-        Y[t] += o[t] * S[t.start + 1:t.stop + 1]
+    for k in range(len(chunks) + 1):
+        if k < len(chunks):                 # the cross passes of chunk k
+            s = chunks[k]
+            T = ring[k % 2, :s.stop - s.start]
+            P, U = (Y[s], T) if d == 2 else (buf[:len(T)], Y[s])
+            Ms[-1].apply(X[s], d - 1, out=P)
+            np.multiply(along(deltas[-1], d - 1), X[s], out=U)
+            U -= beta * P
+            if d == 3:                      # the one further cross axis, x_2
+                Ms[0].apply(U, 1, out=T)
+                T += along(deltas[0], 1) * P
+                Ms[0].apply(P, 1, out=Y[s])
+            Y[s] *= along(delta1[s], 0)
+            if k == 0 and M1.corner != 0.0:
+                first = T[0].copy()
+        if k > 0:                           # then the x_1 pass of chunk k - 1
+            s, T = chunks[k - 1], ring[(k - 1) % 2]
+            n = s.stop - s.start
+            if k < len(chunks):             # the halo: chunk k's first slab
+                T[n] = ring[k % 2, 0]
+            t = slice(s.start, min(s.stop, M1.n - 1))     # off-diagonal entries
+            Y[s] += m[s] * T[:n]
+            Y[t.start + 1:t.stop + 1] += o[t] * T[:t.stop - s.start]
+            Y[t] += o[t] * T[1:t.stop - s.start + 1]
     if M1.corner != 0.0:
-        Y[0] += M1.corner * S[-1]
-        Y[-1] += M1.corner * S[0]
+        Y[0] += M1.corner * T[n - 1]
+        Y[-1] += M1.corner * first
     return out
 
 
@@ -278,7 +296,8 @@ def defect_correction(op: KroneckerOperator, f, u, solve, passes: int):
     overwrite ``r``.  Each pass costs one solve and one residual; a pass that
     does not reduce the residual norm is dropped and ends the loop, so the
     best iterate is returned.  Besides ``f`` and ``u``, at most the trial
-    iterate, its residual and the residual's one scratch array are live.
+    iterate and its residual are live as fields; ``kron_apply`` adds only
+    slab-sized buffers.
     """
     if passes <= 0:
         return u

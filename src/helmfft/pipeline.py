@@ -35,7 +35,8 @@ pencils and sigma; step 2 reads the x_1 pencil there), ``basis_circulant_x1``,
 boundary rows; step 3 takes their conjugate per slab).  Those are the only
 arrays a plan holds.  The refinement loop's residual applies ``operator``
 through ``core.kron_apply``: 2(d - 1) one-dimensional passes of the mass
-factors over chunks of x_1 slabs, and one field-sized scratch array.
+factors over chunks of x_1 slabs, with scratch of a few chunks, none of field
+size.
 """
 
 from __future__ import annotations

@@ -111,11 +111,10 @@ def _slab_planes(monkeypatch, grid, planes):
     monkeypatch.setattr(core, "SLAB_SCRATCH", 2 * planes * (grid.npoints // grid.n[0]))
 
 
-@pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
-def test_kron_apply_out_scratch_is_one_field(shape, monkeypatch):
-    # One-plane slabs, so that what is left beyond the scratch field is the
-    # two slab buffers (3D), slab-sized temporaries and numpy's ufunc buffers
-    # (8192 scalars, 128 KiB).
+def _kron_apply_scratch(shape, monkeypatch):
+    # One-plane slabs, so that what is left beyond any field-sized scratch is
+    # slab-sized buffers and temporaries and numpy's ufunc buffers (8192
+    # scalars, 128 KiB).
     g = Grid(shape)
     _slab_planes(monkeypatch, g, 1)
     op = build_operator_A(g, 2 * np.pi)
@@ -129,7 +128,36 @@ def test_kron_apply_out_scratch_is_one_field(shape, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base <= x.nbytes + 256 * 1024
+    return peak - base, x
+
+
+@pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
+def test_kron_apply_out_scratch_is_one_field(shape, monkeypatch):
+    scratch, x = _kron_apply_scratch(shape, monkeypatch)
+    assert scratch <= x.nbytes + 256 * 1024
+
+
+@pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
+def test_kron_apply_out_needs_no_field_scratch(shape, monkeypatch):
+    # the two ring buffers of T, a slab and its halo each, the 3D slab buffer
+    # of P and one slab-sized temporary
+    scratch, x = _kron_apply_scratch(shape, monkeypatch)
+    assert scratch <= 6 * x[0].nbytes + 256 * 1024
+
+
+def test_kron_apply_rejects_out_sharing_x():
+    g = Grid((6, 5))
+    op = build_operator_A(g, 2 * np.pi)
+    x = rand_field(g, 5)
+    for out in (x, x[...]):
+        with pytest.raises(ValueError, match="shares memory"):
+            kron_apply(op, x, out=out)
+    # a float field is copied to complex first, so the real view of out is fine
+    out = np.full(g.npoints, np.nan, dtype=complex)
+    out.real[:] = x.real
+    expected = op.dense() @ x.real
+    kron_apply(op, out.real, out=out)
+    assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 SLAB_OPERATORS = {
@@ -155,6 +183,51 @@ def test_kron_apply_slabs_match_dense(name, planes, monkeypatch):
     x = rand_field(op.grid, 8)
     expected = op.dense() @ x
     assert np.linalg.norm(kron_apply(op, x) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def _two_pass_reference(op, x):
+    # kron_apply's passes in two loops over the chunks, with T in a field:
+    # every chunk's cross passes, then every chunk's x_1 pass
+    shape, d = op.grid.shape, op.grid.dims
+    (M1, *Ms), (delta1, *deltas), betas = zip(*(core._mass_form(K, M) for K, M in op._factors()))
+    along = lambda v, axis: v.reshape((-1,) + (1,) * (d - 1 - axis))  # noqa: E731
+    X = x.reshape(shape)
+    Y, S, chunks = np.empty_like(X), np.empty_like(X), core.slabs(shape, 2)
+    for s in chunks:
+        P = Ms[-1].apply(X[s], d - 1)
+        S[s] = along(deltas[-1], d - 1) * X[s] - sum(betas) * P
+        if d == 3:
+            S[s], P = Ms[0].apply(S[s], 1) + along(deltas[0], 1) * P, Ms[0].apply(P, 1)
+        Y[s] = P * along(delta1[s], 0)
+    m, o = along(M1.diag, 0), along(M1.off, 0)
+    for s in chunks:
+        t = slice(s.start, min(s.stop, M1.n - 1))
+        Y[s] += m[s] * S[s]
+        Y[t.start + 1:t.stop + 1] += o[t] * S[t]
+        Y[t] += o[t] * S[t.start + 1:t.stop + 1]
+    if M1.corner != 0.0:
+        Y[0] += M1.corner * S[-1]
+        Y[-1] += M1.corner * S[0]
+    return Y.reshape(x.shape)
+
+
+BITWISE_OPERATORS = {
+    **SLAB_OPERATORS,
+    # by default two chunks (254 and 3 planes) and, in 3D, three (3 planes each)
+    "A-2d-two-chunks": lambda: build_operator_A(Grid((257, 129)), 2 * np.pi),
+    "A-3d-three-chunks": lambda: build_operator_A(Grid((9, 65, 129)), 2 * np.pi),
+}
+
+
+@pytest.mark.parametrize("planes", [None, 1, 3], ids=["default", "one-plane", "ragged"])
+@pytest.mark.parametrize("name", BITWISE_OPERATORS)
+def test_kron_apply_bitwise_matches_two_pass_reference(name, planes, monkeypatch):
+    # each entry takes its terms in the same order, chunk-boundary rows included
+    op = BITWISE_OPERATORS[name]()
+    if planes:
+        _slab_planes(monkeypatch, op.grid, planes)
+    x = rand_field(op.grid, 10)
+    assert np.array_equal(kron_apply(op, x), _two_pass_reference(op, x))
 
 
 @pytest.mark.parametrize("shape", [(6, 9), (5, 4, 3)])
