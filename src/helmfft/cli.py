@@ -29,7 +29,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .core import BoundaryKind, Grid, SingularBlock, residual, tune_allocator
+from .core import BoundaryKind, Grid, SingularBlock, _norm, residual, tune_allocator
 from .oracle import SizeLimit, dense_problem, dense_solve
 from .solver2d import plan2d, solve2d
 from .solver3d import plan3d, solve3d
@@ -174,7 +174,7 @@ def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
         u = solve(plan, f, refine=config.refine, workers=workers)
         best = min(best, time.perf_counter() - t0)
 
-    res = float(np.linalg.norm(residual(plan.operator, f, u)) / np.linalg.norm(f))
+    res = residual(plan.operator, f, u)[0] / _norm(f)
 
     oracle_error = None
     if config.mode == "verify":

@@ -103,15 +103,18 @@ class TriCornerMatrix:
     def apply(self, x: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
         """Apply the matrix along ``axis`` of ``x``, into ``out`` when given.
 
-        ``out`` must not alias ``x``.  The off-diagonal products take one
-        temporary the size of ``x``; ``kron_apply`` keeps it small by applying
-        a chunk of x_1 slabs at a time.
+        ``out`` must not share memory with ``x`` (ValueError).  The
+        off-diagonal products take one temporary the size of ``x``;
+        ``kron_apply`` keeps it small by applying a chunk of x_1 slabs at a
+        time.
         """
         x = np.asarray(x)
         if x.shape[axis] != self.n:
             raise ValueError(f"axis {axis} has length {x.shape[axis]}, matrix is {self.n}")
         if out is None:
             out = np.empty_like(x, dtype=np.complex128)
+        elif np.may_share_memory(x, out):
+            raise ValueError("out shares memory with x")
         xm, ym = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
         shp = (self.n,) + (1,) * (xm.ndim - 1)
         o = self.off.reshape((self.n - 1,) + shp[1:])
@@ -179,10 +182,11 @@ class KroneckerOperator:
 
 
 # Scalars of scratch per chunk of x_1 slabs (at least one slab each): the
-# pipeline's divisor, or kron_apply's two ring buffers of T together, which
-# then stay in L2 (each also holds a halo slab; 3D adds a chunk buffer of P).
-# Step 1 sums the boundary pair chunk by chunk, so a new value changes the
-# last bits of every solve.
+# pipeline's divisor, or the two ring buffers of T together in the chunk loop
+# of kron_apply and the residual (``_chunks``), which then stay in L2 beside
+# its two of result rows (a T buffer also holds a halo slab; 3D adds a chunk
+# buffer of P).  Step 1 sums the boundary pair chunk by chunk, so a new value
+# changes the last bits of every solve.
 SLAB_SCRATCH = 1 << 16
 
 
@@ -198,28 +202,90 @@ def _mass_form(K: TriCornerMatrix, M: TriCornerMatrix):
     return M, K.diag + beta * M.diag, beta
 
 
+def _chunks(op: KroneckerOperator, X: np.ndarray):
+    """Yield ``(s, R)``: rows ``s`` of ``op X``, finished, a chunk of x_1 slabs each.
+
+    ``X`` is a complex field in the grid's shape, in any memory layout.  Each
+    K_k is diag(delta_k) - beta_k M_k, with beta_k = -K_k[1, 2] / M_k[1, 2]
+    taken from the entries (``_mass_form``; K_1 - sigma M_1 for k = 1), so op
+    is sum_k delta_k ox (ox_{j!=k} M_j) - (sum_k beta_k) ox_j M_j.  Per chunk
+    (``slabs``), the cross axes run P = M_d x, T = delta_d x - beta P, then, in
+    3D, T <- M_2 T + delta_2 P and P <- M_2 P; delta_1 P goes into one of two
+    ring buffers of result rows and T into one of two ring buffers that each
+    hold a chunk and a halo slab.  The x_1 pass, which adds M_1 T, runs one
+    chunk behind: right after the cross passes of the next chunk, which set
+    the result's row that the pass also reaches and give the halo its slab of
+    T.  So each entry takes its terms in the same order as from a cross pass
+    over the whole field and then an x_1 pass.  A wrapped M_1 (B only) keeps
+    a copy of T's first slab for its corner, and yields the first row last,
+    once its corner term is in.  In 3D, P lives in a chunk buffer and the
+    first T in the result rows.  ``R`` is a ring buffer, which the caller may
+    overwrite; the chunk after next reuses it.
+    """
+    shape, d = op.grid.shape, op.grid.dims
+    (M1, *Ms), (delta1, *deltas), betas = zip(*(_mass_form(K, M) for K, M in op._factors()))
+    beta = sum(betas)
+    along = lambda v, axis: v.reshape((-1,) + (1,) * (d - 1 - axis))  # noqa: E731
+    chunks = slabs(shape, 2)
+    size = (chunks[0].stop,) + shape[1:]
+    ring = np.empty((2, size[0] + 1) + shape[1:], dtype=np.complex128)
+    rows = np.empty((2,) + size, dtype=np.complex128)
+    if d == 3:
+        buf = np.empty(size, dtype=np.complex128)
+    m, o = along(M1.diag, 0), along(M1.off, 0)
+    for k in range(len(chunks) + 1):
+        last = k == len(chunks)
+        if not last:                        # the cross passes of chunk k
+            s = chunks[k]
+            n = s.stop - s.start
+            T, Y = ring[k % 2, :n], rows[k % 2, :n]
+            P, U = (Y, T) if d == 2 else (buf[:n], Y)
+            Ms[-1].apply(X[s], d - 1, out=P)
+            np.multiply(along(deltas[-1], d - 1), X[s], out=U)
+            U -= beta * P
+            if d == 3:                      # the one further cross axis, x_2
+                Ms[0].apply(U, 1, out=T)
+                T += along(deltas[0], 1) * P
+                Ms[0].apply(P, 1, out=Y)
+            Y *= along(delta1[s], 0)
+            if k == 0 and M1.corner != 0.0:
+                first = T[0].copy()
+        if k > 0:                           # then the x_1 pass of chunk k - 1
+            s, T = chunks[k - 1], ring[(k - 1) % 2]
+            n = s.stop - s.start
+            Y = rows[(k - 1) % 2, :n]
+            if not last:                    # the halo: chunk k's first slab
+                T[n] = ring[k % 2, 0]
+            e = n - last                    # off-diagonal entries from this chunk's rows
+            Y += m[s] * T[:n]
+            Y[1:] += o[s.start:s.stop - 1] * T[:n - 1]
+            if not last:
+                rows[k % 2, 0] += o[s.stop - 1] * T[n - 1]
+            Y[:e] += o[s.start:s.start + e] * T[1:e + 1]
+            if M1.corner != 0.0:
+                if last:
+                    Y[-1] += M1.corner * first
+                if k == 1:
+                    head = Y[:1].copy()
+                    s, Y = slice(1, s.stop), Y[1:]
+            yield s, Y
+    if M1.corner != 0.0:
+        head += M1.corner * T[n - 1]
+        yield slice(0, 1), head
+
+
 def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
     """Evaluate ``op x`` in 2(d - 1) one-dimensional passes of mass factors only.
 
-    Each K_k is diag(delta_k) - beta_k M_k, with beta_k = -K_k[1, 2] / M_k[1, 2]
-    taken from the entries (``_mass_form``; K_1 - sigma M_1 for k = 1), so op is
-    sum_k delta_k ox (ox_{j!=k} M_j) - (sum_k beta_k) ox_j M_j.  Per chunk of
-    x_1 slabs (``slabs``), the cross axes run P = M_d x, T = delta_d x - beta P,
-    then, in 3D, T <- M_2 T + delta_2 P and P <- M_2 P; delta_1 P goes straight
-    into the result and T into one of two ring buffers, each a chunk and a
-    halo slab.  The x_1 pass, which adds M_1 T, runs one chunk behind: right
-    after the cross passes of the next chunk, which set the result's row that
-    the pass also reaches and give the halo its slab of T.  So each entry
-    takes its terms in the same order as from a cross pass over the whole
-    field and then an x_1 pass.  A wrapped M_1 (B only) keeps a copy of T's
-    first slab for its corner.  In 3D, P lives in a chunk buffer and the first
-    T in the result.  ``x`` is a field vector of length N or the d-dim array,
-    in any memory layout (a transposed view included).  The result has the
-    shape of ``x`` and goes to ``out`` when given, which must not share memory
-    with ``x``.
+    The passes run over chunks of x_1 slabs in ``_chunks``, whose finished
+    chunks are copied out, so the scratch is a few chunks, none of field
+    size.  ``x`` is a field vector of length N or the d-dim array, in any
+    memory layout (a transposed view included).  The result has the shape of
+    ``x`` and goes to ``out`` when given, which must not share memory with
+    ``x``.
     """
     x = np.asarray(x, dtype=np.complex128)
-    shape, d = op.grid.shape, op.grid.dims
+    shape = op.grid.shape
     if x.shape not in ((op.grid.npoints,), shape):
         raise ValueError(f"field has shape {x.shape}, grid is {shape}")
     if out is None:
@@ -228,43 +294,10 @@ def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
         raise ValueError(f"out has shape {out.shape}, field has {x.shape}")
     elif np.may_share_memory(x, out):
         raise ValueError("out shares memory with the field")
-    (M1, *Ms), (delta1, *deltas), betas = zip(*(_mass_form(K, M) for K, M in op._factors()))
-    beta = sum(betas)
-    along = lambda v, axis: v.reshape((-1,) + (1,) * (d - 1 - axis))  # noqa: E731
     # a 1-D array, or one already in the grid's shape, reshapes without a copy
-    X, Y = x.reshape(shape), out.reshape(shape)
-    chunks = slabs(shape, 2)
-    ring = np.empty((2, chunks[0].stop + 1) + shape[1:], dtype=np.complex128)
-    if d == 3:
-        buf = np.empty((chunks[0].stop,) + shape[1:], dtype=np.complex128)
-    m, o = along(M1.diag, 0), along(M1.off, 0)
-    for k in range(len(chunks) + 1):
-        if k < len(chunks):                 # the cross passes of chunk k
-            s = chunks[k]
-            T = ring[k % 2, :s.stop - s.start]
-            P, U = (Y[s], T) if d == 2 else (buf[:len(T)], Y[s])
-            Ms[-1].apply(X[s], d - 1, out=P)
-            np.multiply(along(deltas[-1], d - 1), X[s], out=U)
-            U -= beta * P
-            if d == 3:                      # the one further cross axis, x_2
-                Ms[0].apply(U, 1, out=T)
-                T += along(deltas[0], 1) * P
-                Ms[0].apply(P, 1, out=Y[s])
-            Y[s] *= along(delta1[s], 0)
-            if k == 0 and M1.corner != 0.0:
-                first = T[0].copy()
-        if k > 0:                           # then the x_1 pass of chunk k - 1
-            s, T = chunks[k - 1], ring[(k - 1) % 2]
-            n = s.stop - s.start
-            if k < len(chunks):             # the halo: chunk k's first slab
-                T[n] = ring[k % 2, 0]
-            t = slice(s.start, min(s.stop, M1.n - 1))     # off-diagonal entries
-            Y[s] += m[s] * T[:n]
-            Y[t.start + 1:t.stop + 1] += o[t] * T[:t.stop - s.start]
-            Y[t] += o[t] * T[1:t.stop - s.start + 1]
-    if M1.corner != 0.0:
-        Y[0] += M1.corner * T[n - 1]
-        Y[-1] += M1.corner * first
+    Y = out.reshape(shape)
+    for s, R in _chunks(op, x.reshape(shape)):
+        Y[s] = R
     return out
 
 
@@ -272,21 +305,53 @@ def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
 REFINE_STOP_RTOL = 1e-13
 
 
-def residual(op: KroneckerOperator, f: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``f - op u`` in a new array laid out like ``u``."""
-    r = kron_apply(op, u, out=np.empty_like(u))
-    np.subtract(f, r, out=r)
-    return r
+def _sumsq(x) -> float:
+    """Sum of squares of a contiguous complex128 or float64 ``x``, by einsum.
+
+    Not BLAS, whose idle threads take milliseconds to wake.
+    """
+    v = x.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i", v, v))
 
 
 def _norm(x) -> float:
-    """The 2-norm by einsum, not BLAS, whose idle threads take milliseconds to wake.
+    """The 2-norm of ``x``, a chunk of ``slabs`` along its first axis at a time.
 
-    A contiguous complex128 or float64 ``x`` is not copied.
+    Only a chunk of a strided or non-double ``x`` is copied, never the field.
     """
-    x = np.ascontiguousarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
-    v = x.reshape(-1).view(np.float64)
-    return math.sqrt(np.einsum("i,i", v, v))
+    x = np.asarray(x)
+    dtype = np.complex128 if np.iscomplexobj(x) else np.float64
+    return math.sqrt(sum(_sumsq(np.ascontiguousarray(x[s], dtype=dtype))
+                         for s in slabs(x.shape)))
+
+
+def residual(op: KroneckerOperator, f, u, bound: float = math.inf):
+    """``(||r||, r)`` for r = f - op u, with r formed only when ||r|| > ``bound``.
+
+    ``op u`` streams from the chunk loop of ``kron_apply``, and each chunk of
+    r adds its sum of squares to the norm.  Once that running sum exceeds
+    ``bound``, r is formed as an array in the grid's shape: the rest of it
+    goes straight there, and the chunks already passed are recomputed by
+    running the loop again up to that point.  Otherwise r is None and no
+    field is allocated.
+    """
+    shape = op.grid.shape
+    F, X = np.asarray(f).reshape(shape), np.asarray(u, dtype=np.complex128).reshape(shape)
+    total, r, formed = 0.0, None, 0
+    for i, (s, R) in enumerate(_chunks(op, X)):
+        if r is None:
+            np.subtract(F[s], R, out=R)
+            total += _sumsq(R)
+            if total > bound * bound:
+                r, formed = np.empty(shape, dtype=np.complex128), i
+                r[s] = R
+        else:
+            np.subtract(F[s], R, out=r[s])
+            total += _sumsq(r[s])
+    if formed:
+        for _, (s, R) in zip(range(formed), _chunks(op, X)):
+            np.subtract(F[s], R, out=r[s])
+    return math.sqrt(total), r
 
 
 def defect_correction(op: KroneckerOperator, f, u, solve, passes: int):
@@ -295,23 +360,23 @@ def defect_correction(op: KroneckerOperator, f, u, solve, passes: int):
     ``solve(r)`` returns an approximate solution of ``op d = r`` and may
     overwrite ``r``.  Each pass costs one solve and one residual; a pass that
     does not reduce the residual norm is dropped and ends the loop, so the
-    best iterate is returned.  Besides ``f`` and ``u``, at most the trial
-    iterate and its residual are live as fields; ``kron_apply`` adds only
-    slab-sized buffers.
+    best iterate is returned.  A residual is formed as a field only when a
+    further pass will use it (``residual``); the stop test and the last pass
+    take only its norm.  So besides ``f`` and ``u``, one field is live while
+    a pass runs (its residual, then the trial iterate) and none otherwise;
+    the chunk loop adds only slab-sized buffers.
     """
     if passes <= 0:
         return u
-    fnorm = _norm(f)
-    r = residual(op, f, u)
-    best = _norm(r)
-    for _ in range(passes):
-        if best <= REFINE_STOP_RTOL * fnorm:
+    stop = REFINE_STOP_RTOL * _norm(f)
+    best, r = residual(op, f, u, stop)
+    for p in range(passes):
+        if r is None:                       # at roundoff level, or nothing left to use it
             break
         trial = solve(r)
         del r
         trial += u
-        r = residual(op, f, trial)
-        nrm = _norm(r)
+        nrm, r = residual(op, f, trial, stop if p + 1 < passes else math.inf)
         if not nrm < best:
             break
         u, best = trial, nrm

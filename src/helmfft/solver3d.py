@@ -54,7 +54,7 @@ def solve3d(plan: SolverPlan, f: np.ndarray, refine: int = 1,
             workers: int | None = None) -> np.ndarray:
     """Solve the 3D system; refine counts safeguarded defect-correction passes.
 
-    Holds about two field-sized scratch arrays at once, three while a
-    refinement pass runs.
+    Holds about one field-sized scratch array at once, two while a
+    refinement pass runs: the stop test takes only the residual's norm.
     """
     return pipeline.solve(plan, f, refine, workers)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,16 @@ def test_tricorner_apply_matches_dense(rng):
         out = np.empty_like(x)
         T.apply(x, axis=0, out=out)
         assert np.allclose(out, T.dense() @ x, atol=1e-14)
+
+
+def test_tricorner_apply_rejects_out_sharing_x():
+    # applied in place, the off-diagonal products would read overwritten rows
+    T = TriCornerMatrix(np.full(6, 4.0), np.ones(5))
+    x = np.arange(6.0) + 1j
+    for out in (x, x[...]):
+        with pytest.raises(ValueError, match="shares memory"):
+            T.apply(x, out=out)
+    assert np.array_equal(x, np.arange(6.0) + 1j)
 
 
 def test_kron_apply_mass_on_ones():
@@ -228,6 +239,29 @@ def test_kron_apply_bitwise_matches_two_pass_reference(name, planes, monkeypatch
         _slab_planes(monkeypatch, op.grid, planes)
     x = rand_field(op.grid, 10)
     assert np.array_equal(kron_apply(op, x), _two_pass_reference(op, x))
+
+
+@pytest.mark.parametrize("cross", ["first", "middle", "never"])
+@pytest.mark.parametrize("planes", [None, 1, 3], ids=["default", "one-plane", "ragged"])
+@pytest.mark.parametrize("name", BITWISE_OPERATORS)
+def test_residual_matches_kron_apply_bitwise(name, planes, cross, monkeypatch):
+    # r is formed once the running norm passes the bound: from the first
+    # chunk, from a middle one (the chunks before it are recomputed), or never
+    op = BITWISE_OPERATORS[name]()
+    if planes:
+        _slab_planes(monkeypatch, op.grid, planes)
+    f, u = rand_field(op.grid, 11), rand_field(op.grid, 12)
+    expected = (f - kron_apply(op, u)).reshape(op.grid.shape)
+    norm = np.linalg.norm(expected)
+    plane_sums = np.cumsum(np.sum(np.abs(expected) ** 2, axis=tuple(range(1, op.grid.dims))))
+    bound = {"first": 0.0, "middle": np.sqrt(plane_sums[op.grid.n[0] // 2]),
+             "never": math.inf}[cross]
+    nrm, r = core.residual(op, f, u, bound)
+    assert nrm == pytest.approx(norm, rel=1e-13)
+    if cross == "never":
+        assert r is None
+    else:
+        assert r.shape == op.grid.shape and np.array_equal(r, expected)
 
 
 @pytest.mark.parametrize("shape", [(6, 9), (5, 4, 3)])

@@ -20,8 +20,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import helmfft.core as core
-from helmfft import (Grid, build_operator_A, kron_apply, plan2d, plan3d,
-                     solve2d, solve3d, tune_allocator)
+from helmfft import (Grid, TriCornerMatrix, build_operator_A, kron_apply, plan2d,
+                     plan3d, solve2d, solve3d, tune_allocator)
 from helmfft.cli import RunConfig, emit, fit_slope, read_records, run
 from conftest import rand_field
 
@@ -165,15 +165,9 @@ def test_solve_mode_allocates_no_dense_matrix():
     assert (peak - base) <= 32 * 16 * grid.npoints
 
 
-def _default_solve_scratch(shape, monkeypatch):
-    # On the benchmark's kind of data, f = A u*, the stop test skips the pass.
-    # With one-plane slabs, what the peak holds beyond whole fields is
-    # slab-sized arrays and numpy's ufunc buffers (8192 scalars, 128 KiB).
-    monkeypatch.setattr(core, "SLAB_SCRATCH", 256)
-    grid = Grid(shape)
-    plan, solve = (plan2d, solve2d) if grid.dims == 2 else (plan3d, solve3d)
-    plan = plan(grid, 2 * np.pi)
-    f = kron_apply(plan.operator, rand_field(grid, 6))
+def _solve_scratch(plan, f):
+    # the peak a second solve allocates, beyond the live set, with one thread
+    solve = solve2d if plan.grid.dims == 2 else solve3d
     solve(plan, f, workers=1)
     tracemalloc.start()
     try:
@@ -182,7 +176,25 @@ def _default_solve_scratch(shape, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - base, f.nbytes
+    return peak - base
+
+
+def _default_solve_scratch(shape, monkeypatch, layout=None):
+    # On the benchmark's kind of data, f = A u*, the stop test skips the pass.
+    # With one-plane slabs, what the peak holds beyond whole fields is
+    # slab-sized arrays and numpy's ufunc buffers (8192 scalars, 128 KiB).
+    # ``layout`` maps f to the array the solve is given.
+    monkeypatch.setattr(core, "SLAB_SCRATCH", 256)
+    grid = Grid(shape)
+    plan = (plan2d if grid.dims == 2 else plan3d)(grid, 2 * np.pi)
+    f = kron_apply(plan.operator, rand_field(grid, 6))
+    return _solve_scratch(plan, layout(f) if layout else f), f.nbytes
+
+
+def _strided(f):
+    g = np.empty(2 * f.size, dtype=f.dtype)
+    g[::2] = f
+    return g[::2]
 
 
 @pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
@@ -197,3 +209,62 @@ def test_default_solve_scratch_is_two_fields(shape, monkeypatch):
     # buffers, not in a third field.
     scratch, field = _default_solve_scratch(shape, monkeypatch)
     assert scratch <= 2 * field + 256 * 1024
+
+
+@pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
+def test_default_solve_scratch_is_one_field(shape, monkeypatch):
+    # The stop test takes only the residual's norm, chunk by chunk, so the
+    # solve peaks at the bare pipeline's one field.
+    scratch, field = _default_solve_scratch(shape, monkeypatch)
+    assert scratch <= field + 256 * 1024
+
+
+@pytest.mark.parametrize("layout", [_strided, lambda f: f.real.astype(np.float32)],
+                         ids=["strided", "float32"])
+@pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
+def test_default_solve_scratch_is_one_field_for_any_f(shape, layout, monkeypatch):
+    # ||f|| and the residual read f a chunk at a time: a strided or float32 f
+    # is never copied whole
+    scratch, field = _default_solve_scratch(shape, monkeypatch, layout)
+    assert scratch <= field + 256 * 1024
+
+
+def test_default_solve_scratch_where_the_pass_runs_is_two_fields(monkeypatch):
+    # the pass needs the residual as a field, and it becomes the trial iterate
+    monkeypatch.setattr(core, "SLAB_SCRATCH", 256)
+    n = 129
+    grid = Grid((n, n))
+    plan = plan2d(grid, 1.0)
+    f = np.ones(grid.npoints, dtype=complex)
+    f[:n] = 0.01
+    assert not np.array_equal(solve2d(plan, f), solve2d(plan, f, refine=0))
+    assert _solve_scratch(plan, f) <= 2 * f.nbytes + 256 * 1024
+
+
+def test_default_solve_where_the_pass_runs_applies_a_twice(monkeypatch):
+    # One residual for the stop test, one for the pass, plus the chunks ahead
+    # of the one where the stop test's running norm first passes its bound,
+    # which are recomputed to form r; each chunk runs one cross pass in 2D.
+    n = 129
+    grid = Grid((n, n))
+    monkeypatch.setattr(core, "SLAB_SCRATCH", 2 * 8 * n)       # chunks of 8 planes
+    plan = plan2d(grid, 1.0)
+    f = np.ones(grid.npoints, dtype=complex)
+    f[:n] = 0.01
+    u0 = solve2d(plan, f, refine=0)
+    r0 = (f - kron_apply(plan.operator, u0)).reshape(grid.shape)
+    chunks = core.slabs(grid.shape, 2)
+    running = np.cumsum([np.sum(np.abs(r0[s]) ** 2) for s in chunks])
+    stop = core.REFINE_STOP_RTOL * np.linalg.norm(f)
+    first = int(np.argmax(running > stop ** 2))
+    calls = []
+    apply = TriCornerMatrix.apply
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(TriCornerMatrix, "apply", counted)
+    u = solve2d(plan, f)
+    assert not np.array_equal(u, u0)                # the pass ran
+    assert len(calls) <= 2 * len(chunks) + (first + 1 if first else 0)
