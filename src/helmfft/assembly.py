@@ -87,7 +87,7 @@ def build_operator_A(grid: Grid, omega: float,
 
 
 def build_operator_B(grid: Grid, omega: float, twist: float = 0.0) -> KroneckerOperator:
-    """Auxiliary operator: x_1 pencil replaced by its wrap with phase twist."""
+    """Auxiliary operator: x_1 pencil wrapped with phase twist; applied only by ``.dense()``."""
     p1 = assemble_periodic_pencil(grid.n[0], grid.h[0], twist)
     cross = [assemble_pencil(grid.n[j], grid.h[j]) for j in range(1, grid.dims)]
     return KroneckerOperator(grid, (p1, *cross), omega ** 2)

@@ -108,11 +108,10 @@ def make_rhs(config: RunConfig, grid: Grid) -> np.ndarray:
         f[: grid.n[0]] = 0.01
         return f
     if spec.startswith("random:"):
-        try:
-            seed = int(spec.split(":", 1)[1])
+        try:                                # a negative seed: default_rng raises
+            rng = np.random.default_rng(int(spec.split(":", 1)[1]))
         except ValueError:
             raise ConfigError(f"bad random seed in {spec!r}") from None
-        rng = np.random.default_rng(seed)
         return rng.standard_normal(N) + 1j * rng.standard_normal(N)
     if spec.startswith("file:"):
         return read_rhs_file(spec.split(":", 1)[1], config.d, N)
@@ -290,13 +289,13 @@ def _record_from(row: dict) -> RunRecord:
 
 def fit_slope(records: list[RunRecord]) -> float:
     """Log-log slope of solve time versus total unknowns N."""
-    if len(records) < 2:
-        raise ConfigError("need at least two records to fit a slope")
     for r in records:
         sizes = (r.n1, r.n2) + (() if r.n3 is None else (r.n3,))
         if not (0 < (r.solve_seconds or 0) < math.inf and all((n or 0) > 0 for n in sizes)):
             raise ConfigError("every record needs a positive, finite solve time and positive sizes")
     xs = [math.log(r.n1 * r.n2 * (r.n3 or 1)) for r in records]
+    if len(set(xs)) < 2:
+        raise ConfigError("need records of at least two sizes N to fit a slope")
     ys = [math.log(r.solve_seconds) for r in records]
     return float(np.polyfit(xs, ys, 1)[0])
 

@@ -144,9 +144,9 @@ class TriCornerMatrix:
 class KroneckerOperator:
     """(K_1 - sigma M_1) ox M_2 ox ... + sum_{k>1} M_1 ox ... ox K_k ox ... ox M_d.
 
-    Held as one ``assembly.Pencil1D`` per direction and the shift sigma.  The
-    operator is applied matrix-free by ``kron_apply``; ``dense`` is for small
-    verification problems only.
+    Held as one ``assembly.Pencil1D`` per direction and the shift sigma.  A is
+    applied matrix-free by ``kron_apply``; ``dense``, for small verification
+    problems only, is the one way to apply the auxiliary B.
     """
 
     grid: Grid
@@ -216,12 +216,19 @@ def _chunks(op: KroneckerOperator, X: np.ndarray):
     chunk behind: right after the cross passes of the next chunk, which set
     the result's row that the pass also reaches and give the halo its slab of
     T.  So each entry takes its terms in the same order as from a cross pass
-    over the whole field and then an x_1 pass.  A wrapped M_1 (B only) keeps
-    a copy of T's first slab for its corner, and yields the first row last,
-    once its corner term is in.  In 3D, P lives in a chunk buffer and the
-    first T in the result rows.  ``R`` is a ring buffer, which the caller may
-    overwrite; the chunk after next reuses it.
+    over the whole field and then an x_1 pass, and chunks come out in x_1
+    order.  In 3D, P lives in a chunk buffer and the first T in the result
+    rows.  ``R`` is a ring buffer, which the caller may overwrite; the chunk
+    after next reuses it.  A wrapped x_1 pencil (the auxiliary B, which
+    applies only through ``.dense()``) raises ValueError.
+
+    Why this shape: with the x_1 pass first, a chunk would need only its own
+    slabs of X, but the default solve's forward error after its pass grew
+    5-7 times at omega = 1; chunks along x_2 kept the errors but were 8-18 %
+    slower (ROADMAP, "Measured, and not proposed").
     """
+    if op.pencils[0].bc == BoundaryKind.PERIODIC:
+        raise ValueError("a wrapped x_1 pencil (the auxiliary B) applies only through .dense()")
     shape, d = op.grid.shape, op.grid.dims
     (M1, *Ms), (delta1, *deltas), betas = zip(*(_mass_form(K, M) for K, M in op._factors()))
     beta = sum(betas)
@@ -248,8 +255,6 @@ def _chunks(op: KroneckerOperator, X: np.ndarray):
                 T += along(deltas[0], 1) * P
                 Ms[0].apply(P, 1, out=Y)
             Y *= along(delta1[s], 0)
-            if k == 0 and M1.corner != 0.0:
-                first = T[0].copy()
         if k > 0:                           # then the x_1 pass of chunk k - 1
             s, T = chunks[k - 1], ring[(k - 1) % 2]
             n = s.stop - s.start
@@ -262,16 +267,7 @@ def _chunks(op: KroneckerOperator, X: np.ndarray):
             if not last:
                 rows[k % 2, 0] += o[s.stop - 1] * T[n - 1]
             Y[:e] += o[s.start:s.start + e] * T[1:e + 1]
-            if M1.corner != 0.0:
-                if last:
-                    Y[-1] += M1.corner * first
-                if k == 1:
-                    head = Y[:1].copy()
-                    s, Y = slice(1, s.stop), Y[1:]
             yield s, Y
-    if M1.corner != 0.0:
-        head += M1.corner * T[n - 1]
-        yield slice(0, 1), head
 
 
 def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
@@ -282,7 +278,7 @@ def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
     size.  ``x`` is a field vector of length N or the d-dim array, in any
     memory layout (a transposed view included).  The result has the shape of
     ``x`` and goes to ``out`` when given, which must not share memory with
-    ``x``.
+    ``x``.  ``op`` must be A: a wrapped x_1 pencil (B) raises ValueError.
     """
     x = np.asarray(x, dtype=np.complex128)
     shape = op.grid.shape

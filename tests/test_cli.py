@@ -166,6 +166,7 @@ def test_config_file_unknown_key(tmp_path):
 def test_exit_code_config_error():
     assert cli.main(["solve", "--rhs", "nonsense"]) == 2
     assert cli.main(["solve", "--rhs", "random:notanint"]) == 2
+    assert cli.main(["solve", "--rhs", "random:-1"]) == 2
 
 
 @pytest.mark.parametrize("refine", ["-3", "-1"])
@@ -304,6 +305,16 @@ def test_slope_unfittable_records(tmp_path, capsys, seconds):
     assert len(read_records(str(path))) == 2
     assert cli.main(["slope", str(path)]) == 2
     assert "solve time" in capsys.readouterr().err
+
+
+def test_slope_needs_two_sizes(tmp_path, capsys):
+    # two records of one N leave log-time against log-N with no slope to fit
+    rows = [f"bench,2,65,65,,6.28,0.01,{t},1e-15," for t in ("0.02", "0.03")]
+    path = tmp_path / "bench.csv"
+    path.write_text("\n".join([CSV_HEADER] + rows) + "\n", encoding="utf-8")
+    assert len(read_records(str(path))) == 2
+    assert cli.main(["slope", str(path)]) == 2
+    assert "two sizes" in capsys.readouterr().err
 
 
 def test_verify_builds_no_dense_b(monkeypatch, capsys):
