@@ -4,11 +4,14 @@ The 1D element matrices on a uniform mesh are closed-form: interior stiffness
 rows are (-1, 2, -1)/h and interior mass rows are (1, 4, 1) h/6.  Boundary
 rows encode the boundary condition; the absorbing condition only changes the
 two corner entries of K to (1 - i omega h)/h, while M is identical for Neumann
-and absorbing ends.  The auxiliary pencils have the same interior rows and
-wrap-around corners: equal to the interior off-diagonal for the periodic wrap
-(circulant), of opposite sign for the anti-periodic one (skew-circulant).
-So ``Pencil1D`` holds only n, h, the boundary kind, omega and the wrap
-phase, and the operators A and B hold one pencil per direction and sigma.
+and absorbing ends.  So with the integer stencil T = tridiag(1, 4, 1), 2 at
+the ends, M = (h/6) T and K = (D - T)/h for a diagonal D: 6 inside, 3 at the
+ends and 3 - i omega h at absorbing ones (``Pencil1D.D``).  The auxiliary
+pencils have the same interior rows and wrap-around corners: equal to the
+interior off-diagonal for the periodic wrap (circulant), of opposite sign for
+the anti-periodic one (skew-circulant).  So ``Pencil1D`` holds only n, h, the
+boundary kind, omega and the wrap phase, and the operators A and B hold one
+pencil per direction and sigma.
 """
 
 from __future__ import annotations
@@ -63,6 +66,15 @@ class Pencil1D:
     def M(self) -> TriCornerMatrix:
         h = self.h
         return self._matrix(4.0 * h / 6.0, h / 6.0, 2.0 * h / 6.0)
+
+    @property
+    def D(self) -> np.ndarray:
+        """The diagonal D of K = (D - T)/h, M = (h/6) T; 6 throughout on a wrap."""
+        end = 3.0 - 1j * self.omega * self.h if self.bc == BoundaryKind.ABSORBING else 3.0
+        D = np.full(self.n, 6.0, dtype=np.complex128)
+        if self.bc != BoundaryKind.PERIODIC:
+            D[0] = D[-1] = end
+        return D
 
 
 def assemble_pencil(n: int, h: float, omega: float = 0.0,

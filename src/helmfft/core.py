@@ -104,9 +104,7 @@ class TriCornerMatrix:
         """Apply the matrix along ``axis`` of ``x``, into ``out`` when given.
 
         ``out`` must not share memory with ``x`` (ValueError).  The
-        off-diagonal products take one temporary the size of ``x``;
-        ``kron_apply`` keeps it small by applying a chunk of x_1 slabs at a
-        time.
+        off-diagonal products take one temporary the size of ``x``.
         """
         x = np.asarray(x)
         if x.shape[axis] != self.n:
@@ -145,8 +143,9 @@ class KroneckerOperator:
     """(K_1 - sigma M_1) ox M_2 ox ... + sum_{k>1} M_1 ox ... ox K_k ox ... ox M_d.
 
     Held as one ``assembly.Pencil1D`` per direction and the shift sigma.  A is
-    applied matrix-free by ``kron_apply``; ``dense``, for small verification
-    problems only, is the one way to apply the auxiliary B.
+    applied matrix-free by ``kron_apply``, from the pencils' integer stencils;
+    ``dense``, for small verification problems only, is the one way to apply
+    the auxiliary B.
     """
 
     grid: Grid
@@ -158,35 +157,26 @@ class KroneckerOperator:
             raise ValueError(f"pencil sizes {[p.n for p in self.pencils]} "
                              f"do not match grid {self.grid.n}")
 
-    def _factors(self):
-        """Each direction's (K, M) in turn, so kron_apply keeps no K; K_1 - sigma M_1 entrywise."""
-        for j, p in enumerate(self.pencils):
-            K, M = p.K, p.M
-            if j == 0:
-                c = -self.sigma
-                K = TriCornerMatrix(K.diag + c * M.diag, K.off + c * M.off,
-                                    corner=K.corner + c * M.corner)
-            yield K, M
-
     def dense(self) -> np.ndarray:
         """Explicit N x N matrix, summed term by term from the Kronecker products."""
         N = self.grid.npoints
         A = np.zeros((N, N), dtype=np.complex128)
-        factors = list(self._factors())
         for k in range(self.grid.dims):
             term = np.array([[1.0 + 0j]])
-            for j, (K, M) in enumerate(factors):
-                term = np.kron(term, (K if j == k else M).dense())
+            for j, p in enumerate(self.pencils):
+                K, M = p.K.dense(), p.M.dense()
+                if j == 0:
+                    K = K - self.sigma * M
+                term = np.kron(term, K if j == k else M)
             A += term
         return A
 
 
 # Scalars of scratch per chunk of x_1 slabs (at least one slab each): the
-# pipeline's divisor, or the two ring buffers of T together in the chunk loop
-# of kron_apply and the residual (``_chunks``), which then stay in L2 beside
-# its two of result rows (a T buffer also holds a halo slab; 3D adds a chunk
-# buffer of P).  Step 1 sums the boundary pair chunk by chunk, so a new value
-# changes the last bits of every solve.
+# pipeline's divisor, or two of the chunk buffers of kron_apply and the
+# residual (``_chunks``; d + 1 buffers, which stay in L2).  Step 1 sums the
+# boundary pair chunk by chunk, so a new value changes the last bits of every
+# solve.
 SLAB_SCRATCH = 1 << 16
 
 
@@ -196,85 +186,75 @@ def slabs(shape, buffers: int = 1) -> list[slice]:
     return [slice(a, min(a + step, shape[0])) for a in range(0, shape[0], step)]
 
 
-def _mass_form(K: TriCornerMatrix, M: TriCornerMatrix):
-    """(M, delta, beta) with K = diag(delta) - beta M, beta from the first off-diagonals."""
-    beta = -K.off[0] / M.off[0]
-    return M, K.diag + beta * M.diag, beta
+def _tri(x, axis: int, out, rows: slice = slice(None)) -> None:
+    """``out`` = rows ``rows`` of T x along ``axis``, T = tridiag(1, 4, 1) with 2 at the ends.
+
+    Each row adds its left neighbour, then its right one.
+    """
+    n = x.shape[axis]
+    a, b, _ = rows.indices(n)
+    x, y = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    np.multiply(x[a:b], 4.0, out=y)
+    if a == 0:
+        np.multiply(x[0], 2.0, out=y[0])
+    if b == n:
+        np.multiply(x[n - 1], 2.0, out=y[-1])
+    lo, hi = max(a, 1), min(b, n - 1)
+    y[lo - a:] += x[lo - 1:b - 1]
+    y[:hi - a] += x[a + 1:hi + 1]
 
 
 def _chunks(op: KroneckerOperator, X: np.ndarray):
-    """Yield ``(s, R)``: rows ``s`` of ``op X``, finished, a chunk of x_1 slabs each.
+    """Yield ``(s, R)``: rows ``s`` of ``op X``, a chunk of x_1 slabs each, in x_1 order.
 
     ``X`` is a complex field in the grid's shape, in any memory layout.  Each
-    K_k is diag(delta_k) - beta_k M_k, with beta_k = -K_k[1, 2] / M_k[1, 2]
-    taken from the entries (``_mass_form``; K_1 - sigma M_1 for k = 1), so op
-    is sum_k delta_k ox (ox_{j!=k} M_j) - (sum_k beta_k) ox_j M_j.  Per chunk
-    (``slabs``), the cross axes run P = M_d x, T = delta_d x - beta P, then, in
-    3D, T <- M_2 T + delta_2 P and P <- M_2 P; delta_1 P goes into one of two
-    ring buffers of result rows and T into one of two ring buffers that each
-    hold a chunk and a halo slab.  The x_1 pass, which adds M_1 T, runs one
-    chunk behind: right after the cross passes of the next chunk, which set
-    the result's row that the pass also reaches and give the halo its slab of
-    T.  So each entry takes its terms in the same order as from a cross pass
-    over the whole field and then an x_1 pass, and chunks come out in x_1
-    order.  In 3D, P lives in a chunk buffer and the first T in the result
-    rows.  ``R`` is a ring buffer, which the caller may overwrite; the chunk
-    after next reuses it.  A wrapped x_1 pencil (the auxiliary B, which
-    applies only through ``.dense()``) raises ValueError.
-
-    Why this shape: with the x_1 pass first, a chunk would need only its own
-    slabs of X, but the default solve's forward error after its pass grew
-    5-7 times at omega = 1; chunks along x_2 kept the errors but were 8-18 %
-    slower (ROADMAP, "Measured, and not proposed").
+    pencil is K_k = (D_k - T)/h_k and M_k = (h_k/6) T (``assembly``), so with
+    w_k = 6/h_k^2, op / prod_k (h_k/6) is w_1 (D_1 - T) ox T ox .. - sigma
+    T ox .. ox T plus, for each k > 1, w_k T ox .. (D_k - T) .. ox T.  Per
+    chunk (``slabs``), the x_1 pass forms Q = T X from the chunk's rows of X
+    and one neighbour row on each side, and V = w_1 (D_1 X - Q) - sum_{k>1}
+    w_k Q - sigma Q; cross pass k takes V <- T V + w_k D_k Q and, but for the
+    last, Q <- T Q; the scale prod_k h_k/6 comes once, at the end.  Each w_k
+    multiplies only its own D_k and T parts and sigma stays a term of its
+    own: rounding the entries of K_1 - sigma M_1 first shifts sigma by about
+    eps 12/h_1^2, which left 3e-12 to 9e-11 of forward error after a
+    refinement pass at 257^2 and 1025^2.  ``R`` is a chunk buffer, which the
+    caller may overwrite and the next chunk reuses.  A wrapped x_1 pencil (the
+    auxiliary B, which applies only through ``.dense()``) raises ValueError.
     """
     if op.pencils[0].bc == BoundaryKind.PERIODIC:
         raise ValueError("a wrapped x_1 pencil (the auxiliary B) applies only through .dense()")
     shape, d = op.grid.shape, op.grid.dims
-    (M1, *Ms), (delta1, *deltas), betas = zip(*(_mass_form(K, M) for K, M in op._factors()))
-    beta = sum(betas)
-    along = lambda v, axis: v.reshape((-1,) + (1,) * (d - 1 - axis))  # noqa: E731
+    w = [6.0 / (p.h * p.h) for p in op.pencils]
+    D = [p.D.reshape((-1,) + (1,) * (d - 1 - k)) for k, p in enumerate(op.pencils)]
+    scale = math.prod(p.h / 6.0 for p in op.pencils)
     chunks = slabs(shape, 2)
-    size = (chunks[0].stop,) + shape[1:]
-    ring = np.empty((2, size[0] + 1) + shape[1:], dtype=np.complex128)
-    rows = np.empty((2,) + size, dtype=np.complex128)
-    if d == 3:
-        buf = np.empty(size, dtype=np.complex128)
-    m, o = along(M1.diag, 0), along(M1.off, 0)
-    for k in range(len(chunks) + 1):
-        last = k == len(chunks)
-        if not last:                        # the cross passes of chunk k
-            s = chunks[k]
-            n = s.stop - s.start
-            T, Y = ring[k % 2, :n], rows[k % 2, :n]
-            P, U = (Y, T) if d == 2 else (buf[:n], Y)
-            Ms[-1].apply(X[s], d - 1, out=P)
-            np.multiply(along(deltas[-1], d - 1), X[s], out=U)
-            U -= beta * P
-            if d == 3:                      # the one further cross axis, x_2
-                Ms[0].apply(U, 1, out=T)
-                T += along(deltas[0], 1) * P
-                Ms[0].apply(P, 1, out=Y)
-            Y *= along(delta1[s], 0)
-        if k > 0:                           # then the x_1 pass of chunk k - 1
-            s, T = chunks[k - 1], ring[(k - 1) % 2]
-            n = s.stop - s.start
-            Y = rows[(k - 1) % 2, :n]
-            if not last:                    # the halo: chunk k's first slab
-                T[n] = ring[k % 2, 0]
-            e = n - last                    # off-diagonal entries from this chunk's rows
-            Y += m[s] * T[:n]
-            Y[1:] += o[s.start:s.stop - 1] * T[:n - 1]
-            if not last:
-                rows[k % 2, 0] += o[s.stop - 1] * T[n - 1]
-            Y[:e] += o[s.start:s.start + e] * T[1:e + 1]
-            yield s, Y
+    buffers = np.empty((d + 1, chunks[0].stop) + shape[1:], dtype=np.complex128)
+    for s in chunks:
+        Q, V, *B = buffers[:, :s.stop - s.start]
+        _tri(X, 0, Q, s)
+        np.multiply(D[0][s], X[s], out=V)
+        V -= Q
+        V *= w[0]
+        for c in (*w[1:], op.sigma):
+            V -= np.multiply(c, Q, out=B[0])
+        for k in range(1, d):
+            _tri(V, k, B[0])
+            if k < d - 1:
+                _tri(Q, k, B[1])
+            Q *= D[k]
+            Q *= w[k]
+            B[0] += Q
+            V, Q, B = B[0], B[-1], [V, Q]   # after the last pass, Q is stale
+        V *= scale
+        yield s, V
 
 
 def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
-    """Evaluate ``op x`` in 2(d - 1) one-dimensional passes of mass factors only.
+    """Evaluate ``op x`` in 2(d - 1) one-dimensional passes of integer stencils.
 
     The passes run over chunks of x_1 slabs in ``_chunks``, whose finished
-    chunks are copied out, so the scratch is a few chunks, none of field
+    chunks are copied out, so the scratch is d + 1 chunks, none of field
     size.  ``x`` is a field vector of length N or the d-dim array, in any
     memory layout (a transposed view included).  The result has the shape of
     ``x`` and goes to ``out`` when given, which must not share memory with
@@ -327,8 +307,8 @@ def residual(op: KroneckerOperator, f, u, bound: float = math.inf):
     ``op u`` streams from the chunk loop of ``kron_apply``, and each chunk of
     r adds its sum of squares to the norm.  Once that running sum exceeds
     ``bound``, r is formed as an array in the grid's shape: the rest of it
-    goes straight there, and the chunks already passed are recomputed by
-    running the loop again up to that point.  Otherwise r is None and no
+    goes straight there, and the chunks already passed, each independent of
+    the others, are recomputed.  Otherwise r is None and no
     field is allocated.
     """
     shape = op.grid.shape

@@ -35,9 +35,9 @@ pencils and sigma; step 2 reads the x_1 pencil there), ``basis_circulant_x1``,
 boundary rows; step 3 takes their conjugate per slab).  Those are the only
 arrays a plan holds.  The refinement loop's residual applies ``operator``
 in the chunk loop of ``core.kron_apply``: 2(d - 1) one-dimensional passes of
-the mass factors over chunks of x_1 slabs, with scratch of a few chunks.  It
-sums its norm chunk by chunk and forms r = f - A u as a field only when a
-pass will use it.
+the pencils' integer stencils over chunks of x_1 slabs, the x_1 pass first,
+with scratch of d + 1 chunks.  It sums its norm chunk by chunk and forms
+r = f - A u as a field only when a pass will use it.
 """
 
 from __future__ import annotations

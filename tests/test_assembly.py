@@ -51,6 +51,19 @@ def test_periodic_row_sums_and_mass_total(n):
     assert p.M.dense().sum() == pytest.approx(n * h)
 
 
+@pytest.mark.parametrize("pencil", [assemble_pencil(6, 0.2),
+                                    assemble_pencil(5, 0.25, 2 * np.pi, BoundaryKind.ABSORBING),
+                                    assemble_periodic_pencil(5, 0.25),
+                                    assemble_periodic_pencil(5, 0.25, np.pi)],
+                         ids=["neumann", "absorbing", "periodic", "antiperiodic"])
+def test_pencil_from_integer_stencils(pencil):
+    # K = (D - T)/h and M = (h/6) T, with T = tridiag(1, 4, 1) (2 at the
+    # ends, or the wrap's corners) taken from M
+    T = pencil.M.dense() * 6 / pencil.h
+    assert np.allclose(T, np.round(T.real), atol=1e-13)
+    assert np.allclose(pencil.K.dense(), (np.diag(pencil.D) - T) / pencil.h, atol=1e-12)
+
+
 def test_pencil_validation():
     with pytest.raises(ValueError):
         assemble_pencil(2, 0.5)

@@ -73,8 +73,7 @@ def test_kron_apply_matches_dense(shape, rng):
 
 
 def _weighted_operator(g):
-    # A's pencils with the mass term weighted by a complex shift, so that
-    # beta_1 is complex.
+    # A's pencils with the mass term weighted by a complex shift.
     return KroneckerOperator(g, build_operator_A(g, 2 * np.pi).pencils, 7.5 - 3.2j)
 
 
@@ -118,7 +117,7 @@ def test_kron_apply_out_rejects_bad_out():
 
 
 def _slab_planes(monkeypatch, grid, planes):
-    # SLAB_SCRATCH for chunks of ``planes`` x_1 slabs in kron_apply's two buffers
+    # SLAB_SCRATCH for chunks of ``planes`` x_1 slabs (``_chunks`` takes slabs(shape, 2))
     monkeypatch.setattr(core, "SLAB_SCRATCH", 2 * planes * (grid.npoints // grid.n[0]))
 
 
@@ -150,8 +149,8 @@ def test_kron_apply_out_scratch_is_one_field(shape, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
 def test_kron_apply_out_needs_no_field_scratch(shape, monkeypatch):
-    # the two ring buffers of T, a slab and its halo each, the 3D slab buffer
-    # of P and one slab-sized temporary
+    # the chunk loop's d + 1 chunk buffers, one slab each: Q, V and one more
+    # in 2D, two in 3D; no pass takes a temporary
     scratch, x = _kron_apply_scratch(shape, monkeypatch)
     assert scratch <= 6 * x[0].nbytes + 256 * 1024
 
@@ -172,7 +171,7 @@ def test_kron_apply_rejects_out_sharing_x():
 
 
 SLAB_OPERATORS = {
-    # K_1 - sigma M_1 with a complex sigma: a complex beta in the x_1 pair
+    # a complex sigma, the x_1 pass's own term
     "neumann-2d": lambda: plan2d(Grid((5, 4)), 7.5 - 3.2j,
                                  bc_x1=BoundaryKind.NEUMANN).operator,
     "A-3d": lambda: build_operator_A(Grid((5, 4, 3)), 2 * np.pi),
@@ -192,26 +191,28 @@ def test_kron_apply_slabs_match_dense(name, planes, monkeypatch):
 
 
 def _two_pass_reference(op, x):
-    # kron_apply's passes in two loops over the chunks, with T in a field:
-    # every chunk's cross passes, then every chunk's x_1 pass
+    # kron_apply's passes over the whole field at once: the x_1 pass, then
+    # each cross pass; every row adds its left neighbour, then its right
     shape, d = op.grid.shape, op.grid.dims
-    (M1, *Ms), (delta1, *deltas), betas = zip(*(core._mass_form(K, M) for K, M in op._factors()))
-    along = lambda v, axis: v.reshape((-1,) + (1,) * (d - 1 - axis))  # noqa: E731
+    w = [6.0 / (p.h * p.h) for p in op.pencils]
+    D = [p.D.reshape((-1,) + (1,) * (d - 1 - k)) for k, p in enumerate(op.pencils)]
+
+    def tri(y, axis):
+        y = np.moveaxis(y, axis, 0)
+        t = 4.0 * y
+        t[0], t[-1] = 2.0 * y[0], 2.0 * y[-1]
+        t[1:] += y[:-1]
+        t[:-1] += y[1:]
+        return np.moveaxis(t, 0, axis)
+
     X = x.reshape(shape)
-    Y, S, chunks = np.empty_like(X), np.empty_like(X), core.slabs(shape, 2)
-    for s in chunks:
-        P = Ms[-1].apply(X[s], d - 1)
-        S[s] = along(deltas[-1], d - 1) * X[s] - sum(betas) * P
-        if d == 3:
-            S[s], P = Ms[0].apply(S[s], 1) + along(deltas[0], 1) * P, Ms[0].apply(P, 1)
-        Y[s] = P * along(delta1[s], 0)
-    m, o = along(M1.diag, 0), along(M1.off, 0)
-    for s in chunks:
-        t = slice(s.start, min(s.stop, M1.n - 1))
-        Y[s] += m[s] * S[s]
-        Y[t.start + 1:t.stop + 1] += o[t] * S[t]
-        Y[t] += o[t] * S[t.start + 1:t.stop + 1]
-    return Y.reshape(x.shape)
+    Q = tri(X, 0)
+    V = (D[0] * X - Q) * w[0]
+    for c in (*w[1:], op.sigma):
+        V -= c * Q
+    for k in range(1, d):
+        V, Q = tri(V, k) + (D[k] * Q) * w[k], tri(Q, k)
+    return (V * math.prod(p.h / 6.0 for p in op.pencils)).reshape(x.shape)
 
 
 BITWISE_OPERATORS = {
@@ -319,27 +320,33 @@ def test_kron_operator_rejects_bad_factors():
 
 @pytest.mark.parametrize("shape", [(5, 7), (3, 4, 5)])
 def test_kron_apply_makes_2d_minus_2_passes(shape, monkeypatch):
-    # With one slab over the grid the cross axes take 2d - 3 calls of
-    # TriCornerMatrix.apply, on cross mass factors only; kron_apply's own
-    # chunked loop makes the last pass, in x_1.
-    calls = []
-    apply = TriCornerMatrix.apply
+    # With one chunk over the grid: the x_1 pass, then T V and, but for the
+    # last cross axis, T Q along each cross axis.
+    axes = []
+    tri = core._tri
 
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return apply(self, *args, **kwargs)
+    def counted(x, axis, *args, **kwargs):
+        axes.append(axis)
+        return tri(x, axis, *args, **kwargs)
 
-    monkeypatch.setattr(TriCornerMatrix, "apply", counted)
+    monkeypatch.setattr(core, "_tri", counted)
     g = Grid(shape)
     monkeypatch.setattr(core, "SLAB_SCRATCH", 2 * g.npoints)
     op = build_operator_A(g, 2 * np.pi)
     x = rand_field(g, 7)
     y = kron_apply(op, x)
-    assert len(calls) == 2 * g.dims - 3
-    masses = [p.M for p in op.pencils[1:]]
-    assert all(any(c.n == M.n and np.array_equal(c.diag, M.diag) for M in masses)
-               for c in calls)
+    assert len(axes) == 2 * g.dims - 2
+    assert axes == ([0, 1] if g.dims == 2 else [0, 1, 1, 2])
     assert np.linalg.norm(y - op.dense() @ x) <= 1e-12 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("shape", [(257, 257), (100, 37), (33, 17, 65)])
+def test_kron_apply_annihilates_constants(shape):
+    # Neumann x_1 ends and sigma = 0: every row of A sums to zero, and the
+    # integer stencils cancel exactly on a constant field
+    g = Grid(shape)
+    op = build_operator_A(g, 0.0, BoundaryKind.NEUMANN)
+    assert not np.any(kron_apply(op, np.ones(g.npoints, dtype=complex)))
 
 
 def test_norm_matches_for_every_accepted_f(rng):

@@ -20,10 +20,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import helmfft.core as core
-from helmfft import (Grid, TriCornerMatrix, build_operator_A, kron_apply, plan2d,
-                     plan3d, solve2d, solve3d, tune_allocator)
+from helmfft import (Grid, build_operator_A, kron_apply, plan2d, plan3d, solve2d,
+                     solve3d, tune_allocator)
 from helmfft.cli import RunConfig, emit, fit_slope, read_records, run
-from conftest import rand_field
+from conftest import longdouble_reference, rand_field, relerr
 
 tune_allocator()
 
@@ -96,6 +96,33 @@ def test_default_solve_accuracy_where_the_pass_runs_2d(rhs):
     ref += lu.solve(f - A @ ref)
     err = float(np.linalg.norm(u - ref) / np.linalg.norm(ref))
     assert err <= 2e-12, f"forward error {err:.3e}"
+
+
+@pytest.mark.parametrize("omega", [1.0, 2 * np.pi])
+def test_default_solve_forward_error_2d(omega):
+    # Random f, where the default pass runs; against A^-1 f refined on a
+    # long-double residual
+    grid = Grid((257, 257))
+    plan = plan2d(grid, omega)
+    f = rand_field(grid, 4)
+    ref = longdouble_reference(grid, omega, f, lambda b: solve2d(plan, b, refine=0))
+    err = relerr(solve2d(plan, f).astype(np.clongdouble), ref)
+    assert err <= 3e-13, f"forward error {err:.3e}"
+
+
+@pytest.mark.parametrize("omega", [1.0, 2 * np.pi])
+def test_one_correction_forward_error_3d(omega):
+    # The bare solve plus one correction on core.residual's r; the default
+    # solve's stop test skips that pass on this f
+    grid = Grid((65, 65, 65))
+    plan = plan3d(grid, omega)
+    f = rand_field(grid, 8)
+    u = solve3d(plan, f, refine=0)
+    _, r = core.residual(plan.operator, f, u, 0.0)
+    u += solve3d(plan, r, refine=0)
+    ref = longdouble_reference(grid, omega, f, lambda b: solve3d(plan, b, refine=0))
+    err = relerr(u.astype(np.clongdouble), ref)
+    assert err <= 2e-14, f"forward error {err:.3e}"
 
 
 def test_plan_keeps_the_wider_wrap_2d():
@@ -205,8 +232,8 @@ def test_default_solve_scratch_is_three_fields(shape, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
 def test_default_solve_scratch_is_two_fields(shape, monkeypatch):
-    # Beyond f: the solution and its residual; kron_apply keeps T in slab
-    # buffers, not in a third field.
+    # Beyond f: the solution and its residual; kron_apply keeps its passes
+    # in chunk buffers, not in a third field.
     scratch, field = _default_solve_scratch(shape, monkeypatch)
     assert scratch <= 2 * field + 256 * 1024
 
@@ -244,7 +271,7 @@ def test_default_solve_scratch_where_the_pass_runs_is_two_fields(monkeypatch):
 def test_default_solve_where_the_pass_runs_applies_a_twice(monkeypatch):
     # One residual for the stop test, one for the pass, plus the chunks ahead
     # of the one where the stop test's running norm first passes its bound,
-    # which are recomputed to form r; each chunk runs one cross pass in 2D.
+    # which are recomputed to form r; each chunk runs two passes in 2D.
     n = 129
     grid = Grid((n, n))
     monkeypatch.setattr(core, "SLAB_SCRATCH", 2 * 8 * n)       # chunks of 8 planes
@@ -258,13 +285,13 @@ def test_default_solve_where_the_pass_runs_applies_a_twice(monkeypatch):
     stop = core.REFINE_STOP_RTOL * np.linalg.norm(f)
     first = int(np.argmax(running > stop ** 2))
     calls = []
-    apply = TriCornerMatrix.apply
+    tri = core._tri
 
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return apply(self, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return tri(*args, **kwargs)
 
-    monkeypatch.setattr(TriCornerMatrix, "apply", counted)
+    monkeypatch.setattr(core, "_tri", counted)
     u = solve2d(plan, f)
     assert not np.array_equal(u, u0)                # the pass ran
-    assert len(calls) <= 2 * len(chunks) + (first + 1 if first else 0)
+    assert len(calls) == 2 * (2 * len(chunks) + first)
