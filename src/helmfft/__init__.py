@@ -14,8 +14,7 @@ The solvers run in O(N log N) time and never form a volumetric matrix; the
 `oracle` module provides an independent dense reference for verification.
 """
 
-from .assembly import (Pencil1D, assemble_pencil, assemble_periodic_pencil,
-                       build_operator_A, build_operator_B)
+from .assembly import Pencil1D, assemble_pencil, build_operator_A
 from .core import (BoundaryKind, Grid, KroneckerOperator, SingularBlock,
                    TriCornerMatrix, kron_apply, tune_allocator)
 from .oracle import (DenseProblem, EigensolverFailure, NormalizationFailure,
@@ -33,8 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryKind", "Grid", "KroneckerOperator", "TriCornerMatrix",
     "kron_apply", "tune_allocator",
-    "Pencil1D", "assemble_pencil", "assemble_periodic_pencil",
-    "build_operator_A", "build_operator_B",
+    "Pencil1D", "assemble_pencil", "build_operator_A",
     "EigenBasis", "circulant_eigenbasis", "dct1_eigen", "boundary_green",
     "clear_eigen_cache",
     "SolverPlan", "SingularBlock", "plan2d", "solve2d",

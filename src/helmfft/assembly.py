@@ -1,4 +1,4 @@
-"""The 1D stiffness/mass pencils and the separable operators built from them.
+"""The 1D stiffness/mass pencils and the separable operator built from them.
 
 The 1D element matrices on a uniform mesh are closed-form: interior stiffness
 rows are (-1, 2, -1)/h and interior mass rows are (1, 4, 1) h/6.  Boundary
@@ -6,16 +6,18 @@ rows encode the boundary condition; the absorbing condition only changes the
 two corner entries of K to (1 - i omega h)/h, while M is identical for Neumann
 and absorbing ends.  So with the integer stencil T = tridiag(1, 4, 1), 2 at
 the ends, M = (h/6) T and K = (D - T)/h for a diagonal D: 6 inside, 3 at the
-ends and 3 - i omega h at absorbing ones (``Pencil1D.D``).  The auxiliary
-pencils have the same interior rows and wrap-around corners: equal to the
-interior off-diagonal for the periodic wrap (circulant), of opposite sign for
-the anti-periodic one (skew-circulant).  So ``Pencil1D`` holds only n, h, the
-boundary kind, omega and the wrap phase, and the operators A and B hold one
-pencil per direction and sigma.
+ends and 3 - i omega h at absorbing ones (``Pencil1D.D``).  So ``Pencil1D``
+holds only n, h, the boundary kind and omega, and the operator A holds one
+pencil per direction and sigma.  The auxiliary problem's x_1 pencil is A's
+with its interior row carried to the end rows and wrap-around corners o
+times ``wrap_sign(twist)``: o for the periodic wrap (circulant), -o for the
+anti-periodic one (skew-circulant).  The twist alone fixes it, so no pencil
+or operator holds it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +25,18 @@ import numpy as np
 from .core import BoundaryKind, Grid, KroneckerOperator, TriCornerMatrix
 
 
+def wrap_sign(twist: float) -> float:
+    """The sign of the auxiliary wrap's corners: 1 for twist 0, -1 for pi; else ValueError."""
+    if twist not in (0.0, np.pi):
+        raise ValueError(f"the wrap twist must be 0 or pi, got {twist}")
+    return 1.0 if twist == 0.0 else -1.0
+
+
 @dataclass(frozen=True)
 class Pencil1D:
     """The (stiffness, mass) pencil of one direction, held as the scalars that fix it.
 
-    ``K`` and ``M`` build the matrices on each access, in O(n).  A PERIODIC
-    pencil is the auxiliary wrap with phase ``twist`` (0 or pi); ``omega``
+    ``K`` and ``M`` build the matrices on each access, in O(n); ``omega``
     only enters the absorbing corners of K.
     """
 
@@ -36,23 +44,19 @@ class Pencil1D:
     h: float
     bc: BoundaryKind
     omega: float = 0.0
-    twist: float = 0.0      # wrap phase of an auxiliary pencil: 0 or pi
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"pencil needs n >= 3, got {self.n}")
-        if not self.h > 0:
-            raise ValueError(f"mesh size must be positive, got {self.h}")
-        if self.twist not in (0.0, np.pi):
-            raise ValueError(f"the wrap twist must be 0 or pi, got {self.twist}")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise ValueError(f"mesh size must be positive and finite, got {self.h}")
+        if not np.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
 
     def _matrix(self, d, o, end) -> TriCornerMatrix:
-        """Interior rows (o, d, o); ``end`` on the end rows' diagonal, or a wrap's corners."""
+        """Interior rows (o, d, o), and ``end`` on the end rows' diagonal."""
         diag = np.full(self.n, d, dtype=np.complex128)
         off = np.full(self.n - 1, o, dtype=np.complex128)
-        if self.bc == BoundaryKind.PERIODIC:
-            sign = 1.0 if self.twist == 0.0 else -1.0
-            return TriCornerMatrix(diag, off, corner=sign * o)
         diag[0] = diag[-1] = end
         return TriCornerMatrix(diag, off)
 
@@ -69,37 +73,21 @@ class Pencil1D:
 
     @property
     def D(self) -> np.ndarray:
-        """The diagonal D of K = (D - T)/h, M = (h/6) T; 6 throughout on a wrap."""
-        end = 3.0 - 1j * self.omega * self.h if self.bc == BoundaryKind.ABSORBING else 3.0
+        """The diagonal D of K = (D - T)/h, M = (h/6) T."""
         D = np.full(self.n, 6.0, dtype=np.complex128)
-        if self.bc != BoundaryKind.PERIODIC:
-            D[0] = D[-1] = end
+        D[0] = D[-1] = 3.0 - 1j * self.omega * self.h if self.bc == BoundaryKind.ABSORBING else 3.0
         return D
 
 
 def assemble_pencil(n: int, h: float, omega: float = 0.0,
                     bc: BoundaryKind = BoundaryKind.NEUMANN) -> Pencil1D:
     """The 1D pencil for a Neumann or absorbing direction."""
-    if bc == BoundaryKind.PERIODIC:
-        raise ValueError("use assemble_periodic_pencil for periodic pencils")
     return Pencil1D(n, h, bc, float(omega))
-
-
-def assemble_periodic_pencil(n: int, h: float, twist: float = 0.0) -> Pencil1D:
-    """The auxiliary pencil wrapped with phase twist: 0 periodic, pi anti-periodic."""
-    return Pencil1D(n, h, BoundaryKind.PERIODIC, twist=float(twist))
 
 
 def build_operator_A(grid: Grid, omega: float,
                      bc_x1: BoundaryKind = BoundaryKind.ABSORBING) -> KroneckerOperator:
     """The discrete Helmholtz operator with bc_x1 on the x_1 ends."""
     p1 = assemble_pencil(grid.n[0], grid.h[0], omega, bc_x1)
-    cross = [assemble_pencil(grid.n[j], grid.h[j]) for j in range(1, grid.dims)]
-    return KroneckerOperator(grid, (p1, *cross), omega ** 2)
-
-
-def build_operator_B(grid: Grid, omega: float, twist: float = 0.0) -> KroneckerOperator:
-    """Auxiliary operator: x_1 pencil wrapped with phase twist; applied only by ``.dense()``."""
-    p1 = assemble_periodic_pencil(grid.n[0], grid.h[0], twist)
     cross = [assemble_pencil(grid.n[j], grid.h[j]) for j in range(1, grid.dims)]
     return KroneckerOperator(grid, (p1, *cross), omega ** 2)

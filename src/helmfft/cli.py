@@ -168,7 +168,7 @@ def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
     solve = solve2d if config.d == 2 else solve3d
     best = math.inf
     u = None
-    for _ in range(max(1, config.repeats)):
+    for _ in range(config.repeats):
         t0 = time.perf_counter()
         u = solve(plan, f, refine=config.refine, workers=workers)
         best = min(best, time.perf_counter() - t0)
@@ -194,8 +194,9 @@ def run(config: RunConfig) -> list[RunRecord]:
         raise ConfigError(f"unknown mode {config.mode!r}")
     if config.d not in (2, 3):
         raise ConfigError(f"d must be 2 or 3, got {config.d}")
-    if config.refine < 0:
-        raise ConfigError(f"refine must be >= 0, got {config.refine}")
+    for name, least in (("refine", 0), ("repeats", 1), ("threads", 0)):
+        if getattr(config, name) < least:
+            raise ConfigError(f"{name} must be >= {least}, got {getattr(config, name)}")
     tune_allocator()
     workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
 

@@ -11,6 +11,7 @@ real matrices, so there is a single code path.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ class SingularBlock(RuntimeError):
 class BoundaryKind(Enum):
     ABSORBING = "absorbing"
     NEUMANN = "neumann"
-    PERIODIC = "periodic"
 
 
 @dataclass(frozen=True)
@@ -75,30 +75,26 @@ class Grid:
 
 
 class TriCornerMatrix:
-    """Symmetric tridiagonal matrix with (optionally) equal wrap-around corners.
+    """Symmetric tridiagonal matrix: a stiffness or mass matrix of a pencil.
 
-    Covers every 1D matrix used here: stiffness/mass pencils with Neumann or
-    absorbing boundary rows (corner = 0) and their periodic circulant
-    counterparts (corner != 0).  Symmetry is structural: only one off-diagonal
-    and one corner value are stored.
+    Symmetry is structural: only one off-diagonal is stored.  The name stays
+    because ``perfbench/tracing.py`` wraps ``TriCornerMatrix.apply``.
     """
 
-    __slots__ = ("n", "diag", "off", "corner")
+    __slots__ = ("n", "diag", "off")
 
-    def __init__(self, diag, off, corner=0.0):
+    def __init__(self, diag, off):
         self.diag = np.asarray(diag, dtype=np.complex128)
         self.off = np.asarray(off, dtype=np.complex128)
         self.n = self.diag.shape[0]
         if self.off.shape != (self.n - 1,):
             raise ValueError(f"off-diagonal must have length {self.n - 1}, got {self.off.shape}")
-        self.corner = complex(corner)
         self.diag.flags.writeable = False
         self.off.flags.writeable = False
 
     @property
     def max_abs(self) -> float:
-        m = max(np.abs(self.diag).max(), np.abs(self.off).max())
-        return float(max(m, abs(self.corner)))
+        return float(max(np.abs(self.diag).max(), np.abs(self.off).max()))
 
     def apply(self, x: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
         """Apply the matrix along ``axis`` of ``x``, into ``out`` when given.
@@ -119,9 +115,6 @@ class TriCornerMatrix:
         np.multiply(self.diag.reshape(shp), xm, out=ym)
         ym[1:] += o * xm[:-1]
         ym[:-1] += o * xm[1:]
-        if self.corner != 0.0:
-            ym[0] += self.corner * xm[-1]
-            ym[-1] += self.corner * xm[0]
         return np.moveaxis(ym, 0, axis)
 
     def dense(self) -> np.ndarray:
@@ -130,22 +123,17 @@ class TriCornerMatrix:
         idx = np.arange(self.n - 1)
         A[idx, idx + 1] = self.off
         A[idx + 1, idx] = self.off
-        A[0, -1] += self.corner
-        A[-1, 0] += self.corner
         return A
-
-    def __repr__(self):
-        return f"TriCornerMatrix(n={self.n}, corner={self.corner})"
 
 
 @dataclass(frozen=True)
 class KroneckerOperator:
     """(K_1 - sigma M_1) ox M_2 ox ... + sum_{k>1} M_1 ox ... ox K_k ox ... ox M_d.
 
-    Held as one ``assembly.Pencil1D`` per direction and the shift sigma.  A is
-    applied matrix-free by ``kron_apply``, from the pencils' integer stencils;
-    ``dense``, for small verification problems only, is the one way to apply
-    the auxiliary B.
+    Held as one ``assembly.Pencil1D`` per direction and the shift sigma: this
+    is A, which ``kron_apply`` applies matrix-free from the pencils' integer
+    stencils.  The auxiliary B is no operator here: its x_1 pencil is A's,
+    twisted, and only the dense oracle forms it (``oracle.DenseProblem.B``).
     """
 
     grid: Grid
@@ -158,18 +146,21 @@ class KroneckerOperator:
                              f"do not match grid {self.grid.n}")
 
     def dense(self) -> np.ndarray:
-        """Explicit N x N matrix, summed term by term from the Kronecker products."""
-        N = self.grid.npoints
-        A = np.zeros((N, N), dtype=np.complex128)
-        for k in range(self.grid.dims):
-            term = np.array([[1.0 + 0j]])
-            for j, p in enumerate(self.pencils):
-                K, M = p.K.dense(), p.M.dense()
-                if j == 0:
-                    K = K - self.sigma * M
-                term = np.kron(term, K if j == k else M)
-            A += term
-        return A
+        """Explicit N x N matrix, for small verification problems only."""
+        return dense_kron_sum([(p.K.dense(), p.M.dense()) for p in self.pencils], self.sigma)
+
+
+def dense_kron_sum(factors, sigma) -> np.ndarray:
+    """The Kronecker sum of ``KroneckerOperator`` as a dense N x N matrix.
+
+    ``factors`` holds a dense (K_k, M_k) per direction, x_1 first: A's, or
+    the wrapped x_1 pair of the oracle's B.
+    """
+    (K1, M1), *cross = factors
+    factors = [(K1 - sigma * M1, M1), *cross]
+    one = np.ones((1, 1), dtype=np.complex128)
+    return sum(functools.reduce(np.kron, [K if j == k else M for j, (K, M) in enumerate(factors)],
+                                one) for k in range(len(factors)))
 
 
 # Scalars of scratch per chunk of x_1 slabs (at least one slab each): the
@@ -219,11 +210,8 @@ def _chunks(op: KroneckerOperator, X: np.ndarray):
     own: rounding the entries of K_1 - sigma M_1 first shifts sigma by about
     eps 12/h_1^2, which left 3e-12 to 9e-11 of forward error after a
     refinement pass at 257^2 and 1025^2.  ``R`` is a chunk buffer, which the
-    caller may overwrite and the next chunk reuses.  A wrapped x_1 pencil (the
-    auxiliary B, which applies only through ``.dense()``) raises ValueError.
+    caller may overwrite and the next chunk reuses.
     """
-    if op.pencils[0].bc == BoundaryKind.PERIODIC:
-        raise ValueError("a wrapped x_1 pencil (the auxiliary B) applies only through .dense()")
     shape, d = op.grid.shape, op.grid.dims
     w = [6.0 / (p.h * p.h) for p in op.pencils]
     D = [p.D.reshape((-1,) + (1,) * (d - 1 - k)) for k, p in enumerate(op.pencils)]
@@ -258,7 +246,7 @@ def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
     size.  ``x`` is a field vector of length N or the d-dim array, in any
     memory layout (a transposed view included).  The result has the shape of
     ``x`` and goes to ``out`` when given, which must not share memory with
-    ``x``.  ``op`` must be A: a wrapped x_1 pencil (B) raises ValueError.
+    ``x``.
     """
     x = np.asarray(x, dtype=np.complex128)
     shape = op.grid.shape

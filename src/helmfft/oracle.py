@@ -3,9 +3,10 @@
 Everything here is deliberately independent of the fast path (transforms,
 block factorizations, the boundary recurrence): matrices are expanded
 entrywise from the separable definitions and solved with dense
-partially-pivoted LU, and pencils are diagonalized densely.  Used to generate
-and check expected values throughout the test suite.  Hard size caps keep
-accidental O(N^3) blowups out of CI.
+partially-pivoted LU, and pencils are diagonalized densely.  Only here is
+the auxiliary B built: A's x_1 factors, wrapped (``wrapped_dense``), in A's
+dense Kronecker sum.  Used to generate and check expected values throughout
+the test suite.  Hard size caps keep accidental O(N^3) blowups out of CI.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .assembly import Pencil1D, build_operator_A, build_operator_B
-from .core import BoundaryKind, Grid
+from .assembly import Pencil1D, build_operator_A, wrap_sign
+from .core import BoundaryKind, Grid, dense_kron_sum
 
 DENSE_SIZE_CAP = 20_000
 EIG_SIZE_CAP = 512
@@ -47,8 +48,25 @@ class DenseProblem:
 
     @cached_property
     def B(self) -> np.ndarray:
-        """The dense wrapped operator, assembled on first use (A's cost again)."""
-        return build_operator_B(self.grid, self.omega, self.twist).dense()
+        """The dense auxiliary operator, A's with x_1 wrapped by ``twist``; built on first use."""
+        A = build_operator_A(self.grid, self.omega, self.bc_x1)
+        p1, *cross = A.pencils
+        return dense_kron_sum([wrapped_dense(p1, self.twist),
+                               *((p.K.dense(), p.M.dense()) for p in cross)], A.sigma)
+
+
+def wrapped_dense(pencil: Pencil1D, twist: float):
+    """Dense (K, M) of ``pencil`` wrapped with ``twist``, 0 or pi (else ValueError).
+
+    Each one's interior row (o, d, o) is carried to the end rows, and the
+    corners get o for twist 0 (circulant) or -o for pi (skew-circulant).
+    """
+    sign = wrap_sign(twist)
+    KM = pencil.K.dense(), pencil.M.dense()
+    for W in KM:
+        W[0, 0] = W[-1, -1] = W[1, 1]
+        W[[0, -1], [-1, 0]] += sign * W[0, 1]
+    return KM
 
 
 class DenseSolveResult(NamedTuple):
@@ -61,8 +79,8 @@ def dense_problem(grid: Grid, omega: float,
                   twist: float = 0.0) -> DenseProblem:
     """Assemble dense A by explicit Kronecker expansion (N <= 20000); B follows on first use.
 
-    B wraps x_1 with phase ``twist``, as ``build_operator_B``; pass a plan's
-    ``twist`` to check against the wrap it chose.
+    B wraps A's x_1 factors with phase ``twist`` (``wrapped_dense``); pass a
+    plan's ``twist`` to check against the wrap it chose.
     """
     if grid.npoints > DENSE_SIZE_CAP:
         raise SizeLimit(f"N = {grid.npoints} exceeds dense cap {DENSE_SIZE_CAP}")
@@ -127,8 +145,6 @@ def solve_pencil_eigen(pencil: Pencil1D) -> PencilEigen:
     eigenvectors are rescaled so that V^T M V = I (plain transpose; the pencil
     is complex symmetric, not Hermitian).
     """
-    if pencil.bc == BoundaryKind.PERIODIC:
-        raise ValueError("periodic pencils use the circulant closed form")
     Md = pencil.M.dense().real
     Kd = pencil.K.dense()
     try:

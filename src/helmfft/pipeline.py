@@ -1,9 +1,10 @@
 """The plan and the three-step pipeline that the 2D and the 3D solver share.
 
-The x_1 direction runs the paper's three steps: the auxiliary problem,
-wrapped periodically or anti-periodically in x_1 (whichever the plan finds
-further from resonance, ``spectral.choose_wrap``), is diagonalized by the FFT
-(after a twiddle for the anti-periodic wrap), the original one enters through
+The x_1 direction runs the paper's three steps: the auxiliary problem, whose
+x_1 pencil is the original one wrapped with twist 0 (periodic) or pi
+(anti-periodic), whichever the plan finds further from resonance
+(``spectral.choose_wrap``), is diagonalized by the FFT (after a twiddle for
+the anti-periodic wrap), the original one enters through
 ``spectral.boundary_green``, and the boundary-plane correction C_bb joins
 them.  The cross directions x_2 .. x_d carry uniform Neumann pencils, which
 DCT-I diagonalizes in closed form (``spectral.dct1_eigen``), so every
@@ -22,10 +23,12 @@ with rho the product of the cross weights w = 2 D / E = h (n-1) (2 + cos
 theta) / 3 and lam the sum of the cross eigenvalues.  The divisors are formed
 a few x_1 slabs at a time from the 1D arrays; none of field size is stored.
 C_bb = B_bb - A_bb is (dk - sigma dm) ox M_cross + dm ox K_cross, dk and dm
-the 2 x 2 corner blocks of the persymmetric x_1 pencil difference: pairs
-[[end, corner], [corner, end]], as is step 2's corner block G of the inverse
-of K_1 - sigma M_1 + lam M_1.  Per cross mode, over rho, C_bb is the pair
-(dk - sigma dm) + lam dm; ``_pair`` applies a pair to x as p x + q x[::-1].
+the 2 x 2 corner blocks of the x_1 pencil difference.  The wrap carries the
+interior row of T = K_1, M_1 to the ends and adds corners +-T_12, so each
+block is a pair [[T_22 - T_11, +-T_12], [+-T_12, T_22 - T_11]], as is step
+2's corner block G of the inverse of K_1 - sigma M_1 + lam M_1.  Per cross
+mode, over rho, C_bb is the pair (dk - sigma dm) + lam dm; ``_pair`` applies
+a pair to x as p x + q x[::-1].
 
 One ``SolverPlan``, built by ``make_plan`` for any number of cross axes,
 serves the pipeline through ``grid``, ``sigma``, ``operator`` (A as its d
@@ -50,10 +53,11 @@ import numbers
 import numpy as np
 import scipy.fft
 
-from .assembly import assemble_pencil
+from .assembly import assemble_pencil, wrap_sign
 from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
                    defect_correction, freeze_arrays, slabs)
-from .spectral import EigenBasis, boundary_green, choose_wrap, dct1_eigen
+from .spectral import (EigenBasis, boundary_green, choose_wrap, circulant_eigenbasis,
+                       dct1_eigen)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,17 +113,17 @@ def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
     lams, weights = zip(*map(dct1_eigen, cross))
     for w in weights:
         w[1:-1] *= 2.0                  # w = 2 D / E
-    wrap = choose_wrap(p1, sigma, lams)
-    w1 = wrap.basis
+    twist, gaps = choose_wrap(p1, sigma, lams)
+    w1 = circulant_eigenbasis(p1, twist)
     return SolverPlan(
         grid=grid, omega=omega, sigma=sigma, bc_x1=bc_x1,
         basis_circulant_x1=w1, cross_lambdas=lams,
-        # both pencils are persymmetric: each difference is an end and a corner entry
-        correction=np.array([[aux.diag[0] - orig.diag[0], aux.corner] for aux, orig in
-                             ((wrap.pencil.K, p1.K), (wrap.pencil.M, p1.M))]),
+        # the sign times the real o: the corners' zero imaginary parts stay +0
+        correction=np.array([[T.diag[1] - T.diag[0], wrap_sign(twist) * T.off[0].real]
+                             for T in (p1.K, p1.M)]),
         shifts_B=(sigma if sigma.imag else sigma.real) - w1.lambdas,
         operator=KroneckerOperator(grid, (p1, *cross), sigma),
-        wrap_gaps=wrap.gaps,
+        wrap_gaps=gaps,
         _w=weights, _RW1=w1.boundary_rows(),
     )
 

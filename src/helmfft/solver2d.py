@@ -51,6 +51,12 @@ def plan2d(grid: Grid, omega_or_shift,
     return pipeline.make_plan(grid, omega_or_shift, bc_x1)
 
 
+def _plan2d(plan) -> SolverPlan:
+    if plan.grid.dims != 2:
+        raise ValueError(f"a 2D step needs a 2D plan, got a {plan.grid.dims}D one")
+    return plan
+
+
 def _boundary(plan, v, name):
     """Checked boundary data (2 * n2,) as a (2, n2) view."""
     return checked_field(v, 2 * plan.grid.n[1], name).reshape(2, -1)
@@ -69,14 +75,14 @@ def solve_aux_partial(plan: SolverPlan, f: np.ndarray,
     {1, n_1}, flat (2 * n2,); f_hat is the scaled x_1 FFT and x_2 DCT-I of
     f, flat and opaque, reused verbatim by solve_final.
     """
-    F = pipeline.field(plan, checked_field(f, plan.grid.npoints))
+    F = pipeline.field(_plan2d(plan), checked_field(f, plan.grid.npoints))
     fhat, vb = pipeline.step1(plan, F, workers)
     return pipeline.boundary_values(vb, workers).reshape(-1), fhat.reshape(-1)
 
 
 def solve_correction(plan: SolverPlan, v_b, workers: int | None = None) -> np.ndarray:
     """Step 2: boundary values of the original-operator correction."""
-    vb = pipeline.boundary_modes(_boundary(plan, v_b, "v_b"), workers)
+    vb = pipeline.boundary_modes(_boundary(_plan2d(plan), v_b, "v_b"), workers)
     wb = pipeline.step2(plan, vb, pipeline.green(plan))
     return pipeline.boundary_values(wb, workers).reshape(-1)
 
@@ -84,7 +90,7 @@ def solve_correction(plan: SolverPlan, v_b, workers: int | None = None) -> np.nd
 def solve_final(plan: SolverPlan, f_hat: np.ndarray, v_b, w_b,
                 workers: int | None = None) -> np.ndarray:
     """Step 3: corrected auxiliary solve and inverse transforms."""
-    F = pipeline.field(plan, checked_field(f_hat, plan.grid.npoints, "f_hat"))
+    F = pipeline.field(_plan2d(plan), checked_field(f_hat, plan.grid.npoints, "f_hat"))
     vbw = _boundary(plan, v_b, "v_b") + _boundary(plan, w_b, "w_b")
     U = pipeline.step3(plan, F, pipeline.boundary_modes(vbw, workers), workers)
     return U.reshape(-1)

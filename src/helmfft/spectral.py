@@ -2,7 +2,9 @@
 of the auxiliary x_1 wrap, and the boundary Green's function of the original
 x_1 pencil by a pivot recurrence.
 
-An auxiliary pencil wrapped with twist phi (0: periodic, pi: anti-periodic)
+The auxiliary x_1 pencil is the original one with its interior row carried
+to the ends and wrapped with twist phi (0: periodic, pi: anti-periodic), so
+its closed forms need only the original pencil's interior rows and phi.  It
 has eigenvectors e^{i theta_l j} with theta_l = (2 pi l + phi)/n, so it is
 diagonalized by the unnormalized DFT after the pre-twiddle e^{-i phi j/n}
 (G. Strang, Stud. Appl. Math. 74 (1986); R. Chan & M. Ng, SIAM Review 38
@@ -20,11 +22,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import Pencil1D, assemble_pencil, assemble_periodic_pencil
+from .assembly import Pencil1D, assemble_pencil, wrap_sign
 from .core import PIVOT_RTOL, BoundaryKind, SingularBlock, freeze_arrays
 
 
@@ -46,7 +47,7 @@ def _angles(n: int, twist: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Closed-form eigenbasis of a wrapped pencil; no matrix is stored.
+    """Closed-form eigenbasis of a pencil's wrap; no matrix is stored.
 
     Mode l has angle theta_l = (2 pi l + twist)/n, l = 0..n-1; ``lambdas`` is
     the ratio of the stiffness and mass symbols there, and ``scales`` carry
@@ -77,13 +78,16 @@ class EigenBasis:
         return np.exp((sign * 1j * self.twist / self.n) * np.arange(self.n))
 
 
-def circulant_eigenbasis(pencil: Pencil1D) -> EigenBasis:
-    """The wrapped pencil's eigenbasis; the mass symbol h (2 + cos theta)/3 is >= h/3."""
-    if pencil.bc != BoundaryKind.PERIODIC:
-        raise ValueError("circulant eigenvalues require a periodic pencil")
-    num, mu = _symbols(pencil, _angles(pencil.n, pencil.twist))
+def circulant_eigenbasis(pencil: Pencil1D, twist: float) -> EigenBasis:
+    """The eigenbasis of ``pencil`` wrapped with ``twist``, 0 or pi (else ValueError).
+
+    Only the pencil's interior rows enter, which the wrap shares; the mass
+    symbol h (2 + cos theta)/3 is >= h/3.
+    """
+    wrap_sign(twist)
+    num, mu = _symbols(pencil, _angles(pencil.n, twist))
     return EigenBasis(n=pencil.n, lambdas=num / mu, scales=1.0 / np.sqrt(pencil.n * mu),
-                      twist=pencil.twist)
+                      twist=twist)
 
 
 def dct1_eigen(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
@@ -124,21 +128,18 @@ def boundary_green(pencil: Pencil1D, sigma: complex, lam) -> tuple[np.ndarray, n
 
     Returns ``(g, g_far)`` shaped like ``lam``, g = (T^-1)_11 = (T^-1)_nn and
     g_far = (T^-1)_1n, so the 2 x 2 corner block of T^-1 maps a pair x to
-    ``g * x + g_far * x[::-1]``.  The pencil must be a Neumann or absorbing
-    one, which is persymmetric with uniform interior rows; a PERIODIC one
-    raises ValueError.  With pivots p_1 = d_1, p_k = d_k - o^2 / p_{k-1}:
-    (T^-1)_nn = 1/p_n and (T^-1)_1n = prod_{k<n} (-o/p_k) / p_n (G. Meurant,
-    SIAM J. Matrix Anal. Appl. 13 (1992) 707-728); n steps over all modes at
-    once, with -o, the interior d and the end row d_n = d_1 formed once.
+    ``g * x + g_far * x[::-1]``.  The pencil, Neumann or absorbing, is
+    persymmetric with uniform interior rows.  With pivots p_1 = d_1,
+    p_k = d_k - o^2 / p_{k-1}: (T^-1)_nn = 1/p_n and (T^-1)_1n = prod_{k<n}
+    (-o/p_k) / p_n (G. Meurant, SIAM J. Matrix Anal. Appl. 13 (1992)
+    707-728); n steps over all modes at once, with -o, the interior d and the
+    end row d_n = d_1 formed once.
     The recurrence does not pivot, so a pivot below PIVOT_RTOL times the
     block's scale raises SingularBlock.  With absorbing ends, omega != 0 and
     real lam - sigma it cannot break down: Im(x^H T_k x) = -omega |x_1|^2 for
     each leading block T_k, so T_k x = 0 forces x_1 = 0, and then its rows
     force x = 0 (where o = 0, T_k is diagonal with nonzero entries).
     """
-    if pencil.bc == BoundaryKind.PERIODIC:
-        raise ValueError("boundary_green needs uniform interior rows and no wrap: "
-                         "a Neumann or absorbing pencil")
     K, M = pencil.K, pencil.M
     c = np.asarray(lam, dtype=np.complex128) - sigma
     p = K.diag[0] + c * M.diag[0]
@@ -210,20 +211,8 @@ def _check_gaps(gap, scale, which: str) -> None:
             f"min |eigenvalue| {gap[l]:.3e}", block=l)
 
 
-class AuxWrap(NamedTuple):
-    """The auxiliary x_1 pencil a plan solves with, and why it was chosen.
-
-    ``gaps`` holds, for the periodic and the anti-periodic wrap, the smallest
-    |eigenvalue| over all auxiliary blocks relative to |sigma|.
-    """
-
-    pencil: Pencil1D
-    basis: EigenBasis
-    gaps: tuple[float, float]
-
-
-def choose_wrap(pencil: Pencil1D, sigma: complex, cross_lams) -> AuxWrap:
-    """The wrap of the x_1 pencil whose auxiliary blocks are furthest from resonance.
+def choose_wrap(pencil: Pencil1D, sigma: complex, cross_lams) -> tuple[float, tuple]:
+    """``(twist, gaps)``: the x_1 wrap whose auxiliary blocks are furthest from resonance.
 
     Block l of the auxiliary problem has the eigenvalues Lambda_l + c - sigma
     over the sums c of the cross directions' real eigenvalues
@@ -231,9 +220,11 @@ def choose_wrap(pencil: Pencil1D, sigma: complex, cross_lams) -> AuxWrap:
     even m periodic, odd m anti-periodic.  The sums near the shifts are
     sorted once and the shifts of all 2n modes located by bisection; the
     wrap with the larger smallest |eigenvalue| is kept, the periodic one on
-    a tie.  Raises SingularBlock if a kept block is resonant, and, where the
-    original x_1 pencil is real (Neumann ends, or sigma = 0), if an original
-    block is, over the DCT-I eigenvalues of x_1.
+    a tie: twist 0 (periodic) or pi (anti-periodic).  ``gaps`` holds both
+    wraps' smallest |eigenvalue|, relative to |sigma|.  Raises SingularBlock
+    if a kept block is resonant, and, where the original x_1 pencil is real
+    (Neumann ends, or sigma = 0), if an original block is, over the DCT-I
+    eigenvalues of x_1.
     """
     # every shift below is sigma minus an eigenvalue >= 0
     sums, largest = _cross_sums(cross_lams, np.real(sigma))
@@ -245,9 +236,7 @@ def choose_wrap(pencil: Pencil1D, sigma: complex, cross_lams) -> AuxWrap:
     smallest = (float(gap[0::2].min()), float(gap[1::2].min()))
     k = int(smallest[1] > smallest[0])
     _check_gaps(gap[k::2], scale[k::2], "B")
-    aux = assemble_periodic_pencil(pencil.n, pencil.h, k * np.pi)
-    return AuxWrap(pencil=aux, basis=circulant_eigenbasis(aux),
-                   gaps=tuple(g / abs(sigma) for g in smallest))
+    return k * np.pi, tuple(g / abs(sigma) for g in smallest)
 
 
 def clear_eigen_cache() -> None:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helmfft import (BoundaryKind, Grid, assemble_pencil,
-                     assemble_periodic_pencil, build_operator_A,
-                     build_operator_B, kron_apply, plan2d, plan3d)
+from helmfft import (BoundaryKind, Grid, assemble_pencil, build_operator_A,
+                     dense_problem, kron_apply, plan2d, plan3d)
 from helmfft.assembly import Pencil1D
+from helmfft.oracle import wrapped_dense
 from helmfft import pipeline
 
 
@@ -35,8 +35,8 @@ def test_neumann_stiffness_rows_sum_to_zero(n):
 
 
 def test_periodic_pencil_values():
-    p = assemble_periodic_pencil(4, 1 / 3)
-    K, M = p.K.dense(), p.M.dense()
+    # the oracle's periodic wrap of an absorbing pencil: no trace of its ends
+    K, M = wrapped_dense(assemble_pencil(4, 1 / 3, 2 * np.pi, BoundaryKind.ABSORBING), 0.0)
     assert np.allclose(np.diag(K), 6.0)
     assert K[0, 1] == K[0, -1] == pytest.approx(-3.0)
     assert np.allclose(np.diag(M), 2 / 9)
@@ -46,34 +46,39 @@ def test_periodic_pencil_values():
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_periodic_row_sums_and_mass_total(n):
     h = 1 / (n - 1)
-    p = assemble_periodic_pencil(n, h)
-    assert np.allclose(p.K.dense().sum(axis=1), 0.0, atol=1e-13)
-    assert p.M.dense().sum() == pytest.approx(n * h)
+    K, M = wrapped_dense(assemble_pencil(n, h), 0.0)
+    assert np.allclose(K.sum(axis=1), 0.0, atol=1e-13)
+    assert M.sum() == pytest.approx(n * h)
 
 
-@pytest.mark.parametrize("pencil", [assemble_pencil(6, 0.2),
-                                    assemble_pencil(5, 0.25, 2 * np.pi, BoundaryKind.ABSORBING),
-                                    assemble_periodic_pencil(5, 0.25),
-                                    assemble_periodic_pencil(5, 0.25, np.pi)],
+_ABSORBING = assemble_pencil(5, 0.25, 2 * np.pi, BoundaryKind.ABSORBING)
+
+
+@pytest.mark.parametrize("pencil,twist", [(assemble_pencil(6, 0.2), None), (_ABSORBING, None),
+                                          (_ABSORBING, 0.0), (_ABSORBING, np.pi)],
                          ids=["neumann", "absorbing", "periodic", "antiperiodic"])
-def test_pencil_from_integer_stencils(pencil):
+def test_pencil_from_integer_stencils(pencil, twist):
     # K = (D - T)/h and M = (h/6) T, with T = tridiag(1, 4, 1) (2 at the
-    # ends, or the wrap's corners) taken from M
-    T = pencil.M.dense() * 6 / pencil.h
+    # ends, or the corners of the oracle's wrap, where D is 6 throughout)
+    # taken from M
+    if twist is None:
+        K, M, D = pencil.K.dense(), pencil.M.dense(), pencil.D
+    else:
+        (K, M), D = wrapped_dense(pencil, twist), np.full(pencil.n, 6.0)
+    T = M * 6 / pencil.h
     assert np.allclose(T, np.round(T.real), atol=1e-13)
-    assert np.allclose(pencil.K.dense(), (np.diag(pencil.D) - T) / pencil.h, atol=1e-12)
+    assert np.allclose(K, (np.diag(D) - T) / pencil.h, atol=1e-12)
 
 
 def test_pencil_validation():
     with pytest.raises(ValueError):
         assemble_pencil(2, 0.5)
-    with pytest.raises(ValueError):
-        assemble_pencil(5, 0.25, bc=BoundaryKind.PERIODIC)
-    with pytest.raises(ValueError):
-        assemble_periodic_pencil(2, 0.5)
-    for kw in ({"h": 0.0}, {"h": -0.25}, {"h": float("nan")}, {"twist": np.pi / 2}):
+    for kw in ({"h": 0.0}, {"h": -0.25}, {"h": float("nan")}, {"h": float("inf")},
+               {"omega": float("nan")}, {"omega": float("inf")}):
         with pytest.raises(ValueError):
-            Pencil1D(**{"n": 5, "h": 0.25, "bc": BoundaryKind.PERIODIC, **kw})
+            Pencil1D(**{"n": 5, "h": 0.25, "bc": BoundaryKind.NEUMANN, **kw})
+    with pytest.raises(ValueError):
+        build_operator_A(Grid((5, 4)), float("nan"))
 
 
 def test_pencil_fields_are_scalars():
@@ -84,11 +89,9 @@ def test_pencil_fields_are_scalars():
 
 
 def test_assembled_matrices_symmetric():
-    for p in (assemble_pencil(6, 0.2, 2 * np.pi, BoundaryKind.ABSORBING),
-              assemble_periodic_pencil(6, 0.2)):
-        for T in (p.K, p.M):
-            D = T.dense()
-            assert np.array_equal(D, D.T)
+    p = assemble_pencil(6, 0.2, 2 * np.pi, BoundaryKind.ABSORBING)
+    for D in (p.K.dense(), p.M.dense(), *wrapped_dense(p, 0.0), *wrapped_dense(p, np.pi)):
+        assert np.array_equal(D, D.T)
 
 
 def test_operator_a_dense_matches_explicit_kron():
@@ -105,14 +108,15 @@ def test_operator_a_dense_matches_explicit_kron():
 
 
 def test_operator_b_dense_matches_explicit_kron():
+    # Independent assembly with literal circulant element matrices, h_1 = 1/3
     grid = Grid((4, 3))
     omega = 1.0
-    h1, h2 = grid.h
-    p1B = assemble_periodic_pencil(4, h1)
-    p2 = assemble_pencil(3, h2)
-    expected = (np.kron(p1B.K.dense() - omega ** 2 * p1B.M.dense(), p2.M.dense())
-                + np.kron(p1B.M.dense(), p2.K.dense()))
-    assert np.allclose(build_operator_B(grid, omega).dense(), expected, atol=1e-14)
+    K1B = np.array([[6, -3, 0, -3], [-3, 6, -3, 0], [0, -3, 6, -3], [-3, 0, -3, 6]])
+    M1B = np.array([[4, 1, 0, 1], [1, 4, 1, 0], [0, 1, 4, 1], [1, 0, 1, 4]]) / 18
+    K2 = np.array([[2, -2, 0], [-2, 4, -2], [0, -2, 2]], dtype=complex)
+    M2 = np.array([[1 / 6, 1 / 12, 0], [1 / 12, 1 / 3, 1 / 12], [0, 1 / 12, 1 / 6]])
+    expected = np.kron(K1B - omega ** 2 * M1B, M2) + np.kron(M1B, K2)
+    assert np.allclose(dense_problem(grid, omega).B, expected, atol=1e-14)
 
 
 def test_operator_a_neumann_kernel():
@@ -129,19 +133,21 @@ def test_operator_a_3d_complex_symmetric():
 
 
 def test_operator_b_x1_factors_real():
+    # the wrap drops the absorbing ends: real factors with nonzero corners, real B
+    p = assemble_pencil(4, 1 / 3, 2 * np.pi, BoundaryKind.ABSORBING)
     for twist in (0.0, np.pi):
-        B = build_operator_B(Grid((4, 3)), 2 * np.pi, twist)
-        assert B.sigma == (2 * np.pi) ** 2
-        for F in (B.pencils[0].K, B.pencils[0].M):
-            assert np.abs(F.diag.imag).max() == 0.0
-            assert F.corner.imag == 0.0 and F.corner != 0.0
+        for F in wrapped_dense(p, twist):
+            assert np.abs(F.imag).max() == 0.0
+            assert F[0, -1] == F[-1, 0] != 0.0
+        assert np.abs(dense_problem(Grid((4, 3)), 2 * np.pi, twist=twist).B.imag).max() == 0.0
 
 
 @pytest.mark.parametrize("shape,omega", [((3, 3), 2 * np.pi), ((4, 3), 1.0),
                                          ((5, 4), 2 * np.pi), ((3, 3, 4), 1.0)])
 def test_b_minus_a_supported_on_boundary_planes(shape, omega):
     g = Grid(shape)
-    D = build_operator_B(g, omega).dense() - build_operator_A(g, omega).dense()
+    prob = dense_problem(g, omega)
+    D = prob.B - prob.A
     n1 = shape[0]
     block = g.npoints // n1
     interior = np.arange(block, g.npoints - block)
@@ -195,7 +201,6 @@ def test_correction_matches_dense_b_minus_a(shape, omega):
     block = g.npoints // n1
     ends = np.r_[:block, g.npoints - block:g.npoints]
     p1 = assemble_pencil(n1, g.h[0], omega, BoundaryKind.ABSORBING)
-    p1B = assemble_periodic_pencil(n1, g.h[0], twist)
     cross = [assemble_pencil(g.n[j], g.h[j]) for j in range(1, g.dims)]
 
     def kron(*factors):
@@ -207,12 +212,13 @@ def test_correction_matches_dense_b_minus_a(shape, omega):
     M = kron(*(p.M.dense() for p in cross))
     K = sum(kron(*(q.K.dense() if q is p else q.M.dense() for q in cross)) for p in cross)
     dk, dm = (np.array([[end, corner], [corner, end]]) for end, corner in plan.correction)
-    for got, B, A in ((dk, p1B.K, p1.K), (dm, p1B.M, p1.M)):
-        full = B.dense() - A.dense()
+    for got, B, A in zip((dk, dm), wrapped_dense(p1, twist), (p1.K, p1.M)):
+        full = B - A.dense()
         assert np.array_equal(full[np.ix_([0, -1], [0, -1])], got)
         full[np.ix_([0, -1], [0, -1])] = 0.0
         assert np.abs(full).max() == 0.0
-    D = build_operator_B(g, omega, twist).dense() - build_operator_A(g, omega).dense()
+    prob = dense_problem(g, omega, twist=twist)
+    D = prob.B - prob.A
     cbb = np.kron(dk - omega ** 2 * dm, M) + np.kron(dm, K)
     expected = D[np.ix_(ends, ends)]
     assert np.linalg.norm(cbb - expected) <= 1e-12 * np.linalg.norm(expected)

@@ -167,6 +167,9 @@ def test_exit_code_config_error():
     assert cli.main(["solve", "--rhs", "nonsense"]) == 2
     assert cli.main(["solve", "--rhs", "random:notanint"]) == 2
     assert cli.main(["solve", "--rhs", "random:-1"]) == 2
+    # a count out of range is refused, not replaced by 1 repeat or auto threads
+    for flags in (["--repeats", "0"], ["--repeats", "-3"], ["--threads", "-2"]):
+        assert cli.main(["solve", "--n1", "5", "--n2", "4", *flags]) == 2
 
 
 @pytest.mark.parametrize("refine", ["-3", "-1"])
@@ -320,7 +323,7 @@ def test_slope_needs_two_sizes(tmp_path, capsys):
 def test_verify_builds_no_dense_b(monkeypatch, capsys):
     def no_b(*args, **kwargs):
         raise AssertionError("verify assembled the wrapped operator B")
-    monkeypatch.setattr(oracle, "build_operator_B", no_b)
+    monkeypatch.setattr(oracle, "wrapped_dense", no_b)
     assert cli.main(["verify", "--n1", "9", "--n2", "9", "--rhs", "paper",
                      "--repeats", "1"]) == 0
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from helmfft import (BoundaryKind, Grid, SizeLimit, assemble_pencil,
-                     assemble_periodic_pencil, build_operator_A,
-                     circulant_eigenbasis, dense_eigensolve_pencil,
-                     dense_partial_solution, dense_problem, dense_solve,
-                     kron_apply)
+                     build_operator_A, circulant_eigenbasis,
+                     dense_eigensolve_pencil, dense_partial_solution,
+                     dense_problem, dense_solve, kron_apply)
+from helmfft.oracle import wrapped_dense
 from conftest import rand_field
 
 
@@ -74,9 +74,9 @@ def test_partial_solution_full_coupling():
 
 def test_eigensolve_circulant_multiset():
     for twist in (0.0, np.pi):
-        p = assemble_periodic_pencil(8, 1 / 7, twist)
-        lam, _ = dense_eigensolve_pencil(p.K.dense(), p.M.dense())
-        ref = np.sort_complex(circulant_eigenbasis(p).lambdas)
+        p = assemble_pencil(8, 1 / 7)
+        lam, _ = dense_eigensolve_pencil(*wrapped_dense(p, twist))
+        ref = np.sort_complex(circulant_eigenbasis(p, twist).lambdas)
         assert np.allclose(np.sort_complex(lam), ref, atol=1e-10 * np.abs(ref).max())
 
 

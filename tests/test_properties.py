@@ -161,7 +161,8 @@ def test_complexity_slope_2d_moderate_sizes():
     xs = [math.log(N) for N in times]
     ys = [math.log(t) for t in times.values()]
     slope = float(np.polyfit(xs, ys, 1)[0])
-    assert 0.9 <= slope <= 1.3, f"slope {slope}"
+    best_ms = ", ".join(f"N={N}: {t * 1e3:.1f}" for N, t in times.items())
+    assert 0.9 <= slope <= 1.3, f"slope {slope}, best ms {best_ms}"
 
 
 def test_cli_bench_sweep_and_slope_subcommand(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helmfft import (BoundaryKind, Grid, SingularBlock,
-                     assemble_pencil, assemble_periodic_pencil, boundary_green,
+                     assemble_pencil, boundary_green,
                      build_operator_A, circulant_eigenbasis, dct1_eigen,
                      dense_eigensolve_pencil,
                      dense_partial_solution, dense_problem, dense_solve,
@@ -75,7 +75,7 @@ def test_plan_resonant_original_block_raises():
     p1 = assemble_pencil(5, g.h[0])
     p2 = assemble_pencil(7, g.h[1])
     sigma = dct1_eigen(p1)[0][1] + dct1_eigen(p2)[0][0]
-    lamB = circulant_eigenbasis(assemble_periodic_pencil(5, g.h[0])).lambdas
+    lamB = circulant_eigenbasis(p1, 0.0).lambdas
     lam2 = dct1_eigen(p2)[0]
     gap = np.abs(np.add.outer(lamB - sigma, lam2)).min()
     assert gap > 1e-2 * sigma                 # no auxiliary block is near resonance
@@ -438,4 +438,17 @@ def test_bad_input_raises(which):
                  lambda: solve_final(plan, f_hat, b, w_b),
                  lambda: solve_final(plan, f_hat, ps, b)):
         with pytest.raises(ValueError):
+            call()
+
+
+def test_step_functions_reject_a_3d_plan():
+    # the steps take 2D boundary pairs (2 n_2 values); on a 3D plan step 1
+    # would return 2 n_2 n_3 of them, which step 2 then refuses
+    g = Grid((9, 7, 5))
+    plan = plan3d(g, 2 * np.pi)
+    f, b = rand_field(g, 4), np.ones(2 * g.n[1], dtype=complex)
+    for call in (lambda: solve_aux_partial(plan, f),
+                 lambda: solve_correction(plan, b),
+                 lambda: solve_final(plan, f, b, b)):
+        with pytest.raises(ValueError, match="needs a 2D plan"):
             call()

@@ -6,23 +6,23 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from helmfft import (Grid, SingularBlock, assemble_pencil,
-                     assemble_periodic_pencil, boundary_green,
+from helmfft import (Grid, SingularBlock, assemble_pencil, boundary_green,
                      build_operator_A, circulant_eigenbasis, dct1_eigen,
                      dense_eigensolve_pencil, dense_problem, dense_solve,
                      kron_apply, plan3d, solve3d, solve_block_system)
 from helmfft.cli import main as cli_main
+from helmfft.oracle import wrapped_dense
 from conftest import rand_field, relerr
 
 
 def test_plan_circulant_eigenvalues_match_dense():
     g = Grid((3, 4, 5))
     plan = plan3d(g, 2 * np.pi)
-    aux = assemble_periodic_pencil(g.n[0], g.h[0], plan.twist)
-    pairs = ((aux, plan.basis_circulant_x1.lambdas),
-             *zip(plan.operator.pencils[1:], plan.cross_lambdas))
-    for pencil, lam in pairs:
-        ref, _ = dense_eigensolve_pencil(pencil.K.dense(), pencil.M.dense())
+    p1, *cross = plan.operator.pencils
+    pairs = ((wrapped_dense(p1, plan.twist), plan.basis_circulant_x1.lambdas),
+             *(((p.K.dense(), p.M.dense()), lam) for p, lam in zip(cross, plan.cross_lambdas)))
+    for (K, M), lam in pairs:
+        ref, _ = dense_eigensolve_pencil(K, M)
         got = np.sort_complex(lam)
         assert np.allclose(np.sort_complex(ref), got,
                            atol=1e-10 * max(1.0, np.abs(got).max()))
@@ -219,7 +219,7 @@ def test_solve3d_shift_sets():
     green = boundary_green(plan.operator.pencils[0], (2 * np.pi) ** 2, lam)
     assert min(np.abs(part.imag).max() for part in green) > 1e-6
     assert np.abs(plan.shifts_B.imag).max() <= 1e-12
-    lamB = circulant_eigenbasis(assemble_periodic_pencil(g.n[0], g.h[0], plan.twist)).lambdas
+    lamB = circulant_eigenbasis(plan.operator.pencils[0], plan.twist).lambdas
     assert np.allclose(plan.shifts_B, (2 * np.pi) ** 2 - lamB)
 
 

@@ -6,18 +6,19 @@ import pytest
 import scipy.fft
 import scipy.linalg
 
-from helmfft import (BoundaryKind, NormalizationFailure, SingularBlock,
-                     TriCornerMatrix, assemble_pencil, assemble_periodic_pencil,
-                     boundary_green, circulant_eigenbasis, dct1_eigen,
-                     dense_eigensolve_pencil, solve_pencil_eigen)
+from helmfft import (BoundaryKind, Grid, NormalizationFailure, SingularBlock,
+                     TriCornerMatrix, assemble_pencil, boundary_green,
+                     circulant_eigenbasis, dct1_eigen, dense_eigensolve_pencil,
+                     dense_problem, solve_pencil_eigen)
+from helmfft.oracle import wrapped_dense
 from helmfft.spectral import _FLUSH_BELOW, _FLUSH_STEPS, choose_wrap
 
 
 def test_circulant_eigenvalues_closed_form():
     h = 0.2
-    p = assemble_periodic_pencil(4, h)
-    lam = circulant_eigenbasis(p).lambdas
-    mu = 1.0 / (4 * circulant_eigenbasis(p).scales ** 2)   # s_l = 1/sqrt(n mu_l)
+    p = assemble_pencil(4, h)
+    lam = circulant_eigenbasis(p, 0.0).lambdas
+    mu = 1.0 / (4 * circulant_eigenbasis(p, 0.0).scales ** 2)   # s_l = 1/sqrt(n mu_l)
     assert lam[0] == pytest.approx(0.0, abs=1e-13)
     # theta = pi mode: stiffness symbol 4/h, mass symbol h/3
     assert lam[2] == pytest.approx(12 / h ** 2, rel=1e-13)
@@ -28,29 +29,29 @@ def test_circulant_eigenvalues_closed_form():
 
 @pytest.mark.parametrize("n", [4, 5, 9])
 def test_circulant_pair_symmetry(n):
-    lam = circulant_eigenbasis(assemble_periodic_pencil(n, 1 / (n - 1))).lambdas
+    lam = circulant_eigenbasis(assemble_pencil(n, 1 / (n - 1)), 0.0).lambdas
     for l in range(1, n):  # modes l and n+2-l coincide (1-based), l = 2..n
         assert lam[l] == pytest.approx(lam[(n - l) % n], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 8, 16])
 def test_circulant_matches_dense_eigensolve(n):
-    p = assemble_periodic_pencil(n, 1 / (n - 1))
-    lam = np.sort_complex(circulant_eigenbasis(p).lambdas)
-    ref, _ = dense_eigensolve_pencil(p.K.dense(), p.M.dense())
+    p = assemble_pencil(n, 1 / (n - 1))
+    lam = np.sort_complex(circulant_eigenbasis(p, 0.0).lambdas)
+    ref, _ = dense_eigensolve_pencil(*wrapped_dense(p, 0.0))
     assert np.allclose(np.sort_complex(ref), lam, atol=1e-10 * np.abs(lam).max())
 
 
 @pytest.mark.parametrize("twist", [0.0, np.pi])
 @pytest.mark.parametrize("n", range(3, 66))
 def test_wrap_closed_form_matches_dense(n, twist):
-    # Both wraps: lambda against the dense eigensolve of the assembled pencil;
-    # V_jl = s_l e^{i theta_l j}, theta_l = (2 pi l + twist)/n, M-orthonormal
-    # and K-diagonalizing; its rows 1 and n are the boundary rows, and the
-    # twiddled FFT applies V^H and V.
-    p = assemble_periodic_pencil(n, 1.0 / (n - 1), twist)
-    basis = circulant_eigenbasis(p)
-    K, M = p.K.dense(), p.M.dense()
+    # Both wraps of an absorbing pencil: lambda against the dense eigensolve
+    # of the oracle's wrap; V_jl = s_l e^{i theta_l j}, theta_l = (2 pi l +
+    # twist)/n, M-orthonormal and K-diagonalizing; its rows 1 and n are the
+    # boundary rows, and the twiddled FFT applies V^H and V.
+    p = assemble_pencil(n, 1.0 / (n - 1), 2 * np.pi, BoundaryKind.ABSORBING)
+    basis = circulant_eigenbasis(p, twist)
+    K, M = wrapped_dense(p, twist)
     lam = basis.lambdas
     scale = np.abs(lam).max()
     ref, _ = dense_eigensolve_pencil(K, M)
@@ -79,25 +80,22 @@ def test_choose_wrap_gaps_match_all_blocks(cross, sigma):
     # the gaps and the choice against every auxiliary block eigenvalue
     p = assemble_pencil(11, 0.1, 0.0, BoundaryKind.NEUMANN)
     lams = [_cross_modes(n) for n in cross]
-    wrap = choose_wrap(p, sigma, lams)
+    twist, wrap_gaps = choose_wrap(p, sigma, lams)
     sums = np.add.outer(*lams) if len(lams) == 2 else lams[0]
     gaps = []
-    for twist in (0.0, np.pi):
-        lam1 = circulant_eigenbasis(assemble_periodic_pencil(11, 0.1, twist)).lambdas
+    for phi in (0.0, np.pi):
+        lam1 = circulant_eigenbasis(p, phi).lambdas
         gaps.append(np.abs(np.add.outer(lam1, sums) - sigma).min() / abs(sigma))
-    assert np.allclose(wrap.gaps, gaps, rtol=1e-12, atol=0)
-    assert wrap.pencil.twist == (np.pi if gaps[1] > gaps[0] else 0.0)
-    assert wrap.basis.twist == wrap.pencil.twist
+    assert np.allclose(wrap_gaps, gaps, rtol=1e-12, atol=0)
+    assert twist == (np.pi if gaps[1] > gaps[0] else 0.0)
 
 
 def test_periodic_pencil_rejects_other_twists():
+    # a twist other than 0 or pi is refused by the basis and by the oracle's B
     with pytest.raises(ValueError):
-        assemble_periodic_pencil(5, 0.25, np.pi / 2)
-
-
-def test_circulant_requires_periodic():
+        circulant_eigenbasis(assemble_pencil(5, 0.25), np.pi / 2)
     with pytest.raises(ValueError):
-        circulant_eigenbasis(assemble_pencil(5, 0.25))
+        dense_problem(Grid((5, 4)), 2 * np.pi, twist=np.pi / 2).B
 
 
 @pytest.mark.parametrize("bc", [BoundaryKind.ABSORBING, BoundaryKind.NEUMANN])
@@ -157,8 +155,7 @@ def test_normalization_failure_on_defective_pencil():
 # -- boundary-restricted products --------------------------------------------
 
 def test_boundary_product_mode_one_is_constant():
-    p = assemble_periodic_pencil(6, 0.2)
-    basis = circulant_eigenbasis(p)
+    basis = circulant_eigenbasis(assemble_pencil(6, 0.2), 0.0)
     z = np.zeros((6, 3), dtype=complex)
     z[0] = [1.0, 2.0, 3.0]                   # mode 1 only, three lines
     vb = basis.boundary_rows() @ z
@@ -171,7 +168,7 @@ def test_adjoint_then_forward_matches_dense(rng):
     # composition must match the dense analysis and synthesis transforms
     # restricted to the boundary, s * fft and n * ifft(s * .).
     n, block = 5, 2
-    basis = circulant_eigenbasis(assemble_periodic_pencil(n, 0.25))
+    basis = circulant_eigenbasis(assemble_pencil(n, 0.25), 0.0)
     s = basis.scales[:, None]
     analysis = s * scipy.fft.fft(np.eye(n), axis=0)
     synthesis = n * scipy.fft.ifft(s * np.eye(n), axis=0)
@@ -280,8 +277,3 @@ def test_boundary_green_bitwise_matches_row_recurrence(n1, shift, bc, modes):
     lam = functools.reduce(np.add.outer, map(_cross_modes, modes))
     for got, ref in zip(boundary_green(p, sigma, lam), _green_by_rows(p, sigma, lam)):
         assert np.array_equal(got, ref)
-
-
-def test_boundary_green_rejects_wrapped_pencil():
-    with pytest.raises(ValueError, match="uniform"):
-        boundary_green(assemble_periodic_pencil(9, 1 / 9), 2.0, _cross_modes(5))
