@@ -24,8 +24,8 @@ from .pipeline import SolverPlan
 from .solver2d import (plan2d, solve2d, solve_aux_partial, solve_correction,
                        solve_final)
 from .solver3d import plan3d, solve3d, solve_block_system
-from .spectral import (EigenBasis, boundary_green, circulant_eigenbasis,
-                       clear_eigen_cache, dct1_eigen)
+from .spectral import (boundary_green, circulant_eigenbasis, clear_eigen_cache,
+                       dct1_eigen)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "BoundaryKind", "Grid", "KroneckerOperator", "TriCornerMatrix",
     "kron_apply", "tune_allocator",
     "Pencil1D", "assemble_pencil", "build_operator_A",
-    "EigenBasis", "circulant_eigenbasis", "dct1_eigen", "boundary_green",
+    "circulant_eigenbasis", "dct1_eigen", "boundary_green",
     "clear_eigen_cache",
     "SolverPlan", "SingularBlock", "plan2d", "solve2d",
     "solve_aux_partial", "solve_correction", "solve_final",

@@ -46,6 +46,8 @@ class Pencil1D:
     omega: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.bc, BoundaryKind):
+            raise ValueError(f"bc must be a BoundaryKind, got {self.bc!r}")
         if self.n < 3:
             raise ValueError(f"pencil needs n >= 3, got {self.n}")
         if not (self.h > 0 and math.isfinite(self.h)):

@@ -243,15 +243,12 @@ def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
 
     The passes run over chunks of x_1 slabs in ``_chunks``, whose finished
     chunks are copied out, so the scratch is d + 1 chunks, none of field
-    size.  ``x`` is a field vector of length N or the d-dim array, in any
-    memory layout (a transposed view included).  The result has the shape of
-    ``x`` and goes to ``out`` when given, which must not share memory with
-    ``x``.
+    size.  ``x`` is a finite field (``checked_field``), in any memory layout
+    (a transposed view included).  The result has the shape of ``x`` and
+    goes to ``out`` when given, which must not share memory with ``x``.
     """
-    x = np.asarray(x, dtype=np.complex128)
     shape = op.grid.shape
-    if x.shape not in ((op.grid.npoints,), shape):
-        raise ValueError(f"field has shape {x.shape}, grid is {shape}")
+    x = checked_field(np.asarray(x, dtype=np.complex128), shape, "x")
     if out is None:
         out = np.empty_like(x)
     elif out.shape != x.shape:
@@ -348,12 +345,12 @@ def defect_correction(op: KroneckerOperator, f, u, solve, passes: int):
     return u
 
 
-def checked_field(x, size: int, name: str = "f") -> np.ndarray:
-    """``x`` as an array, after checking that it has ``size`` entries, all finite."""
+def checked_field(x, shape, name: str = "f") -> np.ndarray:
+    """``x`` as an array, after checking that it is finite and flat or in ``shape``."""
     x = np.asarray(x)
-    if x.size != size:
-        raise ValueError(f"{name} has {x.size} entries, expected {size}")
-    if not np.isfinite(x).all():
+    if x.shape not in ((math.prod(shape),), tuple(shape)):
+        raise ValueError(f"{name} has shape {x.shape}, expected ({math.prod(shape)},) or {shape}")
+    if not all(np.isfinite(x.reshape(shape)[s]).all() for s in slabs(shape)):
         raise ValueError(f"{name} has non-finite entries")
     return x
 

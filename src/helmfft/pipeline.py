@@ -31,16 +31,17 @@ mode, over rho, C_bb is the pair (dk - sigma dm) + lam dm; ``_pair`` applies
 a pair to x as p x + q x[::-1].
 
 One ``SolverPlan``, built by ``make_plan`` for any number of cross axes,
-serves the pipeline through ``grid``, ``sigma``, ``operator`` (A as its d
-pencils and sigma; step 2 reads the x_1 pencil there), ``basis_circulant_x1``,
+holds each fact once: ``grid``, ``operator`` (A as its d pencils and sigma;
+step 2 reads the x_1 pencil there), the wrap's ``twist`` and ``wrap_gaps``,
 ``shifts_B`` (sigma - Lambda_{1,l}), ``correction`` (dk and dm as pairs),
 ``cross_lambdas`` and the private ``_w`` (cross weights) and ``_RW1`` (x_1
-boundary rows; step 3 takes their conjugate per slab).  Those are the only
-arrays a plan holds.  The refinement loop's residual applies ``operator``
-in the chunk loop of ``core.kron_apply``: 2(d - 1) one-dimensional passes of
-the pencils' integer stencils over chunks of x_1 slabs, the x_1 pass first,
-with scratch of d + 1 chunks.  It sums its norm chunk by chunk and forms
-r = f - A u as a field only when a pass will use it.
+boundary rows, row 0 the real synthesis scales s_l; step 3 takes their
+conjugate per slab).  Those are the only arrays a plan holds.  The
+refinement loop's residual applies ``operator`` in the chunk loop of
+``core.kron_apply``: 2(d - 1) one-dimensional passes of the pencils' integer
+stencils over chunks of x_1 slabs, the x_1 pass first, with scratch of d + 1
+chunks.  It sums its norm chunk by chunk and forms r = f - A u as a field
+only when a pass will use it.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ import scipy.fft
 from .assembly import assemble_pencil, wrap_sign
 from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
                    defect_correction, freeze_arrays, slabs)
-from .spectral import (EigenBasis, boundary_green, choose_wrap, circulant_eigenbasis,
-                       dct1_eigen)
+from .spectral import (boundary_green, boundary_rows, choose_wrap, circulant_eigenbasis,
+                       dct1_eigen, twiddle)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,25 +66,17 @@ class SolverPlan:
     """Immutable precomputed state of a 2D or 3D solve; build with make_plan."""
 
     grid: Grid
-    omega: float
-    sigma: complex
-    bc_x1: BoundaryKind
-    basis_circulant_x1: EigenBasis      # of the auxiliary wrap the plan chose
-    cross_lambdas: tuple                # their closed-form DCT-I eigenvalues
-    correction: np.ndarray              # C_bb: [[dk_end, dk_corner], [dm_end, dm_corner]]
-    shifts_B: np.ndarray                # p_B,l = sigma - Lambda^B_{1,l}
     operator: KroneckerOperator         # A as its d pencils and sigma, x_1 first
+    twist: float                        # the auxiliary x_1 wrap: 0 periodic, pi anti-periodic
     wrap_gaps: tuple[float, float]      # relative gaps, periodic and anti-periodic
-    _w: tuple = dataclasses.field(repr=False, default=None)
-    _RW1: np.ndarray = dataclasses.field(repr=False, default=None)
+    shifts_B: np.ndarray                # p_B,l = sigma - Lambda^B_{1,l}
+    cross_lambdas: tuple                # the cross pencils' closed-form DCT-I eigenvalues
+    correction: np.ndarray              # C_bb: [[dk_end, dk_corner], [dm_end, dm_corner]]
+    _w: tuple = dataclasses.field(repr=False)
+    _RW1: np.ndarray = dataclasses.field(repr=False)   # row 0: the x_1 synthesis scales
 
     def __post_init__(self):
         freeze_arrays(vars(self).values())
-
-    @property
-    def twist(self) -> float:
-        """Phase of the auxiliary x_1 wrap: 0 periodic, pi anti-periodic."""
-        return self.basis_circulant_x1.twist
 
 
 def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
@@ -92,8 +85,8 @@ def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
     With absorbing x_1 ends the second argument is the real wave number
     omega, which enters the x_1 corners, and the shift is sigma = omega^2;
     with Neumann ends it is the complex shift sigma.  Raises ValueError for a
-    non-real or non-finite omega, a non-finite sigma or another boundary
-    kind, and SingularBlock if resonant (choose_wrap).
+    non-real or non-finite omega, a non-finite sigma or a ``bc_x1`` that is
+    no ``BoundaryKind``, and SingularBlock if resonant (choose_wrap).
     """
     if bc_x1 == BoundaryKind.ABSORBING:
         if np.imag(omega_or_shift) != 0 or not np.isfinite(omega_or_shift):
@@ -101,12 +94,10 @@ def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
                              f"got {omega_or_shift!r}")
         omega = float(np.real(omega_or_shift))
         sigma = complex(omega ** 2)
-    elif bc_x1 == BoundaryKind.NEUMANN:
+    else:
         omega, sigma = 0.0, complex(omega_or_shift)
         if not cmath.isfinite(sigma):
             raise ValueError(f"the shift must be finite, got {omega_or_shift!r}")
-    else:
-        raise ValueError(f"unsupported x_1 boundary kind: {bc_x1}")
     (n1, *ns), (h1, *hs) = grid.n, grid.h
     p1 = assemble_pencil(n1, h1, omega, bc_x1)
     cross = tuple(assemble_pencil(n, h) for n, h in zip(ns, hs))
@@ -114,17 +105,16 @@ def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
     for w in weights:
         w[1:-1] *= 2.0                  # w = 2 D / E
     twist, gaps = choose_wrap(p1, sigma, lams)
-    w1 = circulant_eigenbasis(p1, twist)
+    lam1, scales = circulant_eigenbasis(p1, twist)
     return SolverPlan(
-        grid=grid, omega=omega, sigma=sigma, bc_x1=bc_x1,
-        basis_circulant_x1=w1, cross_lambdas=lams,
+        grid=grid, operator=KroneckerOperator(grid, (p1, *cross), sigma),
+        twist=twist, wrap_gaps=gaps,
+        shifts_B=(sigma if sigma.imag else sigma.real) - lam1,
+        cross_lambdas=lams,
         # the sign times the real o: the corners' zero imaginary parts stay +0
         correction=np.array([[T.diag[1] - T.diag[0], wrap_sign(twist) * T.off[0].real]
                              for T in (p1.K, p1.M)]),
-        shifts_B=(sigma if sigma.imag else sigma.real) - w1.lambdas,
-        operator=KroneckerOperator(grid, (p1, *cross), sigma),
-        wrap_gaps=gaps,
-        _w=weights, _RW1=w1.boundary_rows(),
+        _w=weights, _RW1=boundary_rows(scales, twist),
     )
 
 
@@ -136,7 +126,7 @@ def cross_planes(plan):
 
 def green(plan):
     """``boundary_green`` of the original x_1 pencil over the cross modes."""
-    return boundary_green(plan.operator.pencils[0], plan.sigma, cross_planes(plan)[1])
+    return boundary_green(plan.operator.pencils[0], plan.operator.sigma, cross_planes(plan)[1])
 
 
 def field(plan, f):
@@ -190,7 +180,7 @@ def _pair(p, q, x):
 
 def _boundary_corr(plan, vb, lam):
     """C_bb per cross mode, over rho: the pair (dk - sigma dm) + lam dm on vb."""
-    p, q = ((dk - plan.sigma * dm) + lam * dm for dk, dm in plan.correction.T)
+    p, q = ((dk - plan.operator.sigma * dm) + lam * dm for dk, dm in plan.correction.T)
     return _pair(p, q, vb)
 
 
@@ -200,7 +190,7 @@ def step1(plan, F, workers=None):
     Returns (f_hat, v_b): f_hat is F transformed and scaled, which step 3
     consumes; v_b is in the pipeline's cross basis.
     """
-    pre = plan.basis_circulant_x1.twiddle(-1)
+    pre = twiddle(plan.grid.n[0], plan.twist, -1)
     if pre is not None:
         F *= _along_x1(pre, F.ndim)
     F = scipy.fft.fft(F, axis=0, overwrite_x=True, workers=workers)
@@ -209,7 +199,7 @@ def step1(plan, F, workers=None):
     vb = np.zeros((2,) + F.shape[1:], dtype=np.complex128)
     for s in slabs(F.shape):
         Fs = F[s]
-        Fs *= _along_x1(plan.basis_circulant_x1.scales[s], F.ndim)
+        Fs *= _along_x1(plan._RW1[0, s].real, F.ndim)
         vb += np.tensordot(plan._RW1[:, s],
                            Fs * inverse_divisor(plan.shifts_B[s], rho, lam), axes=1)
     return F, vb
@@ -233,14 +223,14 @@ def step3(plan, F, vbw, workers=None):
     c = _boundary_corr(plan, vbw, lam)
     c *= rho
     # the x_1 synthesis scales and the back transforms' 1 / 2^(d-1), folded
-    scale = plan.basis_circulant_x1.scales * (plan.grid.n[0] / 2.0 ** (F.ndim - 1))
+    scale = plan._RW1[0].real * (plan.grid.n[0] / 2.0 ** (F.ndim - 1))
     for s in slabs(F.shape):
         Fs = F[s]
         Fs += np.tensordot(np.conj(plan._RW1[:, s]).T, c, axes=1)
         Fs *= inverse_divisor(plan.shifts_B[s], rho, lam, _along_x1(scale[s], F.ndim))
     F = dct_cross(F, workers, scale_ends=False)
     U = scipy.fft.ifft(F, axis=0, overwrite_x=True, workers=workers)
-    post = plan.basis_circulant_x1.twiddle(1)
+    post = twiddle(plan.grid.n[0], plan.twist, 1)
     if post is not None:
         U *= _along_x1(post, U.ndim)
     return U
@@ -261,7 +251,7 @@ def solve(plan, f, refine, workers):
     """
     if not isinstance(refine, numbers.Integral) or refine < 0:
         raise ValueError(f"refine must be an integer >= 0, got {refine!r}")
-    f = checked_field(f, plan.grid.npoints)
+    f = checked_field(f, plan.grid.shape)
     G = green(plan)
     U = run(plan, field(plan, f), G, workers)
     U = defect_correction(plan.operator, f.reshape(plan.grid.shape), U,

@@ -58,8 +58,8 @@ def _plan2d(plan) -> SolverPlan:
 
 
 def _boundary(plan, v, name):
-    """Checked boundary data (2 * n2,) as a (2, n2) view."""
-    return checked_field(v, 2 * plan.grid.n[1], name).reshape(2, -1)
+    """Checked boundary data, (2 * n2,) or (2, n2), as a (2, n2) view."""
+    return checked_field(v, (2, plan.grid.n[1]), name).reshape(2, -1)
 
 
 # -- public operations -------------------------------------------------------
@@ -75,7 +75,7 @@ def solve_aux_partial(plan: SolverPlan, f: np.ndarray,
     {1, n_1}, flat (2 * n2,); f_hat is the scaled x_1 FFT and x_2 DCT-I of
     f, flat and opaque, reused verbatim by solve_final.
     """
-    F = pipeline.field(_plan2d(plan), checked_field(f, plan.grid.npoints))
+    F = pipeline.field(_plan2d(plan), checked_field(f, plan.grid.shape))
     fhat, vb = pipeline.step1(plan, F, workers)
     return pipeline.boundary_values(vb, workers).reshape(-1), fhat.reshape(-1)
 
@@ -90,7 +90,7 @@ def solve_correction(plan: SolverPlan, v_b, workers: int | None = None) -> np.nd
 def solve_final(plan: SolverPlan, f_hat: np.ndarray, v_b, w_b,
                 workers: int | None = None) -> np.ndarray:
     """Step 3: corrected auxiliary solve and inverse transforms."""
-    F = pipeline.field(_plan2d(plan), checked_field(f_hat, plan.grid.npoints, "f_hat"))
+    F = pipeline.field(_plan2d(plan), checked_field(f_hat, plan.grid.shape, "f_hat"))
     vbw = _boundary(plan, v_b, "v_b") + _boundary(plan, w_b, "w_b")
     U = pipeline.step3(plan, F, pipeline.boundary_modes(vbw, workers), workers)
     return U.reshape(-1)

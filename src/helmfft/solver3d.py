@@ -36,17 +36,17 @@ def solve_block_system(plan: SolverPlan, which: str, rhs: np.ndarray,
                        workers: int | None = None) -> np.ndarray:
     """Solve the transformed auxiliary block system H_B for a spectral vector.
 
-    rhs is in x_1 spectral space, lexicographic order.  Block l is the
-    n_2 x n_3 separable problem with shift p_{B,l}; it is diagonal in the
-    DCT-I basis of x_2 and x_3.  ``which`` ("B" or "H_B") stays for perfbench.
+    rhs is in x_1 spectral space, lexicographic order.  Block l is the cross
+    directions' separable problem with shift p_{B,l}, diagonal in their DCT-I
+    basis (2D plans too).  ``which`` ("B" or "H_B") stays for perfbench.
     """
     if which.upper().removeprefix("H_") != "B":
         raise ValueError(f"which must be 'B', got {which!r}")
-    X = pipeline.field(plan, checked_field(rhs, plan.grid.npoints, "rhs"))
+    X = pipeline.field(plan, checked_field(rhs, plan.grid.shape, "rhs"))
     X = pipeline.dct_cross(X, workers, scale_ends=True)
     rho, lam = pipeline.cross_planes(plan)
     for s in slabs(X.shape):
-        X[s] *= pipeline.inverse_divisor(plan.shifts_B[s], rho, lam, 0.25)
+        X[s] *= pipeline.inverse_divisor(plan.shifts_B[s], rho, lam, 2.0 ** (1 - X.ndim))
     return pipeline.dct_cross(X, workers, scale_ends=False).reshape(-1)
 
 

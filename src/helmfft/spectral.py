@@ -10,23 +10,24 @@ diagonalized by the unnormalized DFT after the pre-twiddle e^{-i phi j/n}
 (G. Strang, Stud. Appl. Math. 74 (1986); R. Chan & M. Ng, SIAM Review 38
 (1996) 427-482).  The analysis side is ``s * fft(t * .)`` along the lines and
 the synthesis side is ``conj(t) * n * ifft(s * .)``, with the twiddle
-``t_j = e^{-i phi j/n}`` and per-mode scales ``s_l = 1/sqrt(n mu_l)`` where
-``mu_l`` is the mass symbol.  Under this pairing the transformed block system
-is exactly ``(Lambda_l - sigma) M + K`` per mode.  Boundary products on this
-basis pair a row restriction with its complex conjugate (the DFT columns are
-not orthogonal under the plain transpose; conjugation is what the FFT
+``t_j = e^{-i phi j/n}`` (``twiddle``) and per-mode scales ``s_l = 1/sqrt(n
+mu_l)``, ``mu_l`` the mass symbol (``circulant_eigenbasis``).  Under this
+pairing the transformed block system is exactly ``(Lambda_l - sigma) M + K``
+per mode.  Boundary products on this basis pair a row restriction
+(``boundary_rows``) with its complex conjugate (the DFT columns are not
+orthogonal under the plain transpose; conjugation is what the FFT
 realization implements).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .assembly import Pencil1D, assemble_pencil, wrap_sign
-from .core import PIVOT_RTOL, BoundaryKind, SingularBlock, freeze_arrays
+from .core import PIVOT_RTOL, BoundaryKind, SingularBlock
 
 
 def _symbols(pencil: Pencil1D, theta):
@@ -45,49 +46,36 @@ def _angles(n: int, twist: float) -> np.ndarray:
     return (2.0 * np.pi * np.arange(n) + twist) / n
 
 
-@dataclass(frozen=True)
-class EigenBasis:
-    """Closed-form eigenbasis of a pencil's wrap; no matrix is stored.
-
-    Mode l has angle theta_l = (2 pi l + twist)/n, l = 0..n-1; ``lambdas`` is
-    the ratio of the stiffness and mass symbols there, and ``scales`` carry
-    the mass normalization.
-    """
-
-    n: int
-    lambdas: np.ndarray
-    scales: np.ndarray
-    twist: float
-
-    def __post_init__(self):
-        freeze_arrays(vars(self).values())
-
-    def boundary_rows(self) -> np.ndarray:
-        """Rows 1 and n of the scaled eigenvector matrix, shape (2, n)."""
-        top = self.scales.astype(np.complex128)
-        bot = np.exp(1j * (self.n - 1) * _angles(self.n, self.twist)) * top
-        return np.vstack([top, bot])
-
-    def twiddle(self, sign: int):
-        """e^{sign i twist j/n} for j < n; None for the periodic wrap.
-
-        sign = -1 before the forward line FFT, +1 after the inverse one.
-        """
-        if self.twist == 0.0:
-            return None
-        return np.exp((sign * 1j * self.twist / self.n) * np.arange(self.n))
+CirculantBasis = namedtuple("CirculantBasis", "lambdas scales")
 
 
-def circulant_eigenbasis(pencil: Pencil1D, twist: float) -> EigenBasis:
-    """The eigenbasis of ``pencil`` wrapped with ``twist``, 0 or pi (else ValueError).
+def circulant_eigenbasis(pencil: Pencil1D, twist: float) -> CirculantBasis:
+    """``(lambdas, scales)`` of ``pencil`` wrapped with ``twist``, 0 or pi (else ValueError).
 
-    Only the pencil's interior rows enter, which the wrap shares; the mass
-    symbol h (2 + cos theta)/3 is >= h/3.
+    Mode l has angle theta_l = (2 pi l + twist)/n, l < n; ``lambdas`` is the
+    ratio of the stiffness and mass symbols mu there, and ``scales`` are
+    1/sqrt(n mu).  Only the pencil's interior rows enter, which the wrap
+    shares; mu = h (2 + cos theta)/3 is >= h/3.  No matrix is formed.
     """
     wrap_sign(twist)
     num, mu = _symbols(pencil, _angles(pencil.n, twist))
-    return EigenBasis(n=pencil.n, lambdas=num / mu, scales=1.0 / np.sqrt(pencil.n * mu),
-                      twist=twist)
+    return CirculantBasis(num / mu, 1.0 / np.sqrt(pencil.n * mu))
+
+
+def boundary_rows(scales, twist: float) -> np.ndarray:
+    """Rows 1 and n of the scaled eigenvector matrix of a wrap, shape (2, n)."""
+    n, top = scales.size, scales.astype(np.complex128)
+    return np.vstack([top, np.exp(1j * (n - 1) * _angles(n, twist)) * top])
+
+
+def twiddle(n: int, twist: float, sign: int):
+    """e^{sign i twist j/n}, j < n: sign -1 before the forward FFT, +1 after the inverse one.
+
+    None for the periodic wrap.
+    """
+    if twist == 0.0:
+        return None
+    return np.exp((sign * 1j * twist / n) * np.arange(n))
 
 
 def dct1_eigen(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:

@@ -79,6 +79,11 @@ def test_pencil_validation():
             Pencil1D(**{"n": 5, "h": 0.25, "bc": BoundaryKind.NEUMANN, **kw})
     with pytest.raises(ValueError):
         build_operator_A(Grid((5, 4)), float("nan"))
+    # a string is no boundary kind: K would silently take Neumann ends
+    for make in (lambda: assemble_pencil(5, 0.25, 2 * np.pi, "absorbing"),
+                 lambda: plan2d(Grid((5, 4)), 2 * np.pi, bc_x1="absorbing")):
+        with pytest.raises(ValueError, match="BoundaryKind"):
+            make()
 
 
 def test_pencil_fields_are_scalars():
@@ -179,9 +184,9 @@ def test_correction_sigma_enters_through_dm_only():
     dk_only = np.array([[2.0, -1], [0, 0]], dtype=complex)
     v = np.arange(8, dtype=complex).reshape(2, 4) + 1j
     lam = pipeline.cross_planes(plan)[1]
-    out1, out2 = (pipeline._boundary_corr(dataclasses.replace(plan, correction=dk_only,
-                                                              sigma=sigma), v, lam)
-                  for sigma in (0j, 123.4 - 5j))
+    out1, out2 = (pipeline._boundary_corr(dataclasses.replace(
+        plan, correction=dk_only, operator=dataclasses.replace(plan.operator, sigma=sigma)),
+        v, lam) for sigma in (0j, 123.4 - 5j))
     assert np.array_equal(out1, out2)
 
 

@@ -116,6 +116,18 @@ def test_kron_apply_out_rejects_bad_out():
         kron_apply(op, x, out=np.empty((4, 5), dtype=complex))
 
 
+def test_kron_apply_rejects_bad_field():
+    # the solvers' field check: flat or the grid's shape, and finite
+    g = Grid((4, 5))
+    op = build_operator_A(g, 1.0)
+    x = np.ones(g.shape, dtype=complex)
+    bad = x.copy()
+    bad[1, 2] = np.nan
+    for field in (x.T.copy(), x[:, :4], bad, bad.reshape(-1)):
+        with pytest.raises(ValueError):
+            kron_apply(op, field)
+
+
 def _slab_planes(monkeypatch, grid, planes):
     # SLAB_SCRATCH for chunks of ``planes`` x_1 slabs (``_chunks`` takes slabs(shape, 2))
     monkeypatch.setattr(core, "SLAB_SCRATCH", 2 * planes * (grid.npoints // grid.n[0]))

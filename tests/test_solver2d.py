@@ -30,26 +30,29 @@ def test_plan_blocks_match_dense_assembly():
         n2 = shape[1]
         p2 = plan.operator.pencils[1]
         V = np.cos(np.outer(np.arange(n2), np.pi * np.arange(n2) / (n2 - 1)))
-        lamB = plan.basis_circulant_x1.lambdas
-        assert np.allclose(plan.shifts_B, plan.sigma - lamB, rtol=1e-14, atol=0)
+        sigma = plan.operator.sigma
+        lamB, scales = circulant_eigenbasis(plan.operator.pencils[0], plan.twist)
+        assert np.array_equal(plan.shifts_B, sigma - lamB)
+        assert np.array_equal(plan._RW1[0].real, scales)
         for l in range(shape[0]):
-            T = (lamB[l] - plan.sigma) * p2.M.dense() + p2.K.dense()
+            T = (lamB[l] - sigma) * p2.M.dense() + p2.K.dense()
             got = np.linalg.solve(T, p2.M.dense() @ V)
-            expected = V / (lamB[l] - plan.sigma + plan.cross_lambdas[0])
+            expected = V / (lamB[l] - sigma + plan.cross_lambdas[0])
             assert np.linalg.norm(got - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
 def test_plan_neumann_negative_shift_is_coercive():
     plan = plan2d(Grid((6, 5)), -1.0, bc_x1=BoundaryKind.NEUMANN)
     # every auxiliary block eigenvalue Lambda_l - sigma + lambda_k is >= 1
-    eig = np.add.outer(plan.basis_circulant_x1.lambdas - plan.sigma, plan.cross_lambdas[0])
-    gap = plan.wrap_gaps[int(plan.twist != 0.0)] * abs(plan.sigma)
+    p1, sigma = plan.operator.pencils[0], plan.operator.sigma
+    lam1 = circulant_eigenbasis(p1, plan.twist).lambdas
+    eig = np.add.outer(lam1 - sigma, plan.cross_lambdas[0])
+    gap = plan.wrap_gaps[int(plan.twist != 0.0)] * abs(sigma)
     assert np.isclose(gap, np.abs(eig).min(), rtol=1e-12)
     assert gap >= 1.0 - 1e-12
     # each original x_1 block K_1 + (lam_c + 1) M_1 is SPD; its boundary
     # Green's function is the corner block of the dense inverse
-    p1 = plan.operator.pencils[0]
-    g, g_far = boundary_green(p1, plan.sigma, plan.cross_lambdas[0])
+    g, g_far = boundary_green(p1, sigma, plan.cross_lambdas[0])
     for k, lam in enumerate(plan.cross_lambdas[0]):
         T_inv = np.linalg.inv(p1.K.dense() + (lam + 1.0) * p1.M.dense())
         corner = np.array([[g[k], g_far[k]], [g_far[k], g[k]]])
@@ -114,7 +117,7 @@ def test_plan_rejects_complex_omega_with_absorbing_ends():
     for make in (lambda w: plan2d(Grid((5, 4)), w), lambda w: plan3d(Grid((4, 5, 3)), w)):
         with pytest.raises(ValueError, match="real, finite wave number"):
             make(2 + 1j)
-        assert make(2 + 0j).omega == 2.0
+        assert make(2 + 0j).operator.pencils[0].omega == 2.0
     plan2d(Grid((5, 4)), 2 + 1j, bc_x1=BoundaryKind.NEUMANN)    # a complex shift
 
 
@@ -196,12 +199,13 @@ def test_pipeline_cbb_matches_correction_apply(plan):
     # boundary block of the dense B - A, assembled entrywise by the oracle.
     g = plan.grid
     block = g.npoints // g.n[0]
-    if plan.bc_x1 == BoundaryKind.NEUMANN:
+    p1 = plan.operator.pencils[0]
+    if p1.bc == BoundaryKind.NEUMANN:
         # B - A is affine in sigma, and the oracle's shift is a real omega^2
-        D0, D1 = (dense_problem(g, omega, plan.bc_x1, plan.twist) for omega in (0.0, 1.0))
-        D = (D0.B - D0.A) + plan.sigma * ((D1.B - D1.A) - (D0.B - D0.A))
+        D0, D1 = (dense_problem(g, omega, p1.bc, plan.twist) for omega in (0.0, 1.0))
+        D = (D0.B - D0.A) + plan.operator.sigma * ((D1.B - D1.A) - (D0.B - D0.A))
     else:
-        prob = dense_problem(g, plan.omega, plan.bc_x1, plan.twist)
+        prob = dense_problem(g, p1.omega, p1.bc, plan.twist)
         D = prob.B - prob.A
     ends = np.r_[:block, g.npoints - block:g.npoints]
     v = np.random.default_rng(5).standard_normal((2,) + g.n[1:]) + 1j
@@ -248,7 +252,7 @@ def test_bare_pipeline_matches_dense_lu(shape, omega_or_shift, bc):
     # refine=0: the pipeline alone, with no pass to hide a slightly wrong one
     g = Grid(shape)
     plan = plan2d(g, omega_or_shift, bc_x1=bc)
-    A = _dense_2d(g, plan.sigma, bc)
+    A = _dense_2d(g, plan.operator.sigma, bc)
     for seed in (0, 1):
         f = rand_field(g, 40 + seed)
         assert relerr(solve2d(plan, f, refine=0), np.linalg.solve(A, f)) <= 1e-10
@@ -374,10 +378,12 @@ def test_plan_arrays_reachable_are_read_only():
                 todo.extend(obj.values())
             elif type(obj).__module__.startswith("helmfft.") and hasattr(obj, "__dict__"):
                 todo.extend(vars(obj).values())
-        assert len(arrays) >= 7         # the held list of test_plan_bytes_sees_the_plan
+        # the held list of test_plan_bytes_sees_the_plan: shifts_B, _RW1,
+        # correction and a weight and an eigenvalue array per cross direction
+        assert len(arrays) == 3 + 2 * (plan.grid.dims - 1)
         assert not [a for a in arrays if a.flags.writeable]
         with pytest.raises(ValueError):
-            plan.basis_circulant_x1.scales[0] = 0.0
+            plan._RW1[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("refine", [-1, -2, 1.5, 1.0, "1", None])
@@ -414,21 +420,25 @@ def test_solve2d_shared_plan_across_threads():
         assert not val.flags.writeable, name
         assert np.array_equal(val, saved[name]), name
     with pytest.raises(FrozenInstanceError):
-        plan.sigma = 1.0
+        plan.twist = 0.0
 
 
-@pytest.mark.parametrize("which", ["short", "nan", "inf"])
+@pytest.mark.parametrize("which", ["short", "nan", "inf", "transposed"])
 def test_bad_input_raises(which):
+    # "transposed": the right number of entries in the wrong shape
     g = Grid((5, 4))
     plan = plan2d(g, 2 * np.pi)
 
-    def bad(n):
+    def bad(shape):
+        if which == "transposed":
+            return np.ones(shape[::-1], dtype=complex)
+        n = int(np.prod(shape))
         x = np.ones(n - 1 if which == "short" else n, dtype=complex)
         if which != "short":
             x[n // 2] = np.nan if which == "nan" else complex(0.0, np.inf)
         return x
 
-    f, b = bad(g.npoints), bad(2 * g.n[1])
+    f, b = bad(g.shape), bad((2, g.n[1]))
     ps, f_hat = solve_aux_partial(plan, rand_field(g, 2))
     w_b = solve_correction(plan, ps)
     for call in (lambda: solve2d(plan, f), lambda: solve2d(plan, f, refine=0),

@@ -1,3 +1,4 @@
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
@@ -9,7 +10,8 @@ import scipy.fft
 from helmfft import (Grid, SingularBlock, assemble_pencil, boundary_green,
                      build_operator_A, circulant_eigenbasis, dct1_eigen,
                      dense_eigensolve_pencil, dense_problem, dense_solve,
-                     kron_apply, plan3d, solve3d, solve_block_system)
+                     kron_apply, plan2d, plan3d, solve3d, solve_block_system)
+from helmfft.core import dense_kron_sum
 from helmfft.cli import main as cli_main
 from helmfft.oracle import wrapped_dense
 from conftest import rand_field, relerr
@@ -19,7 +21,7 @@ def test_plan_circulant_eigenvalues_match_dense():
     g = Grid((3, 4, 5))
     plan = plan3d(g, 2 * np.pi)
     p1, *cross = plan.operator.pencils
-    pairs = ((wrapped_dense(p1, plan.twist), plan.basis_circulant_x1.lambdas),
+    pairs = ((wrapped_dense(p1, plan.twist), circulant_eigenbasis(p1, plan.twist).lambdas),
              *(((p.K.dense(), p.M.dense()), lam) for p, lam in zip(cross, plan.cross_lambdas)))
     for (K, M), lam in pairs:
         ref, _ = dense_eigensolve_pencil(K, M)
@@ -80,22 +82,21 @@ def test_block_system_zero_rhs():
 
 @pytest.mark.parametrize("which", ["B", "H_B"])
 def test_block_system_matches_dense_blocks(which, rng):
-    g = Grid((3, 4, 5))
+    # block l is (Lambda_l - omega^2) M_cross + K_cross, over the cross
+    # directions of a 3D plan and of a 2D one
     omega = 2 * np.pi
-    plan = plan3d(g, omega)
-    n1, n2, n3 = g.n
-    p2, p3 = plan.operator.pencils[1:]
-    lam1 = plan.basis_circulant_x1.lambdas
-
-    rhs = rand_field(g, 9)
-    got = solve_block_system(plan, which, rhs).reshape(n1, n2 * n3)
-    R = rhs.reshape(n1, n2 * n3)
-    for l in range(n1):
-        block = (np.kron((lam1[l] - omega ** 2) * p2.M.dense() + p2.K.dense(),
-                         p3.M.dense())
-                 + np.kron(p2.M.dense(), p3.K.dense()))
-        expected = np.linalg.solve(block, R[l])
-        assert np.linalg.norm(got[l] - expected) <= 1e-9 * np.linalg.norm(expected)
+    for plan in (plan3d(Grid((3, 4, 5)), omega), plan2d(Grid((5, 4)), omega)):
+        g = plan.grid
+        p1, *cross = plan.operator.pencils
+        lam1 = circulant_eigenbasis(p1, plan.twist).lambdas
+        K = dense_kron_sum([(p.K.dense(), p.M.dense()) for p in cross], 0.0)
+        M = functools.reduce(np.kron, [p.M.dense() for p in cross])
+        rhs = rand_field(g, 9)
+        got = solve_block_system(plan, which, rhs).reshape(g.n[0], -1)
+        R = rhs.reshape(g.n[0], -1)
+        for l in range(g.n[0]):
+            expected = np.linalg.solve((lam1[l] - omega ** 2) * M + K, R[l])
+            assert np.linalg.norm(got[l] - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 def test_block_system_is_blockwise():
@@ -164,7 +165,7 @@ def test_solve3d_shared_plan_across_threads():
     for name, val in arrays.items():
         assert np.array_equal(getattr(plan, name), val), name
     with pytest.raises(FrozenInstanceError):
-        plan.omega = 1.0
+        plan.twist = 0.0
 
 
 @pytest.mark.parametrize("shape", [(9, 5, 7), (5, 9, 3), (3, 3, 3)])
@@ -223,12 +224,14 @@ def test_solve3d_shift_sets():
     assert np.allclose(plan.shifts_B, (2 * np.pi) ** 2 - lamB)
 
 
-@pytest.mark.parametrize("which", ["short", "nan", "inf"])
+@pytest.mark.parametrize("which", ["short", "nan", "inf", "transposed"])
 def test_bad_input_raises(which):
     g = Grid((3, 4, 5))
     plan = plan3d(g, 2 * np.pi)
     f = np.ones(g.npoints - 1 if which == "short" else g.npoints, dtype=complex)
-    if which != "short":
+    if which == "transposed":           # the right number of entries, (5, 4, 3)
+        f = f.reshape(g.shape).T.copy()
+    elif which != "short":
         f[7] = np.nan if which == "nan" else complex(np.inf, 0.0)
     for call in (lambda: solve3d(plan, f), lambda: solve3d(plan, f, refine=0),
                  lambda: solve_block_system(plan, "B", f)):
