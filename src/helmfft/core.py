@@ -355,15 +355,6 @@ def checked_field(x, shape, name: str = "f") -> np.ndarray:
     return x
 
 
-def freeze_arrays(values) -> None:
-    """Make the arrays among ``values``, and inside tuples among them, read-only."""
-    for val in values:
-        if isinstance(val, np.ndarray):
-            val.flags.writeable = False
-        elif isinstance(val, tuple):
-            freeze_arrays(val)
-
-
 ALLOCATOR_THRESHOLD = 1 << 30      # glibc's mmap and trim thresholds after tune_allocator
 
 

@@ -31,12 +31,13 @@ mode, over rho, C_bb is the pair (dk - sigma dm) + lam dm; ``_pair`` applies
 a pair to x as p x + q x[::-1].
 
 One ``SolverPlan``, built by ``make_plan`` for any number of cross axes,
-holds each fact once: ``grid``, ``operator`` (A as its d pencils and sigma;
-step 2 reads the x_1 pencil there), the wrap's ``twist`` and ``wrap_gaps``,
-``shifts_B`` (sigma - Lambda_{1,l}), ``correction`` (dk and dm as pairs),
-``cross_lambdas`` and the private ``_w`` (cross weights) and ``_RW1`` (x_1
-boundary rows, row 0 the real synthesis scales s_l; step 3 takes their
-conjugate per slab).  Those are the only arrays a plan holds.  The
+holds only the plan's decisions, each once and no array: ``grid``,
+``operator`` (A as its d pencils and sigma), the wrap's ``twist`` and
+``wrap_gaps``, and ``correction`` (dk and dm as pairs of numbers), so equal
+plans compare and hash alike.  Each solve forms the O(n) spectra once from
+closed forms: ``x1_spectra`` the shifts sigma - Lambda_{1,l} and the x_1
+boundary rows (row 0 the real synthesis scales s_l; step 3 takes their
+conjugate per slab), and ``cross_planes`` rho and lam.  The
 refinement loop's residual applies ``operator`` in the chunk loop of
 ``core.kron_apply``: 2(d - 1) one-dimensional passes of the pencils' integer
 stencils over chunks of x_1 slabs, the x_1 pass first, with scratch of d + 1
@@ -56,31 +57,24 @@ import scipy.fft
 
 from .assembly import assemble_pencil, wrap_sign
 from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
-                   defect_correction, freeze_arrays, slabs)
+                   defect_correction, slabs)
 from .spectral import (boundary_green, boundary_rows, choose_wrap, circulant_eigenbasis,
                        dct1_eigen, twiddle)
 
 
 @dataclasses.dataclass(frozen=True)
 class SolverPlan:
-    """Immutable precomputed state of a 2D or 3D solve; build with make_plan."""
+    """Immutable, hashable decisions of a 2D or 3D solve; build with make_plan."""
 
     grid: Grid
     operator: KroneckerOperator         # A as its d pencils and sigma, x_1 first
     twist: float                        # the auxiliary x_1 wrap: 0 periodic, pi anti-periodic
     wrap_gaps: tuple[float, float]      # relative gaps, periodic and anti-periodic
-    shifts_B: np.ndarray                # p_B,l = sigma - Lambda^B_{1,l}
-    cross_lambdas: tuple                # the cross pencils' closed-form DCT-I eigenvalues
-    correction: np.ndarray              # C_bb: [[dk_end, dk_corner], [dm_end, dm_corner]]
-    _w: tuple = dataclasses.field(repr=False)
-    _RW1: np.ndarray = dataclasses.field(repr=False)   # row 0: the x_1 synthesis scales
-
-    def __post_init__(self):
-        freeze_arrays(vars(self).values())
+    correction: tuple                   # C_bb: ((dk_end, dk_corner), (dm_end, dm_corner))
 
 
 def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
-    """Choose the auxiliary wrap; closed forms only, O(n_1 + ... + n_d) memory.
+    """Choose the auxiliary wrap; closed forms only, O(n_1 + ... + n_d) work.
 
     With absorbing x_1 ends the second argument is the real wave number
     omega, which enters the x_1 corners, and the shift is sigma = omega^2;
@@ -101,32 +95,34 @@ def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
     (n1, *ns), (h1, *hs) = grid.n, grid.h
     p1 = assemble_pencil(n1, h1, omega, bc_x1)
     cross = tuple(assemble_pencil(n, h) for n, h in zip(ns, hs))
-    lams, weights = zip(*map(dct1_eigen, cross))
-    for w in weights:
-        w[1:-1] *= 2.0                  # w = 2 D / E
-    twist, gaps = choose_wrap(p1, sigma, lams)
-    lam1, scales = circulant_eigenbasis(p1, twist)
+    twist, gaps = choose_wrap(p1, sigma, [dct1_eigen(p)[0] for p in cross])
     return SolverPlan(
         grid=grid, operator=KroneckerOperator(grid, (p1, *cross), sigma),
         twist=twist, wrap_gaps=gaps,
-        shifts_B=(sigma if sigma.imag else sigma.real) - lam1,
-        cross_lambdas=lams,
         # the sign times the real o: the corners' zero imaginary parts stay +0
-        correction=np.array([[T.diag[1] - T.diag[0], wrap_sign(twist) * T.off[0].real]
-                             for T in (p1.K, p1.M)]),
-        _w=weights, _RW1=boundary_rows(scales, twist),
+        correction=tuple((complex(T.diag[1] - T.diag[0]),
+                          complex(wrap_sign(twist) * T.off[0].real)) for T in (p1.K, p1.M)),
     )
 
 
+def x1_spectra(plan):
+    """The x_1 shifts sigma - Lambda_l and boundary rows (row 0: the synthesis scales s_l)."""
+    lam1, scales = circulant_eigenbasis(plan.operator.pencils[0], plan.twist)
+    sigma = plan.operator.sigma
+    return (sigma if sigma.imag else sigma.real) - lam1, boundary_rows(scales, plan.twist)
+
+
 def cross_planes(plan):
-    """rho (product of the cross weights) and lam (sum of the cross eigenvalues)."""
-    return (functools.reduce(np.multiply.outer, plan._w),
-            functools.reduce(np.add.outer, plan.cross_lambdas))
+    """rho (product of the cross weights w = 2 D / E) and lam (sum of the cross eigenvalues)."""
+    lams, weights = zip(*(dct1_eigen(p) for p in plan.operator.pencils[1:]))
+    for w in weights:
+        w[1:-1] *= 2.0
+    return functools.reduce(np.multiply.outer, weights), functools.reduce(np.add.outer, lams)
 
 
-def green(plan):
-    """``boundary_green`` of the original x_1 pencil over the cross modes."""
-    return boundary_green(plan.operator.pencils[0], plan.operator.sigma, cross_planes(plan)[1])
+def green(plan, lam):
+    """``boundary_green`` of the original x_1 pencil over the cross modes ``lam``."""
+    return boundary_green(plan.operator.pencils[0], plan.operator.sigma, lam)
 
 
 def field(plan, f):
@@ -180,54 +176,55 @@ def _pair(p, q, x):
 
 def _boundary_corr(plan, vb, lam):
     """C_bb per cross mode, over rho: the pair (dk - sigma dm) + lam dm on vb."""
-    p, q = ((dk - plan.operator.sigma * dm) + lam * dm for dk, dm in plan.correction.T)
+    p, q = ((dk - plan.operator.sigma * dm) + lam * dm for dk, dm in zip(*plan.correction))
     return _pair(p, q, vb)
 
 
-def step1(plan, F, workers=None):
+def step1(plan, F, x1, cross, workers=None):
     """Forward transforms of F in place; the auxiliary solution's boundary pair.
 
-    Returns (f_hat, v_b): f_hat is F transformed and scaled, which step 3
-    consumes; v_b is in the pipeline's cross basis.
+    x1 is ``x1_spectra(plan)`` and cross ``cross_planes(plan)``.  Returns
+    (f_hat, v_b): f_hat is F transformed and scaled, which step 3 consumes;
+    v_b is in the pipeline's cross basis.
     """
+    (shifts, rows), (rho, lam) = x1, cross
     pre = twiddle(plan.grid.n[0], plan.twist, -1)
     if pre is not None:
         F *= _along_x1(pre, F.ndim)
     F = scipy.fft.fft(F, axis=0, overwrite_x=True, workers=workers)
     F = dct_cross(F, workers, scale_ends=True)
-    rho, lam = cross_planes(plan)
     vb = np.zeros((2,) + F.shape[1:], dtype=np.complex128)
     for s in slabs(F.shape):
         Fs = F[s]
-        Fs *= _along_x1(plan._RW1[0, s].real, F.ndim)
-        vb += np.tensordot(plan._RW1[:, s],
-                           Fs * inverse_divisor(plan.shifts_B[s], rho, lam), axes=1)
+        Fs *= _along_x1(rows[0, s].real, F.ndim)
+        vb += np.tensordot(rows[:, s], Fs * inverse_divisor(shifts[s], rho, lam), axes=1)
     return F, vb
 
 
-def step2(plan, vb, G):
+def step2(plan, vb, G, lam):
     """Boundary pair of the original-operator correction A^-1 C_bb v_b.
 
     Both pairs are in the pipeline's cross basis, where rho cancels; G is
-    ``green(plan)``.
+    ``green(plan, lam)``, lam the cross eigenvalue sums of ``cross_planes``.
     """
-    return _pair(*G, _boundary_corr(plan, vb, cross_planes(plan)[1]))
+    return _pair(*G, _boundary_corr(plan, vb, lam))
 
 
-def step3(plan, F, vbw, workers=None):
+def step3(plan, F, vbw, x1, cross, workers=None):
     """Corrected auxiliary solve and inverse transforms; consumes f_hat F.
 
-    vbw is v_b + w_b in the pipeline's cross basis.  Returns the solution.
+    vbw is v_b + w_b in the pipeline's cross basis; x1 and cross are as in
+    ``step1``.  Returns the solution.
     """
-    rho, lam = cross_planes(plan)
+    (shifts, rows), (rho, lam) = x1, cross
     c = _boundary_corr(plan, vbw, lam)
     c *= rho
     # the x_1 synthesis scales and the back transforms' 1 / 2^(d-1), folded
-    scale = plan._RW1[0].real * (plan.grid.n[0] / 2.0 ** (F.ndim - 1))
+    scale = rows[0].real * (plan.grid.n[0] / 2.0 ** (F.ndim - 1))
     for s in slabs(F.shape):
         Fs = F[s]
-        Fs += np.tensordot(np.conj(plan._RW1[:, s]).T, c, axes=1)
-        Fs *= inverse_divisor(plan.shifts_B[s], rho, lam, _along_x1(scale[s], F.ndim))
+        Fs += np.tensordot(np.conj(rows[:, s]).T, c, axes=1)
+        Fs *= inverse_divisor(shifts[s], rho, lam, _along_x1(scale[s], F.ndim))
     F = dct_cross(F, workers, scale_ends=False)
     U = scipy.fft.ifft(F, axis=0, overwrite_x=True, workers=workers)
     post = twiddle(plan.grid.n[0], plan.twist, 1)
@@ -236,24 +233,25 @@ def step3(plan, F, vbw, workers=None):
     return U
 
 
-def run(plan, F, G, workers=None):
-    """Bare three-step solve of A u = F; F (the grid's shape) is overwritten."""
-    F, vb = step1(plan, F, workers)
-    vb += step2(plan, vb, G)
-    return step3(plan, F, vb, workers)
-
-
 def solve(plan, f, refine, workers):
     """The pipeline plus ``refine`` safeguarded defect-correction passes.
 
-    The residuals read the caller's f, so no second copy of it is kept.
-    Raises ValueError unless ``refine`` is an integer >= 0.
+    The spectra and G are formed once, for every pass; the residuals read
+    the caller's f, so no second copy of it is kept.  Raises ValueError
+    unless ``refine`` is an integer >= 0.
     """
     if not isinstance(refine, numbers.Integral) or refine < 0:
         raise ValueError(f"refine must be an integer >= 0, got {refine!r}")
     f = checked_field(f, plan.grid.shape)
-    G = green(plan)
-    U = run(plan, field(plan, f), G, workers)
-    U = defect_correction(plan.operator, f.reshape(plan.grid.shape), U,
-                          lambda r: run(plan, r, G, workers), refine)
+    x1, cross = x1_spectra(plan), cross_planes(plan)
+    G = green(plan, cross[1])
+
+    def run(F):
+        """Bare three-step solve of A u = F; F (the grid's shape) is overwritten."""
+        F, vb = step1(plan, F, x1, cross, workers)
+        vb += step2(plan, vb, G, cross[1])
+        return step3(plan, F, vb, x1, cross, workers)
+
+    U = defect_correction(plan.operator, f.reshape(plan.grid.shape),
+                          run(field(plan, f)), run, refine)
     return U.reshape(-1)

@@ -10,11 +10,12 @@ the original operator for the boundary correction w_b driven by C_bb v_b, and
 step 3 solves the auxiliary problem once more with a right-hand side
 corrected so the auxiliary solution agrees with the original one.
 ``plan2d`` checks its arguments and builds the ``pipeline.SolverPlan`` that
-3D shares (1D arrays only, O(n1 + n2); C_bb as its four numbers), and the
-solve runs the shared ``pipeline``: an x_1 FFT and a DCT-I over x_2 make
-steps 1 and 3 diagonal divides, O(N log N), and step 2 applies, per DCT-I
-mode of x_2, C_bb and the corner block G of the inverse x_1 matrix
-(``boundary_green``, O(N) once per solve) as persymmetric 2 x 2 pairs.
+3D shares (no arrays; C_bb as its four numbers), and each solve forms the
+O(n1 + n2) spectra once and runs the shared ``pipeline``: an x_1 FFT and a
+DCT-I over x_2 make steps 1 and 3 diagonal divides, O(N log N), and step 2
+applies, per DCT-I mode of x_2, C_bb and the corner block G of the inverse
+x_1 matrix (``boundary_green``, O(N) once per solve) as persymmetric 2 x 2
+pairs.
 
 ``solve2d`` additionally applies safeguarded defect-correction passes
 (default one).  The three-step composition amplifies roundoff by how close
@@ -76,14 +77,16 @@ def solve_aux_partial(plan: SolverPlan, f: np.ndarray,
     f, flat and opaque, reused verbatim by solve_final.
     """
     F = pipeline.field(_plan2d(plan), checked_field(f, plan.grid.shape))
-    fhat, vb = pipeline.step1(plan, F, workers)
+    x1, cross = pipeline.x1_spectra(plan), pipeline.cross_planes(plan)
+    fhat, vb = pipeline.step1(plan, F, x1, cross, workers)
     return pipeline.boundary_values(vb, workers).reshape(-1), fhat.reshape(-1)
 
 
 def solve_correction(plan: SolverPlan, v_b, workers: int | None = None) -> np.ndarray:
     """Step 2: boundary values of the original-operator correction."""
     vb = pipeline.boundary_modes(_boundary(_plan2d(plan), v_b, "v_b"), workers)
-    wb = pipeline.step2(plan, vb, pipeline.green(plan))
+    lam = pipeline.cross_planes(plan)[1]
+    wb = pipeline.step2(plan, vb, pipeline.green(plan, lam), lam)
     return pipeline.boundary_values(wb, workers).reshape(-1)
 
 
@@ -92,7 +95,8 @@ def solve_final(plan: SolverPlan, f_hat: np.ndarray, v_b, w_b,
     """Step 3: corrected auxiliary solve and inverse transforms."""
     F = pipeline.field(_plan2d(plan), checked_field(f_hat, plan.grid.shape, "f_hat"))
     vbw = _boundary(plan, v_b, "v_b") + _boundary(plan, w_b, "w_b")
-    U = pipeline.step3(plan, F, pipeline.boundary_modes(vbw, workers), workers)
+    x1, cross = pipeline.x1_spectra(plan), pipeline.cross_planes(plan)
+    U = pipeline.step3(plan, F, pipeline.boundary_modes(vbw, workers), x1, cross, workers)
     return U.reshape(-1)
 
 

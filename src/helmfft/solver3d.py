@@ -3,10 +3,10 @@
 Solves ``((K_1 - omega^2 M_1) ox M_2 ox M_3 + M_1 ox (K_2 ox M_3 + M_2 ox
 K_3)) u = f`` with absorbing x_1 ends and Neumann x_2 and x_3 ends.
 ``plan3d`` checks its arguments and builds the ``pipeline.SolverPlan`` that
-2D shares: 1D arrays only, O(n1 + n2 + n3), with C_bb held as four numbers
-that give one persymmetric 2 x 2 pair per cross mode.  The solve runs the
-shared pipeline (``pipeline``): an x_1 FFT, DCT-I over x_2 and x_3, and a
-diagonal divide per block.
+2D shares: no arrays, with C_bb held as four numbers that give one
+persymmetric 2 x 2 pair per cross mode.  Each solve forms the O(n1 + n2 n3)
+spectra once and runs the shared pipeline (``pipeline``): an x_1 FFT, DCT-I
+over x_2 and x_3, and a diagonal divide per block.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ def solve_block_system(plan: SolverPlan, which: str, rhs: np.ndarray,
         raise ValueError(f"which must be 'B', got {which!r}")
     X = pipeline.field(plan, checked_field(rhs, plan.grid.shape, "rhs"))
     X = pipeline.dct_cross(X, workers, scale_ends=True)
+    shifts, _ = pipeline.x1_spectra(plan)
     rho, lam = pipeline.cross_planes(plan)
     for s in slabs(X.shape):
-        X[s] *= pipeline.inverse_divisor(plan.shifts_B[s], rho, lam, 2.0 ** (1 - X.ndim))
+        X[s] *= pipeline.inverse_divisor(shifts[s], rho, lam, 2.0 ** (1 - X.ndim))
     return pipeline.dct_cross(X, workers, scale_ends=False).reshape(-1)
 
 

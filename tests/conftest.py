@@ -1,3 +1,5 @@
+from enum import Enum
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,32 @@ def rand_field(grid: Grid, seed: int) -> np.ndarray:
 
 def relerr(x, ref) -> float:
     return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+
+def reachable_arrays(plan) -> list:
+    """Every ndarray a plan reaches, walked as perfbench's ``plan_bytes`` walks it.
+
+    Tuples, lists, dicts and the objects of helmfft's own modules are entered
+    through their fields, never through a property.
+    """
+    seen, todo, arrays = set(), [plan], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, Enum):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            if isinstance(obj.base, np.ndarray):
+                todo.append(obj.base)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif type(obj).__module__.startswith("helmfft."):
+            todo.extend(vars(obj).values() if hasattr(obj, "__dict__") else
+                        (getattr(obj, s) for s in type(obj).__slots__))
+    return arrays
 
 
 @pytest.fixture

@@ -170,7 +170,7 @@ def test_correction_entry_formula():
     plan = plan2d(Grid((3, 3)), omega)
     h1 = plan.grid.h[0]
     sign = 1.0 if plan.twist == 0.0 else -1.0
-    assert plan.correction.shape == (2, 2)
+    assert np.shape(plan.correction) == (2, 2)
     (dk_end, dk_corner), (dm_end, dm_corner) = plan.correction
     assert dk_end == pytest.approx((1 + 1j * omega * h1) / h1, rel=1e-13)
     assert dm_end == pytest.approx(h1 / 3, rel=1e-13)
@@ -181,7 +181,7 @@ def test_correction_entry_formula():
 def test_correction_sigma_enters_through_dm_only():
     import dataclasses
     plan = plan2d(Grid((5, 4)), 2 * np.pi)
-    dk_only = np.array([[2.0, -1], [0, 0]], dtype=complex)
+    dk_only = ((2.0 + 0j, -1.0 + 0j), (0j, 0j))
     v = np.arange(8, dtype=complex).reshape(2, 4) + 1j
     lam = pipeline.cross_planes(plan)[1]
     out1, out2 = (pipeline._boundary_corr(dataclasses.replace(

@@ -5,6 +5,7 @@ rename here that they still rely on would first show as a failed benchmark
 run; this test shows it in the test suite instead.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import scipy.fft
 from helmfft import (Grid, _tridiag, core, plan2d, plan3d, solve2d,
                      solve_aux_partial, solve_block_system, solve_correction,
                      solve_final)
+from conftest import reachable_arrays
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,7 +37,7 @@ def test_perfbench_names_resolve(monkeypatch):
         out = solve_block_system(plan, "B", f, workers=workloads.WORKERS)
     assert np.isfinite(out).all()
     assert tracer.layer_metrics()["spectral.eigensolve_calls"] == 0
-    assert workloads.plan_bytes(plan) > 0
+    assert workloads.plan_bytes(plan) == 0
     assert (_tridiag.factor_blocks, _tridiag.solve_blocks, scipy.fft.fft,
             core.TriCornerMatrix.apply) == before
 
@@ -62,7 +64,10 @@ def test_plan_bytes_sees_the_plan(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
-    # ... and it holds nothing but these arrays: no pencil or operator array
+    # a plan holds no array, so it reads 0; one array put into its C_bb
+    # field is found there, so the 0 is not a walk that stopped short
     for plan in (plan2d(Grid((17, 33)), 2 * np.pi), plan3d(Grid((9, 7, 5)), 2 * np.pi)):
-        held = [plan.shifts_B, plan._RW1, *plan._w, *plan.cross_lambdas, plan.correction]
-        assert workloads.plan_bytes(plan) == sum(a.nbytes for a in held)
+        assert reachable_arrays(plan) == []
+        assert workloads.plan_bytes(plan) == 0
+        held = np.array(plan.correction)
+        assert workloads.plan_bytes(dataclasses.replace(plan, correction=held)) == held.nbytes

@@ -13,7 +13,7 @@ from helmfft import (BoundaryKind, Grid, SingularBlock,
                      kron_apply, plan2d, plan3d, solve2d, solve3d, solve_aux_partial,
                      solve_correction, solve_final)
 from helmfft import pipeline
-from conftest import rand_field, relerr
+from conftest import rand_field, reachable_arrays, relerr
 
 # wave numbers at which plan2d on the (5, 4) grid picks each auxiliary wrap
 WRAP_OMEGAS = {np.pi: 2 * np.pi, 0.0: 20.0}
@@ -32,12 +32,15 @@ def test_plan_blocks_match_dense_assembly():
         V = np.cos(np.outer(np.arange(n2), np.pi * np.arange(n2) / (n2 - 1)))
         sigma = plan.operator.sigma
         lamB, scales = circulant_eigenbasis(plan.operator.pencils[0], plan.twist)
-        assert np.array_equal(plan.shifts_B, sigma - lamB)
-        assert np.array_equal(plan._RW1[0].real, scales)
+        shifts, rows = pipeline.x1_spectra(plan)
+        assert np.array_equal(shifts, sigma - lamB)
+        assert np.array_equal(rows[0].real, scales)
+        lam2 = pipeline.cross_planes(plan)[1]
+        assert np.array_equal(lam2, dct1_eigen(p2)[0])
         for l in range(shape[0]):
             T = (lamB[l] - sigma) * p2.M.dense() + p2.K.dense()
             got = np.linalg.solve(T, p2.M.dense() @ V)
-            expected = V / (lamB[l] - sigma + plan.cross_lambdas[0])
+            expected = V / (lamB[l] - sigma + lam2)
             assert np.linalg.norm(got - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
@@ -46,14 +49,15 @@ def test_plan_neumann_negative_shift_is_coercive():
     # every auxiliary block eigenvalue Lambda_l - sigma + lambda_k is >= 1
     p1, sigma = plan.operator.pencils[0], plan.operator.sigma
     lam1 = circulant_eigenbasis(p1, plan.twist).lambdas
-    eig = np.add.outer(lam1 - sigma, plan.cross_lambdas[0])
+    lam2 = pipeline.cross_planes(plan)[1]
+    eig = np.add.outer(lam1 - sigma, lam2)
     gap = plan.wrap_gaps[int(plan.twist != 0.0)] * abs(sigma)
     assert np.isclose(gap, np.abs(eig).min(), rtol=1e-12)
     assert gap >= 1.0 - 1e-12
     # each original x_1 block K_1 + (lam_c + 1) M_1 is SPD; its boundary
     # Green's function is the corner block of the dense inverse
-    g, g_far = boundary_green(p1, sigma, plan.cross_lambdas[0])
-    for k, lam in enumerate(plan.cross_lambdas[0]):
+    g, g_far = boundary_green(p1, sigma, lam2)
+    for k, lam in enumerate(lam2):
         T_inv = np.linalg.inv(p1.K.dense() + (lam + 1.0) * p1.M.dense())
         corner = np.array([[g[k], g_far[k]], [g_far[k], g[k]]])
         assert np.allclose(T_inv[np.ix_([0, -1], [0, -1])], corner, rtol=1e-12, atol=0)
@@ -93,10 +97,12 @@ def test_plan_resonant_original_block_raises():
                                   plan3d(Grid((33, 17, 65)), 2 * np.pi)],
                          ids=["2d", "2d-neumann", "3d"])
 def test_plan_holds_no_field_sized_array(plan):
-    # O(n1 + ... + nd) memory: x_1 mode data and cross weights, no block factors
-    arrays = [a for v in vars(plan).values()
-              for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
-    assert arrays and all(a.size <= 2 * max(plan.grid.n) for a in arrays)
+    # the plan holds no array; a solve forms x_1 mode data of size n1 and the
+    # cross planes rho and lam of size n2 ... nd, no block factors
+    n1, *ns = plan.grid.n
+    shifts, rows = pipeline.x1_spectra(plan)
+    assert shifts.shape == (n1,) and rows.shape == (2, n1)
+    assert all(a.shape == tuple(ns) for a in pipeline.cross_planes(plan))
 
 
 def test_one_plan_class_for_both_solvers():
@@ -357,33 +363,24 @@ def test_plan_is_reusable_and_inputs_untouched():
     assert np.array_equal(u1, u2)
 
 
-def test_plan_arrays_reachable_are_read_only():
-    # walk every object of helmfft's own modules a plan reaches, the way
-    # perfbench's plan_bytes does: each array there must be read-only, or a
-    # write through it would change every later solve of the plan
-    for plan in (plan2d(Grid((6, 5)), 2 * np.pi), plan3d(Grid((5, 4, 3)), 2 * np.pi)):
-        seen, todo, arrays = set(), [plan], []
-        while todo:
-            obj = todo.pop()
-            if id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            if isinstance(obj, np.ndarray):
-                arrays.append(obj)
-                if isinstance(obj.base, np.ndarray):
-                    todo.append(obj.base)
-            elif isinstance(obj, (list, tuple)):
-                todo.extend(obj)
-            elif isinstance(obj, dict):
-                todo.extend(obj.values())
-            elif type(obj).__module__.startswith("helmfft.") and hasattr(obj, "__dict__"):
-                todo.extend(vars(obj).values())
-        # the held list of test_plan_bytes_sees_the_plan: shifts_B, _RW1,
-        # correction and a weight and an eigenvalue array per cross direction
-        assert len(arrays) == 3 + 2 * (plan.grid.dims - 1)
-        assert not [a for a in arrays if a.flags.writeable]
-        with pytest.raises(ValueError):
-            plan._RW1[0, 0] = 0.0
+def test_plan_reaches_no_array():
+    # a plan holds only its decisions: walked as perfbench's plan_bytes walks
+    # it, it reaches no array that a write could change under a later solve
+    for plan in (plan2d(Grid((6, 5)), 2 * np.pi), plan3d(Grid((5, 4, 3)), 2 * np.pi),
+                 plan2d(Grid((6, 5)), 7.5 - 3.2j, bc_x1=BoundaryKind.NEUMANN)):
+        assert reachable_arrays(plan) == []
+        assert np.shape(plan.correction) == (2, 2)
+
+
+def test_equal_plans_compare_and_hash_alike():
+    # a plan is a frozen dataclass of numbers, tuples and pencils: plans built
+    # from the same arguments are equal and hash alike, in 2D and 3D, and a
+    # plan at another wave number differs
+    for build, grid in ((plan2d, Grid((9, 7))), (plan3d, Grid((5, 4, 3)))):
+        a, b = build(grid, 2 * np.pi), build(grid, 2 * np.pi)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != build(grid, 1.0)
 
 
 @pytest.mark.parametrize("refine", [-1, -2, 1.5, 1.0, "1", None])
@@ -399,11 +396,6 @@ def test_bad_refine_raises(refine):
 def test_solve2d_shared_plan_across_threads():
     g = Grid((6, 5))
     plan = plan2d(g, 2 * np.pi)
-    arrays = {name: val for name, val in vars(plan).items()
-              if isinstance(val, np.ndarray)}
-    arrays.update({f"{name}[{k}]": v for name in ("_w", "cross_lambdas")
-                   for k, v in enumerate(getattr(plan, name))})
-    saved = {name: val.copy() for name, val in arrays.items()}
     fs = [rand_field(g, 17 + k) for k in range(4)]
     serial = [solve2d(plan, f) for f in fs]
     interval = sys.getswitchinterval()
@@ -416,9 +408,9 @@ def test_solve2d_shared_plan_across_threads():
         sys.setswitchinterval(interval)
     for u, ref in zip(shared, serial * 4):
         assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
-    for name, val in arrays.items():
-        assert not val.flags.writeable, name
-        assert np.array_equal(val, saved[name]), name
+    # the solves share a plan that holds no array and leave it as built
+    assert reachable_arrays(plan) == []
+    assert plan == plan2d(g, 2 * np.pi)
     with pytest.raises(FrozenInstanceError):
         plan.twist = 0.0
 
