@@ -8,7 +8,10 @@ and absorbing ends.  So with the integer stencil T = tridiag(1, 4, 1), 2 at
 the ends, M = (h/6) T and K = (D - T)/h for a diagonal D: 6 inside, 3 at the
 ends and 3 - i omega h at absorbing ones (``Pencil1D.D``).  So ``Pencil1D``
 holds only n, h, the boundary kind and omega, and the operator A holds one
-pencil per direction and sigma.  The auxiliary problem's x_1 pencil is A's
+pencil per direction and sigma.  Each of K and M is three numbers, its end
+entry, interior diagonal and off-diagonal (``Pencil1D.entries``, formed
+from the stencil): these are what the solver reads, and the matrices
+``K`` and ``M`` serve only the dense reference.  The auxiliary problem's x_1 pencil is A's
 with its interior row carried to the end rows and wrap-around corners o
 times ``wrap_sign(twist)``: o for the periodic wrap (circulant), -o for the
 anti-periodic one (skew-circulant).  The twist alone fixes it, so no pencil
@@ -36,8 +39,9 @@ def wrap_sign(twist: float) -> float:
 class Pencil1D:
     """The (stiffness, mass) pencil of one direction, held as the scalars that fix it.
 
-    ``K`` and ``M`` build the matrices on each access, in O(n); ``omega``
-    only enters the absorbing corners of K.
+    The solver reads K's and M's entries as numbers (``entries``); ``K`` and
+    ``M`` build the matrices on each access, in O(n), for the dense
+    reference.  ``omega`` only enters D's absorbing ends.
     """
 
     n: int
@@ -55,23 +59,28 @@ class Pencil1D:
         if not np.isfinite(self.omega):
             raise ValueError(f"omega must be finite, got {self.omega}")
 
-    def _matrix(self, d, o, end) -> TriCornerMatrix:
-        """Interior rows (o, d, o), and ``end`` on the end rows' diagonal."""
+    @property
+    def entries(self) -> tuple[tuple, tuple]:
+        """K's and M's (end, interior diagonal, off-diagonal), as numbers.
+
+        From K = (D - T)/h and M = (h/6) T: K's end is (D_end - 2)/h.
+        """
+        h = self.h
+        return (((complex(self.D[0]) - 2.0) / h, 2.0 / h, -1.0 / h),
+                (2.0 * h / 6.0, 4.0 * h / 6.0, h / 6.0))
+
+    def _matrix(self, end, d, o) -> TriCornerMatrix:
         diag = np.full(self.n, d, dtype=np.complex128)
-        off = np.full(self.n - 1, o, dtype=np.complex128)
         diag[0] = diag[-1] = end
-        return TriCornerMatrix(diag, off)
+        return TriCornerMatrix(diag, np.full(self.n - 1, o, dtype=np.complex128))
 
     @property
     def K(self) -> TriCornerMatrix:
-        h = self.h
-        end = (1.0 - 1j * self.omega * h) / h if self.bc == BoundaryKind.ABSORBING else 1.0 / h
-        return self._matrix(2.0 / h, -1.0 / h, end)
+        return self._matrix(*self.entries[0])
 
     @property
     def M(self) -> TriCornerMatrix:
-        h = self.h
-        return self._matrix(4.0 * h / 6.0, h / 6.0, 2.0 * h / 6.0)
+        return self._matrix(*self.entries[1])
 
     @property
     def D(self) -> np.ndarray:

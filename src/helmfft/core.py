@@ -75,9 +75,10 @@ class Grid:
 
 
 class TriCornerMatrix:
-    """Symmetric tridiagonal matrix: a stiffness or mass matrix of a pencil.
+    """Symmetric tridiagonal matrix: a pencil's K or M, for the dense reference.
 
-    Symmetry is structural: only one off-diagonal is stored.  The name stays
+    Symmetry is structural: only one off-diagonal is stored.  No solver
+    builds one: they read ``Pencil1D.entries``.  The name and ``apply`` stay
     because ``perfbench/tracing.py`` wraps ``TriCornerMatrix.apply``.
     """
 
@@ -91,10 +92,6 @@ class TriCornerMatrix:
             raise ValueError(f"off-diagonal must have length {self.n - 1}, got {self.off.shape}")
         self.diag.flags.writeable = False
         self.off.flags.writeable = False
-
-    @property
-    def max_abs(self) -> float:
-        return float(max(np.abs(self.diag).max(), np.abs(self.off).max()))
 
     def apply(self, x: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
         """Apply the matrix along ``axis`` of ``x``, into ``out`` when given.

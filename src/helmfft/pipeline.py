@@ -99,9 +99,8 @@ def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
     return SolverPlan(
         grid=grid, operator=KroneckerOperator(grid, (p1, *cross), sigma),
         twist=twist, wrap_gaps=gaps,
-        # the sign times the real o: the corners' zero imaginary parts stay +0
-        correction=tuple((complex(T.diag[1] - T.diag[0]),
-                          complex(wrap_sign(twist) * T.off[0].real)) for T in (p1.K, p1.M)),
+        correction=tuple((complex(d - end), complex(wrap_sign(twist) * o))
+                         for end, d, o in p1.entries),
     )
 
 

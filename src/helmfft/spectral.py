@@ -37,9 +37,7 @@ def _symbols(pencil: Pencil1D, theta):
     2 sin^2(theta / 2): no cancellation for small theta.
     """
     s = 2.0 * np.sin(theta / 2.0) ** 2
-    K, M = pencil.K, pencil.M
-    return tuple((T.diag[1] + 2.0 * T.off[1]).real - 2.0 * T.off[1].real * s
-                 for T in (K, M))
+    return tuple(d + 2.0 * o - 2.0 * o * s for _, d, o in pencil.entries)
 
 
 def _angles(n: int, twist: float) -> np.ndarray:
@@ -128,13 +126,13 @@ def boundary_green(pencil: Pencil1D, sigma: complex, lam) -> tuple[np.ndarray, n
     each leading block T_k, so T_k x = 0 forces x_1 = 0, and then its rows
     force x = 0 (where o = 0, T_k is diagonal with nonzero entries).
     """
-    K, M = pencil.K, pencil.M
+    K, M = pencil.entries                       # each (end, interior diagonal, off-diagonal)
     c = np.asarray(lam, dtype=np.complex128) - sigma
-    p = K.diag[0] + c * M.diag[0]
+    p = K[0] + c * M[0]
     end = p.copy()                              # persymmetric: d_n = d_1
-    neg_off = c * -M.off[0]                     # -o, the same at every step
-    neg_off -= K.off[0]
-    inner = c * M.diag[1] + K.diag[1]
+    neg_off = c * -M[2]                         # -o, the same at every step
+    neg_off -= K[2]
+    inner = c * M[1] + K[1]
     amin = np.abs(p)
     prod = np.ones_like(p)
     sq, r, a = np.empty_like(p), np.empty_like(p), np.empty_like(amin)
@@ -149,7 +147,7 @@ def boundary_green(pencil: Pencil1D, sigma: complex, lam) -> tuple[np.ndarray, n
         if k % _FLUSH_STEPS == 0:
             for part in (p.imag, prod.real, prod.imag):
                 part[np.abs(part) < _FLUSH_BELOW] = 0.0
-    bad = amin < PIVOT_RTOL * (np.abs(c) * M.max_abs + K.max_abs)
+    bad = amin < PIVOT_RTOL * (np.abs(c) * max(map(abs, M)) + max(map(abs, K)))
     if bad.any():
         idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
         mode = idx[0] if len(idx) == 1 else idx

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import helmfft.core as core
 from helmfft import (BoundaryKind, Grid, assemble_pencil, build_operator_A,
-                     dense_problem, kron_apply, plan2d, plan3d)
+                     dense_problem, kron_apply, plan2d, plan3d, solve2d, solve3d)
 from helmfft.assembly import Pencil1D
 from helmfft.oracle import wrapped_dense
 from helmfft import pipeline
@@ -68,6 +69,40 @@ def test_pencil_from_integer_stencils(pencil, twist):
     T = M * 6 / pencil.h
     assert np.allclose(T, np.round(T.real), atol=1e-13)
     assert np.allclose(K, (np.diag(D) - T) / pencil.h, atol=1e-12)
+
+
+@pytest.mark.parametrize("omega", [2 * np.pi, -3.0])
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+@pytest.mark.parametrize("n", [3, 4, 9, 64])
+def test_pencil_entries_are_the_matrices_entries(n, bc, omega):
+    # the numbers the solver reads are the end, interior and off entries of
+    # K and M, exactly; K's end is (1 - i omega h)/h only at absorbing ends
+    h = 1 / (n - 1)
+    p = assemble_pencil(n, h, omega, bc)
+    for (end, d, o), T in zip(p.entries, (p.K, p.M)):
+        assert T.diag[0] == T.diag[-1] == end
+        assert np.all(T.diag[1:-1] == d) and np.all(T.off == o)
+    k_end = (1 - 1j * omega * h) / h if bc == BoundaryKind.ABSORBING else 1 / h
+    assert p.entries[0][0] == k_end
+    assert (p.entries[0][0] * h + 2.0) == pytest.approx(p.D[0], rel=1e-15)
+
+
+def test_plans_and_solves_build_no_tri_matrix(monkeypatch, rng):
+    # the solver reads each pencil's entries as numbers; K and M serve only
+    # the dense reference
+    built = []
+    init = core.TriCornerMatrix.__init__
+    monkeypatch.setattr(core.TriCornerMatrix, "__init__",
+                        lambda self, *a: (built.append(1), init(self, *a))[1])
+    g2, g3 = Grid((17, 9)), Grid((9, 7, 5))
+    plans = [plan2d(g2, 2 * np.pi), plan2d(g2, 3.5 - 1j, bc_x1=BoundaryKind.NEUMANN),
+             plan3d(g3, 2 * np.pi)]
+    for plan in plans:
+        f = rng.standard_normal(plan.grid.npoints) + 1j * rng.standard_normal(plan.grid.npoints)
+        (solve2d if plan.grid.dims == 2 else solve3d)(plan, f, refine=2)
+    assert not built
+    assemble_pencil(5, 0.25).K
+    assert built
 
 
 def test_pencil_validation():
