@@ -10,12 +10,12 @@ ends and 3 - i omega h at absorbing ones (``Pencil1D.D``).  So ``Pencil1D``
 holds only n, h, the boundary kind and omega, and the operator A holds one
 pencil per direction and sigma.  Each of K and M is three numbers, its end
 entry, interior diagonal and off-diagonal (``Pencil1D.entries``, formed
-from the stencil): these are what the solver reads, and the matrices
-``K`` and ``M`` serve only the dense reference.  The auxiliary problem's x_1 pencil is A's
-with its interior row carried to the end rows and wrap-around corners o
-times ``wrap_sign(twist)``: o for the periodic wrap (circulant), -o for the
-anti-periodic one (skew-circulant).  The twist alone fixes it, so no pencil
-or operator holds it.
+from the stencil): these are what the solver reads, and the matrices ``K``
+and ``M`` serve only the dense reference.  The auxiliary problem's x_1
+pencil is A's with its interior row carried to the end rows and wrap-around
+corners o times ``wrap_sign(twist)``: o for the periodic wrap (circulant),
+-o for the anti-periodic one (skew-circulant).  The twist alone fixes it,
+so no pencil or operator holds it.
 """
 
 from __future__ import annotations
@@ -61,26 +61,19 @@ class Pencil1D:
 
     @property
     def entries(self) -> tuple[tuple, tuple]:
-        """K's and M's (end, interior diagonal, off-diagonal), as numbers.
-
-        From K = (D - T)/h and M = (h/6) T: K's end is (D_end - 2)/h.
-        """
+        """(end, interior diagonal, off-diagonal) of K and of M; K's end is (D_end - 2)/h."""
         h = self.h
         return (((complex(self.D[0]) - 2.0) / h, 2.0 / h, -1.0 / h),
                 (2.0 * h / 6.0, 4.0 * h / 6.0, h / 6.0))
 
-    def _matrix(self, end, d, o) -> TriCornerMatrix:
+    def _matrix(self, which: int) -> TriCornerMatrix:
+        end, d, o = self.entries[which]
         diag = np.full(self.n, d, dtype=np.complex128)
         diag[0] = diag[-1] = end
         return TriCornerMatrix(diag, np.full(self.n - 1, o, dtype=np.complex128))
 
-    @property
-    def K(self) -> TriCornerMatrix:
-        return self._matrix(*self.entries[0])
-
-    @property
-    def M(self) -> TriCornerMatrix:
-        return self._matrix(*self.entries[1])
+    K = property(lambda self: self._matrix(0))
+    M = property(lambda self: self._matrix(1))
 
     @property
     def D(self) -> np.ndarray:

@@ -77,9 +77,8 @@ class Grid:
 class TriCornerMatrix:
     """Symmetric tridiagonal matrix: a pencil's K or M, for the dense reference.
 
-    Symmetry is structural: only one off-diagonal is stored.  No solver
-    builds one: they read ``Pencil1D.entries``.  The name and ``apply`` stay
-    because ``perfbench/tracing.py`` wraps ``TriCornerMatrix.apply``.
+    Only one off-diagonal is stored.  No solver builds one (they read
+    ``Pencil1D.entries``); ``apply`` stays because ``perfbench/tracing.py`` wraps it.
     """
 
     __slots__ = ("n", "diag", "off")
@@ -242,14 +241,14 @@ def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
     chunks are copied out, so the scratch is d + 1 chunks, none of field
     size.  ``x`` is a finite field (``checked_field``), in any memory layout
     (a transposed view included).  The result has the shape of ``x`` and
-    goes to ``out`` when given, which must not share memory with ``x``.
+    goes to ``out`` when given: complex128, sharing no memory with ``x``.
     """
     shape = op.grid.shape
     x = checked_field(np.asarray(x, dtype=np.complex128), shape, "x")
     if out is None:
         out = np.empty_like(x)
-    elif out.shape != x.shape:
-        raise ValueError(f"out has shape {out.shape}, field has {x.shape}")
+    elif out.shape != x.shape or out.dtype != np.complex128:
+        raise ValueError(f"out is {out.dtype} of shape {out.shape}, need complex128 of {x.shape}")
     elif np.may_share_memory(x, out):
         raise ValueError("out shares memory with the field")
     # a 1-D array, or one already in the grid's shape, reshapes without a copy

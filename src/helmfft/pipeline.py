@@ -79,15 +79,19 @@ def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
     With absorbing x_1 ends the second argument is the real wave number
     omega, which enters the x_1 corners, and the shift is sigma = omega^2;
     with Neumann ends it is the complex shift sigma.  Raises ValueError for a
-    non-real or non-finite omega, a non-finite sigma or a ``bc_x1`` that is
-    no ``BoundaryKind``, and SingularBlock if resonant (choose_wrap).
+    non-real or non-finite omega, one whose square over- or underflows, a
+    non-finite sigma or a ``bc_x1`` that is no ``BoundaryKind``, and
+    SingularBlock if resonant (choose_wrap).
     """
     if bc_x1 == BoundaryKind.ABSORBING:
-        if np.imag(omega_or_shift) != 0 or not np.isfinite(omega_or_shift):
-            raise ValueError("absorbing ends need a real, finite wave number, "
-                             f"got {omega_or_shift!r}")
         omega = float(np.real(omega_or_shift))
-        sigma = complex(omega ** 2)
+        try:
+            sigma = complex(omega ** 2)
+        except OverflowError:
+            sigma = 0j                      # out of range, as on underflow
+        if np.imag(omega_or_shift) != 0 or not np.isfinite(omega) or sigma == 0 != omega:
+            raise ValueError("absorbing ends need a real, finite wave number whose square "
+                             f"is in range, got {omega_or_shift!r}")
     else:
         omega, sigma = 0.0, complex(omega_or_shift)
         if not cmath.isfinite(sigma):

@@ -1,6 +1,7 @@
-"""Closed forms for the 1D pencils: circulant and DCT-I eigendata, the choice
-of the auxiliary x_1 wrap, and the boundary Green's function of the original
-x_1 pencil by a pivot recurrence.
+"""Closed forms for the 1D pencils, read from their entries (``Pencil1D.entries``):
+circulant and DCT-I eigendata, each the interior rows' symbol (``_symbols``)
+at its own angles, the choice of the auxiliary x_1 wrap, and the boundary
+Green's function of the original x_1 pencil by a pivot recurrence.
 
 The auxiliary x_1 pencil is the original one with its interior row carried
 to the ends and wrapped with twist phi (0: periodic, pi: anti-periodic), so
@@ -26,15 +27,15 @@ from collections import namedtuple
 
 import numpy as np
 
-from .assembly import Pencil1D, assemble_pencil, wrap_sign
+from .assembly import Pencil1D, wrap_sign
 from .core import PIVOT_RTOL, BoundaryKind, SingularBlock
 
 
 def _symbols(pencil: Pencil1D, theta):
     """Stiffness and mass symbols d + 2 o cos theta of the interior rows.
 
-    Every wrap of the pencil shares them.  1 - cos theta is taken as
-    2 sin^2(theta / 2): no cancellation for small theta.
+    Every wrap shares them, and DCT-I reads them at k pi/(n-1).  1 - cos
+    theta is taken as 2 sin^2(theta / 2): no cancellation for small theta.
     """
     s = 2.0 * np.sin(theta / 2.0) ** 2
     return tuple(d + 2.0 * o - 2.0 * o * s for _, d, o in pencil.entries)
@@ -77,7 +78,7 @@ def twiddle(n: int, twist: float, sign: int):
 
 
 def dct1_eigen(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigendata (lambda, D) of a uniform Neumann pencil.
+    """Closed-form eigendata (lambda, D) of a uniform pencil with Neumann ends.
 
     DCT-I diagonalizes it exactly (G. Strang, "The discrete cosine
     transform", SIAM Review 41 (1999) 135-147): with theta_k = k pi/(n-1) and
@@ -86,19 +87,18 @@ def dct1_eigen(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
         lambda_k = 6 (1 - cos theta_k) / (h^2 (2 + cos theta_k)),
         D_k = h (n-1) (2 + cos theta_k) / 3, halved for 0 < k < n-1.
 
-    V^T x is ``scipy.fft.dct(x, type=1)`` of x with its interior entries
-    halved, and V is symmetric.
+    So lambda is the ratio of the wraps' symbols at theta_k and D is n-1 times
+    the mass symbol.  V^T x is ``scipy.fft.dct(x, type=1)`` of x with its
+    interior entries halved, and V is symmetric.  ValueError unless the ends
+    are Neumann (a Neumann pencil, or an absorbing one at omega = 0).
     """
-    if pencil.bc != BoundaryKind.NEUMANN:
-        raise ValueError("the DCT-I closed form needs a Neumann pencil")
-    n, h = pencil.n, pencil.h
-    theta = np.pi * np.arange(n) / (n - 1)
-    c = np.cos(theta)
-    # 1 - cos theta as 2 sin^2(theta / 2): no cancellation for small theta
-    lam = 12.0 * np.sin(theta / 2.0) ** 2 / (h * h * (2.0 + c))
-    D = h * (n - 1) * (2.0 + c) / 3.0
+    if pencil.bc != BoundaryKind.NEUMANN and pencil.omega != 0:
+        raise ValueError("the DCT-I closed form needs Neumann ends (Neumann, or omega = 0)")
+    n = pencil.n
+    num, mu = _symbols(pencil, np.pi * np.arange(n) / (n - 1))
+    D = (n - 1) * mu
     D[1:-1] /= 2.0
-    return lam, D
+    return num / mu, D
 
 
 # In evanescent modes the running product of boundary_green and the imaginary
@@ -209,14 +209,13 @@ def choose_wrap(pencil: Pencil1D, sigma: complex, cross_lams) -> tuple[float, tu
     a tie: twist 0 (periodic) or pi (anti-periodic).  ``gaps`` holds both
     wraps' smallest |eigenvalue|, relative to |sigma|.  Raises SingularBlock
     if a kept block is resonant, and, where the original x_1 pencil is real
-    (Neumann ends, or sigma = 0), if an original block is, over the DCT-I
-    eigenvalues of x_1.
+    (Neumann ends, or omega = 0), if an original block is, over its DCT-I
+    eigenvalues.
     """
     # every shift below is sigma minus an eigenvalue >= 0
     sums, largest = _cross_sums(cross_lams, np.real(sigma))
-    if pencil.bc == BoundaryKind.NEUMANN or sigma == 0:
-        lam1 = dct1_eigen(assemble_pencil(pencil.n, pencil.h))[0]
-        _check_gaps(*_block_gaps(sums, largest, sigma - lam1), "A")
+    if pencil.bc == BoundaryKind.NEUMANN or pencil.omega == 0:
+        _check_gaps(*_block_gaps(sums, largest, sigma - dct1_eigen(pencil)[0]), "A")
     num, den = _symbols(pencil, np.pi * np.arange(2 * pencil.n) / pencil.n)
     gap, scale = _block_gaps(sums, largest, sigma - num / den)
     smallest = (float(gap[0::2].min()), float(gap[1::2].min()))

@@ -90,10 +90,13 @@ def test_pencil_entries_are_the_matrices_entries(n, bc, omega):
 def test_plans_and_solves_build_no_tri_matrix(monkeypatch, rng):
     # the solver reads each pencil's entries as numbers; K and M serve only
     # the dense reference
-    built = []
-    init = core.TriCornerMatrix.__init__
-    monkeypatch.setattr(core.TriCornerMatrix, "__init__",
-                        lambda self, *a: (built.append(1), init(self, *a))[1])
+    built, init = [], core.TriCornerMatrix.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(core.TriCornerMatrix, "__init__", counting_init)
     g2, g3 = Grid((17, 9)), Grid((9, 7, 5))
     plans = [plan2d(g2, 2 * np.pi), plan2d(g2, 3.5 - 1j, bc_x1=BoundaryKind.NEUMANN),
              plan3d(g3, 2 * np.pi)]

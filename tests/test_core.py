@@ -114,6 +114,10 @@ def test_kron_apply_out_rejects_bad_out():
         kron_apply(op, x, out=np.empty(21, dtype=complex))
     with pytest.raises(ValueError):
         kron_apply(op, x, out=np.empty((4, 5), dtype=complex))
+    # a real or single-precision out would drop or round the complex result
+    for dtype in (float, np.complex64):
+        with pytest.raises(ValueError, match="complex128"):
+            kron_apply(op, x, out=np.empty(20, dtype=dtype))
 
 
 def test_kron_apply_rejects_bad_field():

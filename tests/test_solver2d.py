@@ -117,6 +117,11 @@ def test_plan_rejects_non_finite_omega(value):
     for shift in (complex(value, 0.0), complex(1.0, value)):
         with pytest.raises(ValueError):
             plan2d(Grid((5, 4)), shift, bc_x1=BoundaryKind.NEUMANN)
+    # a finite omega whose square overflows (or underflows to 0) a double
+    for omega in (1e155, 1e200, -1e200, 1e-170):
+        for make in (lambda: plan2d(Grid((5, 4)), omega), lambda: plan3d(Grid((4, 5, 3)), omega)):
+            with pytest.raises(ValueError, match="in range"):
+                make()
 
 
 def test_plan_rejects_complex_omega_with_absorbing_ends():

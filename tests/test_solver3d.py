@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from helmfft import (Grid, SingularBlock, assemble_pencil, boundary_green,
+from helmfft import (BoundaryKind, Grid, SingularBlock, assemble_pencil, boundary_green,
                      build_operator_A, circulant_eigenbasis, dct1_eigen,
                      dense_eigensolve_pencil, dense_problem, dense_solve,
                      kron_apply, plan2d, plan3d, solve3d, solve_block_system)
@@ -48,6 +48,22 @@ def test_dct1_closed_form_matches_dense(n):
     xh = x.copy()
     xh[1:-1] /= 2
     assert np.allclose(scipy.fft.dct(xh, type=1), V.T @ x, rtol=0, atol=1e-12 * n)
+
+
+@pytest.mark.parametrize("n", [3, 8, 65])
+def test_dct1_reads_any_pencil_with_neumann_ends(n):
+    # the closed form is the wraps' symbol at k pi/(n-1): an absorbing pencil
+    # at omega = 0 has Neumann ends and gets the Neumann data exactly
+    h = 1.0 / (n - 1)
+    ref = dct1_eigen(assemble_pencil(n, h))
+    for omega in (0.0, -0.0):
+        got = dct1_eigen(assemble_pencil(n, h, omega, BoundaryKind.ABSORBING))
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(dct1_eigen(assemble_pencil(n, h, 2.0)), ref))
+    for omega in (2 * np.pi, -1.0, 1e-300):
+        with pytest.raises(ValueError, match="Neumann ends"):
+            dct1_eigen(assemble_pencil(n, h, omega, BoundaryKind.ABSORBING))
 
 
 def test_dct1_eigenvalues_accurate_at_small_angles():
