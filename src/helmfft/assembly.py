@@ -63,7 +63,7 @@ class Pencil1D:
     def entries(self) -> tuple[tuple, tuple]:
         """(end, interior diagonal, off-diagonal) of K and of M; K's end is (D_end - 2)/h."""
         h = self.h
-        return (((complex(self.D[0]) - 2.0) / h, 2.0 / h, -1.0 / h),
+        return (((complex(self.D_end) - 2.0) / h, 2.0 / h, -1.0 / h),
                 (2.0 * h / 6.0, 4.0 * h / 6.0, h / 6.0))
 
     def _matrix(self, which: int) -> TriCornerMatrix:
@@ -76,11 +76,14 @@ class Pencil1D:
     M = property(lambda self: self._matrix(1))
 
     @property
+    def D_end(self) -> complex:
+        """The end entry of D: 3, or 3 - i omega h at absorbing ends."""
+        return 3.0 - 1j * self.omega * self.h if self.bc == BoundaryKind.ABSORBING else 3.0
+
+    @property
     def D(self) -> np.ndarray:
         """The diagonal D of K = (D - T)/h, M = (h/6) T."""
-        D = np.full(self.n, 6.0, dtype=np.complex128)
-        D[0] = D[-1] = 3.0 - 1j * self.omega * self.h if self.bc == BoundaryKind.ABSORBING else 3.0
-        return D
+        return np.pad(np.full(self.n - 2, 6.0 + 0j), 1, constant_values=self.D_end)
 
 
 def assemble_pencil(n: int, h: float, omega: float = 0.0,

@@ -13,15 +13,17 @@ which solves the blocks by factorization (2D) or by the same three-step
 method recursively (3D); the closed form needs no factors and adds no error
 of its own.
 
-All work runs in the caller's (n_1, ..., n_d) layout.  With E the diagonal
-that doubles both end entries of a direction, V^T x = dct1(E x) / 2 and
-V y = dct1(E y) / 2.  So over the d - 1 cross directions the pipeline keeps
-right-hand sides as dct1(E x) = 2^(d-1) V^T x, and solutions and boundary
-pairs as E V^-1 y, whose back transform is a bare dct1 / 2^(d-1).  Block l
-with coefficient c = Lambda_{1,l} - sigma is then a divide by rho (c + lam),
-with rho the product of the cross weights w = 2 D / E = h (n-1) (2 + cos
-theta) / 3 and lam the sum of the cross eigenvalues.  The divisors are formed
-a few x_1 slabs at a time from the 1D arrays; none of field size is stored.
+All work runs in the caller's (n_1, ..., n_d) layout.  In x_1 it keeps the
+plain transform fft(t x) = V_1^H x, t the wrap's twiddle.  With E the
+diagonal that doubles both end entries of a direction, V^T x = dct1(E x) / 2
+and V y = dct1(E y) / 2.  So over the d - 1 cross directions the pipeline
+keeps right-hand sides as dct1(E x) = 2^(d-1) V^T x, and solutions and
+boundary pairs as E V^-1 y, whose back transform is a bare dct1 / 2^(d-1).
+Block l with coefficient c = Lambda_{1,l} - sigma is then a divide by D_l rho
+(c + lam): D_l the x_1 columns' M-norm, rho the product of the cross weights
+w = 2 D / E = h (n-1) (2 + cos theta) / 3 and lam the sum of the cross
+eigenvalues.  No pass scales the field, and the divisors are formed a few
+x_1 slabs at a time from the 1D arrays; none of field size is stored.
 C_bb = B_bb - A_bb is (dk - sigma dm) ox M_cross + dm ox K_cross, dk and dm
 the 2 x 2 corner blocks of the x_1 pencil difference.  The wrap carries the
 interior row of T = K_1, M_1 to the ends and adds corners +-T_12, so each
@@ -35,10 +37,10 @@ holds only the plan's decisions, each once and no array: ``grid``,
 ``operator`` (A as its d pencils and sigma), the wrap's ``twist`` and
 ``wrap_gaps``, and ``correction`` (dk and dm as pairs of numbers), so equal
 plans compare and hash alike.  Each solve forms the O(n) spectra once from
-closed forms: ``x1_spectra`` the shifts sigma - Lambda_{1,l} and the x_1
-boundary rows (row 0 the real synthesis scales s_l; step 3 takes their
-conjugate per slab), and ``cross_planes`` rho and lam.  The
-refinement loop's residual applies ``operator`` in the chunk loop of
+closed forms: ``x1_spectra`` the shifts sigma - Lambda_{1,l}, 1/D_l and the
+x_1 boundary rows (the DFT columns' end entries; step 3 takes their
+conjugate per slab), and ``cross_planes`` rho and lam.  The refinement
+loop's residual applies ``operator`` in the chunk loop of
 ``core.kron_apply``: 2(d - 1) one-dimensional passes of the pencils' integer
 stencils over chunks of x_1 slabs, the x_1 pass first, with scratch of d + 1
 chunks.  It sums its norm chunk by chunk and forms r = f - A u as a field
@@ -55,7 +57,7 @@ import numbers
 import numpy as np
 import scipy.fft
 
-from .assembly import assemble_pencil, wrap_sign
+from .assembly import build_operator_A, wrap_sign
 from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
                    defect_correction, slabs)
 from .spectral import (boundary_green, boundary_rows, choose_wrap, circulant_eigenbasis,
@@ -96,23 +98,19 @@ def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
         omega, sigma = 0.0, complex(omega_or_shift)
         if not cmath.isfinite(sigma):
             raise ValueError(f"the shift must be finite, got {omega_or_shift!r}")
-    (n1, *ns), (h1, *hs) = grid.n, grid.h
-    p1 = assemble_pencil(n1, h1, omega, bc_x1)
-    cross = tuple(assemble_pencil(n, h) for n, h in zip(ns, hs))
+    A = dataclasses.replace(build_operator_A(grid, omega, bc_x1), sigma=sigma)
+    p1, *cross = A.pencils
     twist, gaps = choose_wrap(p1, sigma, [dct1_eigen(p)[0] for p in cross])
-    return SolverPlan(
-        grid=grid, operator=KroneckerOperator(grid, (p1, *cross), sigma),
-        twist=twist, wrap_gaps=gaps,
-        correction=tuple((complex(d - end), complex(wrap_sign(twist) * o))
-                         for end, d, o in p1.entries),
-    )
+    return SolverPlan(grid=grid, operator=A, twist=twist, wrap_gaps=gaps,
+                      correction=tuple((complex(d - end), complex(wrap_sign(twist) * o))
+                                       for end, d, o in p1.entries))
 
 
 def x1_spectra(plan):
-    """The x_1 shifts sigma - Lambda_l and boundary rows (row 0: the synthesis scales s_l)."""
-    lam1, scales = circulant_eigenbasis(plan.operator.pencils[0], plan.twist)
-    sigma = plan.operator.sigma
-    return (sigma if sigma.imag else sigma.real) - lam1, boundary_rows(scales, plan.twist)
+    """The x_1 shifts sigma - Lambda_l, the inverse M-norms 1/D_l and the boundary rows."""
+    p1, sigma = plan.operator.pencils[0], plan.operator.sigma
+    lam1, D = circulant_eigenbasis(p1, plan.twist)
+    return (sigma if sigma.imag else sigma.real) - lam1, 1.0 / D, boundary_rows(p1.n, plan.twist)
 
 
 def cross_planes(plan):
@@ -187,10 +185,10 @@ def step1(plan, F, x1, cross, workers=None):
     """Forward transforms of F in place; the auxiliary solution's boundary pair.
 
     x1 is ``x1_spectra(plan)`` and cross ``cross_planes(plan)``.  Returns
-    (f_hat, v_b): f_hat is F transformed and scaled, which step 3 consumes;
-    v_b is in the pipeline's cross basis.
+    (f_hat, v_b): f_hat is F transformed, which step 3 consumes; v_b is in
+    the pipeline's cross basis.
     """
-    (shifts, rows), (rho, lam) = x1, cross
+    (shifts, inv_D, rows), (rho, lam) = x1, cross
     pre = twiddle(plan.grid.n[0], plan.twist, -1)
     if pre is not None:
         F *= _along_x1(pre, F.ndim)
@@ -198,9 +196,8 @@ def step1(plan, F, x1, cross, workers=None):
     F = dct_cross(F, workers, scale_ends=True)
     vb = np.zeros((2,) + F.shape[1:], dtype=np.complex128)
     for s in slabs(F.shape):
-        Fs = F[s]
-        Fs *= _along_x1(rows[0, s].real, F.ndim)
-        vb += np.tensordot(rows[:, s], Fs * inverse_divisor(shifts[s], rho, lam), axes=1)
+        scale = _along_x1(inv_D[s], F.ndim)
+        vb += np.tensordot(rows[:, s], F[s] * inverse_divisor(shifts[s], rho, lam, scale), axes=1)
     return F, vb
 
 
@@ -219,11 +216,11 @@ def step3(plan, F, vbw, x1, cross, workers=None):
     vbw is v_b + w_b in the pipeline's cross basis; x1 and cross are as in
     ``step1``.  Returns the solution.
     """
-    (shifts, rows), (rho, lam) = x1, cross
+    (shifts, inv_D, rows), (rho, lam) = x1, cross
     c = _boundary_corr(plan, vbw, lam)
     c *= rho
-    # the x_1 synthesis scales and the back transforms' 1 / 2^(d-1), folded
-    scale = rows[0].real * (plan.grid.n[0] / 2.0 ** (F.ndim - 1))
+    # the x_1 M-norms, ifft's n_1 and the back transforms' 1 / 2^(d-1), folded
+    scale = inv_D * (plan.grid.n[0] / 2.0 ** (F.ndim - 1))
     for s in slabs(F.shape):
         Fs = F[s]
         Fs += np.tensordot(np.conj(rows[:, s]).T, c, axes=1)

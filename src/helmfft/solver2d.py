@@ -44,8 +44,9 @@ def plan2d(grid: Grid, omega_or_shift,
     sigma, or another x_1 boundary kind (``pipeline.make_plan``), and
     SingularBlock for a resonant shift: of the chosen auxiliary blocks, or in
     closed form of the original blocks with Neumann ends or omega = 0.  With
-    absorbing ends and omega != 0 the original blocks cannot be resonant (see
-    boundary_green).
+    absorbing ends and omega != 0 they are regular, but nearly singular at a
+    tiny omega, which only the solve finds (``boundary_green``): on (5, 4),
+    omega = 1e-14 plans and its solve raises SingularBlock; 1e-12 solves.
     """
     if grid.dims != 2:
         raise ValueError("plan2d needs a 2D grid")
@@ -73,8 +74,8 @@ def solve_aux_partial(plan: SolverPlan, f: np.ndarray,
     """Step 1: boundary values of the auxiliary solve plus the saved transform.
 
     Returns (v_b, f_hat): v_b holds the boundary-plane values on x_1 in
-    {1, n_1}, flat (2 * n2,); f_hat is the scaled x_1 FFT and x_2 DCT-I of
-    f, flat and opaque, reused verbatim by solve_final.
+    {1, n_1}, flat (2 * n2,); f_hat is the x_2 DCT-I (end columns doubled) of
+    f's twiddled x_1 FFT, unscaled and flat, reused verbatim by solve_final.
     """
     F = pipeline.field(_plan2d(plan), checked_field(f, plan.grid.shape))
     x1, cross = pipeline.x1_spectra(plan), pipeline.cross_planes(plan)

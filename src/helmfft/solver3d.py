@@ -24,8 +24,10 @@ def plan3d(grid: Grid, omega: float) -> SolverPlan:
 
     Raises ValueError for a non-real or non-finite omega, and SingularBlock
     if a block of the chosen auxiliary wrap is resonant, or if omega = 0,
-    where the original problem is singular; with omega != 0 the original
-    blocks cannot be (see ``spectral.boundary_green``).
+    where the original problem is singular.  With omega != 0 the original
+    blocks are regular, but nearly singular at a tiny omega, which only the
+    solve finds (``spectral.boundary_green``): on (5, 4, 3), omega = 1e-16
+    plans and its solve raises SingularBlock.
     """
     if grid.dims != 3:
         raise ValueError("plan3d needs a 3D grid")
@@ -44,7 +46,7 @@ def solve_block_system(plan: SolverPlan, which: str, rhs: np.ndarray,
         raise ValueError(f"which must be 'B', got {which!r}")
     X = pipeline.field(plan, checked_field(rhs, plan.grid.shape, "rhs"))
     X = pipeline.dct_cross(X, workers, scale_ends=True)
-    shifts, _ = pipeline.x1_spectra(plan)
+    shifts = pipeline.x1_spectra(plan)[0]
     rho, lam = pipeline.cross_planes(plan)
     for s in slabs(X.shape):
         X[s] *= pipeline.inverse_divisor(shifts[s], rho, lam, 2.0 ** (1 - X.ndim))

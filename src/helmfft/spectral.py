@@ -9,21 +9,20 @@ its closed forms need only the original pencil's interior rows and phi.  It
 has eigenvectors e^{i theta_l j} with theta_l = (2 pi l + phi)/n, so it is
 diagonalized by the unnormalized DFT after the pre-twiddle e^{-i phi j/n}
 (G. Strang, Stud. Appl. Math. 74 (1986); R. Chan & M. Ng, SIAM Review 38
-(1996) 427-482).  The analysis side is ``s * fft(t * .)`` along the lines and
-the synthesis side is ``conj(t) * n * ifft(s * .)``, with the twiddle
-``t_j = e^{-i phi j/n}`` (``twiddle``) and per-mode scales ``s_l = 1/sqrt(n
-mu_l)``, ``mu_l`` the mass symbol (``circulant_eigenbasis``).  Under this
-pairing the transformed block system is exactly ``(Lambda_l - sigma) M + K``
-per mode.  Boundary products on this basis pair a row restriction
-(``boundary_rows``) with its complex conjugate (the DFT columns are not
-orthogonal under the plain transpose; conjugation is what the FFT
-realization implements).
+(1996) 427-482).  As DCT-I in the cross directions, the plain transform runs
+and the columns' M-norms join the divisor: V_jl = e^{i theta_l j} has V^H M
+V = diag(D), D_l = n mu_l, mu_l the mass symbol (``circulant_eigenbasis``),
+V^H x = ``fft(t * x)`` and V y = ``conj(t) * n * ifft(y)``, with the twiddle
+``t_j = e^{-i phi j/n}`` (``twiddle``).  So K + c M wrapped has the inverse
+``V diag(1 / (D_l (Lambda_l + c))) V^H``.  Boundary products on this basis
+pair the columns' end entries (``boundary_rows``) with their complex
+conjugates (the DFT columns are not orthogonal under the plain transpose;
+conjugation is what the FFT realization implements).
 """
 
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 
 import numpy as np
 
@@ -45,26 +44,23 @@ def _angles(n: int, twist: float) -> np.ndarray:
     return (2.0 * np.pi * np.arange(n) + twist) / n
 
 
-CirculantBasis = namedtuple("CirculantBasis", "lambdas scales")
+def circulant_eigenbasis(pencil: Pencil1D, twist: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(lambdas, D)`` of ``pencil`` wrapped with ``twist``, 0 or pi (else ValueError).
 
-
-def circulant_eigenbasis(pencil: Pencil1D, twist: float) -> CirculantBasis:
-    """``(lambdas, scales)`` of ``pencil`` wrapped with ``twist``, 0 or pi (else ValueError).
-
-    Mode l has angle theta_l = (2 pi l + twist)/n, l < n; ``lambdas`` is the
-    ratio of the stiffness and mass symbols mu there, and ``scales`` are
-    1/sqrt(n mu).  Only the pencil's interior rows enter, which the wrap
-    shares; mu = h (2 + cos theta)/3 is >= h/3.  No matrix is formed.
+    Mode l has angle theta_l = (2 pi l + twist)/n, l < n, and DFT column V_jl
+    = e^{i theta_l j}; ``lambdas`` is the ratio of the stiffness and mass
+    symbols mu there, and D = n mu = diag(V^H M V), as in ``dct1_eigen``.
+    Only the interior rows enter, which the wrap shares; mu = h (2 + cos
+    theta)/3 is >= h/3.  No matrix is formed.
     """
     wrap_sign(twist)
     num, mu = _symbols(pencil, _angles(pencil.n, twist))
-    return CirculantBasis(num / mu, 1.0 / np.sqrt(pencil.n * mu))
+    return num / mu, pencil.n * mu
 
 
-def boundary_rows(scales, twist: float) -> np.ndarray:
-    """Rows 1 and n of the scaled eigenvector matrix of a wrap, shape (2, n)."""
-    n, top = scales.size, scales.astype(np.complex128)
-    return np.vstack([top, np.exp(1j * (n - 1) * _angles(n, twist)) * top])
+def boundary_rows(n: int, twist: float) -> np.ndarray:
+    """Rows 1 and n of the wrap's DFT columns, 1 and e^{i (n-1) theta_l}; shape (2, n)."""
+    return np.vstack([np.ones(n, dtype=np.complex128), np.exp(1j * (n - 1) * _angles(n, twist))])
 
 
 def twiddle(n: int, twist: float, sign: int):
@@ -122,9 +118,9 @@ def boundary_green(pencil: Pencil1D, sigma: complex, lam) -> tuple[np.ndarray, n
     end row d_n = d_1 formed once.
     The recurrence does not pivot, so a pivot below PIVOT_RTOL times the
     block's scale raises SingularBlock.  With absorbing ends, omega != 0 and
-    real lam - sigma it cannot break down: Im(x^H T_k x) = -omega |x_1|^2 for
-    each leading block T_k, so T_k x = 0 forces x_1 = 0, and then its rows
-    force x = 0 (where o = 0, T_k is diagonal with nonzero entries).
+    real lam - sigma no pivot is 0: Im(x^H T_k x) = -omega |x_1|^2 for each
+    leading block T_k, so T_k x = 0 forces x_1 = 0, and then its rows force
+    x = 0 (where o = 0, T_k is diagonal); a tiny omega gives a tiny pivot.
     """
     K, M = pencil.entries                       # each (end, interior diagonal, off-diagonal)
     c = np.asarray(lam, dtype=np.complex128) - sigma

@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from helmfft import (BoundaryKind, Grid, SingularBlock,
                      assemble_pencil, boundary_green,
@@ -13,6 +14,7 @@ from helmfft import (BoundaryKind, Grid, SingularBlock,
                      kron_apply, plan2d, plan3d, solve2d, solve3d, solve_aux_partial,
                      solve_correction, solve_final)
 from helmfft import pipeline
+from helmfft.spectral import boundary_rows, twiddle
 from conftest import rand_field, reachable_arrays, relerr
 
 # wave numbers at which plan2d on the (5, 4) grid picks each auxiliary wrap
@@ -31,10 +33,11 @@ def test_plan_blocks_match_dense_assembly():
         p2 = plan.operator.pencils[1]
         V = np.cos(np.outer(np.arange(n2), np.pi * np.arange(n2) / (n2 - 1)))
         sigma = plan.operator.sigma
-        lamB, scales = circulant_eigenbasis(plan.operator.pencils[0], plan.twist)
-        shifts, rows = pipeline.x1_spectra(plan)
+        lamB, D = circulant_eigenbasis(plan.operator.pencils[0], plan.twist)
+        shifts, inv_D, rows = pipeline.x1_spectra(plan)
         assert np.array_equal(shifts, sigma - lamB)
-        assert np.array_equal(rows[0].real, scales)
+        assert np.array_equal(inv_D, 1.0 / D)
+        assert np.array_equal(rows, boundary_rows(shape[0], plan.twist))
         lam2 = pipeline.cross_planes(plan)[1]
         assert np.array_equal(lam2, dct1_eigen(p2)[0])
         for l in range(shape[0]):
@@ -48,7 +51,7 @@ def test_plan_neumann_negative_shift_is_coercive():
     plan = plan2d(Grid((6, 5)), -1.0, bc_x1=BoundaryKind.NEUMANN)
     # every auxiliary block eigenvalue Lambda_l - sigma + lambda_k is >= 1
     p1, sigma = plan.operator.pencils[0], plan.operator.sigma
-    lam1 = circulant_eigenbasis(p1, plan.twist).lambdas
+    lam1 = circulant_eigenbasis(p1, plan.twist)[0]
     lam2 = pipeline.cross_planes(plan)[1]
     eig = np.add.outer(lam1 - sigma, lam2)
     gap = plan.wrap_gaps[int(plan.twist != 0.0)] * abs(sigma)
@@ -82,7 +85,7 @@ def test_plan_resonant_original_block_raises():
     p1 = assemble_pencil(5, g.h[0])
     p2 = assemble_pencil(7, g.h[1])
     sigma = dct1_eigen(p1)[0][1] + dct1_eigen(p2)[0][0]
-    lamB = circulant_eigenbasis(p1, 0.0).lambdas
+    lamB = circulant_eigenbasis(p1, 0.0)[0]
     lam2 = dct1_eigen(p2)[0]
     gap = np.abs(np.add.outer(lamB - sigma, lam2)).min()
     assert gap > 1e-2 * sigma                 # no auxiliary block is near resonance
@@ -100,8 +103,8 @@ def test_plan_holds_no_field_sized_array(plan):
     # the plan holds no array; a solve forms x_1 mode data of size n1 and the
     # cross planes rho and lam of size n2 ... nd, no block factors
     n1, *ns = plan.grid.n
-    shifts, rows = pipeline.x1_spectra(plan)
-    assert shifts.shape == (n1,) and rows.shape == (2, n1)
+    shifts, inv_D, rows = pipeline.x1_spectra(plan)
+    assert shifts.shape == inv_D.shape == (n1,) and rows.shape == (2, n1)
     assert all(a.shape == tuple(ns) for a in pipeline.cross_planes(plan))
 
 
@@ -145,6 +148,21 @@ def test_aux_partial_zero_rhs():
     v_b, f_hat = solve_aux_partial(plan, np.zeros(20, dtype=complex))
     assert np.abs(v_b).max() == 0.0
     assert np.abs(f_hat).max() == 0.0
+
+
+@pytest.mark.parametrize("plan", [plan2d(Grid((9, 6)), 2 * np.pi),
+                                  plan2d(Grid((9, 6)), 7.5 - 3.2j, bc_x1=BoundaryKind.NEUMANN)],
+                         ids=["absorbing", "neumann"])
+def test_aux_partial_f_hat_is_plain_transform(plan):
+    # f_hat is the x_2 DCT-I of E fft(t f), E doubling the x_2 end columns
+    # and t the wrap's twiddle: no x_1 scale enters it
+    f = rand_field(plan.grid, 3).reshape(plan.grid.shape)
+    t = twiddle(9, plan.twist, -1)
+    X = scipy.fft.fft(f * (1.0 if t is None else t[:, None]), axis=0)
+    X[:, [0, -1]] *= 2.0
+    expected = scipy.fft.dct(X, type=1, axis=1)
+    f_hat = solve_aux_partial(plan, f.reshape(-1))[1].reshape(plan.grid.shape)
+    assert np.allclose(f_hat, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
 
 def test_wrap_omegas_pick_each_wrap():

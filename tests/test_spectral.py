@@ -18,8 +18,8 @@ from helmfft.spectral import (_FLUSH_BELOW, _FLUSH_STEPS, boundary_rows, choose_
 def test_circulant_eigenvalues_closed_form():
     h = 0.2
     p = assemble_pencil(4, h)
-    lam = circulant_eigenbasis(p, 0.0).lambdas
-    mu = 1.0 / (4 * circulant_eigenbasis(p, 0.0).scales ** 2)   # s_l = 1/sqrt(n mu_l)
+    lam, D = circulant_eigenbasis(p, 0.0)
+    mu = D / 4                                  # D_l = n mu_l
     assert lam[0] == pytest.approx(0.0, abs=1e-13)
     # theta = pi mode: stiffness symbol 4/h, mass symbol h/3
     assert lam[2] == pytest.approx(12 / h ** 2, rel=1e-13)
@@ -30,7 +30,7 @@ def test_circulant_eigenvalues_closed_form():
 
 @pytest.mark.parametrize("n", [4, 5, 9])
 def test_circulant_pair_symmetry(n):
-    lam = circulant_eigenbasis(assemble_pencil(n, 1 / (n - 1)), 0.0).lambdas
+    lam = circulant_eigenbasis(assemble_pencil(n, 1 / (n - 1)), 0.0)[0]
     for l in range(1, n):  # modes l and n+2-l coincide (1-based), l = 2..n
         assert lam[l] == pytest.approx(lam[(n - l) % n], rel=1e-12, abs=1e-12)
 
@@ -38,7 +38,7 @@ def test_circulant_pair_symmetry(n):
 @pytest.mark.parametrize("n", [3, 4, 7, 8, 16])
 def test_circulant_matches_dense_eigensolve(n):
     p = assemble_pencil(n, 1 / (n - 1))
-    lam = np.sort_complex(circulant_eigenbasis(p, 0.0).lambdas)
+    lam = np.sort_complex(circulant_eigenbasis(p, 0.0)[0])
     ref, _ = dense_eigensolve_pencil(*wrapped_dense(p, 0.0))
     assert np.allclose(np.sort_complex(ref), lam, atol=1e-10 * np.abs(lam).max())
 
@@ -47,32 +47,45 @@ def test_circulant_matches_dense_eigensolve(n):
 @pytest.mark.parametrize("n", range(3, 66))
 def test_wrap_closed_form_matches_dense(n, twist):
     # Both wraps of an absorbing pencil: lambda against the dense eigensolve
-    # of the oracle's wrap; V_jl = s_l e^{i theta_l j}, theta_l = (2 pi l +
-    # twist)/n, M-orthonormal and K-diagonalizing; its rows 1 and n are the
-    # boundary rows, and the twiddled FFT applies V^H and V.
+    # of the oracle's wrap; V_jl = e^{i theta_l j}, theta_l = (2 pi l +
+    # twist)/n, M-orthogonal with norms D and K-diagonalizing; its rows 1 and
+    # n are the boundary rows, and the twiddled FFT applies V^H and V.
     p = assemble_pencil(n, 1.0 / (n - 1), 2 * np.pi, BoundaryKind.ABSORBING)
-    basis = circulant_eigenbasis(p, twist)
+    lam, D = circulant_eigenbasis(p, twist)
     K, M = wrapped_dense(p, twist)
-    lam = basis.lambdas
     scale = np.abs(lam).max()
     ref, _ = dense_eigensolve_pencil(K, M)
     assert np.abs(np.sort(ref.real) - np.sort(lam)).max() <= 1e-10 * scale
     assert np.abs(ref.imag).max() <= 1e-10 * scale
     theta = (2 * np.pi * np.arange(n) + twist) / n
-    V = np.exp(1j * np.outer(np.arange(n), theta)) * basis.scales
+    V = np.exp(1j * np.outer(np.arange(n), theta))
     Vh = V.conj().T
-    assert np.abs(Vh @ M @ V - np.eye(n)).max() <= 1e-12
-    assert np.abs(Vh @ K @ V - np.diag(lam)).max() <= 1e-10 * scale
-    rows = boundary_rows(basis.scales, twist)
+    norms = np.sqrt(np.outer(D, D))             # the same checks on V / sqrt(D)
+    assert np.abs((Vh @ M @ V - np.diag(D)) / norms).max() <= 1e-12
+    assert np.abs((Vh @ K @ V - np.diag(D * lam)) / norms).max() <= 1e-10 * scale
+    rows = boundary_rows(n, twist)
     assert np.abs(rows - V[[0, -1]]).max() <= 1e-14 * np.abs(V).max()
     t = twiddle(n, twist, -1)
     assert (t is None) == (twist == 0.0)
     t = np.ones(n) if t is None else t
     x = np.random.default_rng(n).standard_normal((n, 2)) @ [1.0, 1j]
-    assert np.allclose(basis.scales * scipy.fft.fft(t * x), Vh @ x,
+    assert np.allclose(scipy.fft.fft(t * x), Vh @ x,
                        rtol=0, atol=1e-12 * np.abs(Vh @ x).max())
-    assert np.allclose(np.conj(t) * n * scipy.fft.ifft(basis.scales * x), V @ x,
+    assert np.allclose(np.conj(t) * n * scipy.fft.ifft(x), V @ x,
                        rtol=0, atol=1e-12 * np.abs(V @ x).max())
+
+
+@pytest.mark.parametrize("twist", [0.0, np.pi])
+@pytest.mark.parametrize("n", range(3, 17))
+def test_circulant_norms_are_dft_columns_M_norms(n, twist):
+    # D is diag(V^H M V) for the plain DFT columns V_jl = e^{i theta_l j} of
+    # the wrapped pencil: the divisor the pipeline puts in place of a scale
+    p = assemble_pencil(n, 1.0 / (n - 1), 1.0, BoundaryKind.ABSORBING)
+    D = circulant_eigenbasis(p, twist)[1]
+    V = np.exp(1j * np.outer(np.arange(n), (2 * np.pi * np.arange(n) + twist) / n))
+    ref = np.diag(V.conj().T @ wrapped_dense(p, twist)[1] @ V)
+    assert np.isrealobj(D) and D.shape == (n,)
+    assert np.allclose(D, ref, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("sigma", [-3.0, 0.5, (2 * np.pi) ** 2, 400.0, 7.5 - 3.2j, 1e7])
@@ -85,7 +98,7 @@ def test_choose_wrap_gaps_match_all_blocks(cross, sigma):
     sums = np.add.outer(*lams) if len(lams) == 2 else lams[0]
     gaps = []
     for phi in (0.0, np.pi):
-        lam1 = circulant_eigenbasis(p, phi).lambdas
+        lam1 = circulant_eigenbasis(p, phi)[0]
         gaps.append(np.abs(np.add.outer(lam1, sums) - sigma).min() / abs(sigma))
     assert np.allclose(wrap_gaps, gaps, rtol=1e-12, atol=0)
     assert twist == (np.pi if gaps[1] > gaps[0] else 0.0)
@@ -156,28 +169,26 @@ def test_normalization_failure_on_defective_pencil():
 # -- boundary-restricted products --------------------------------------------
 
 def test_boundary_product_mode_one_is_constant():
-    basis = circulant_eigenbasis(assemble_pencil(6, 0.2), 0.0)
     z = np.zeros((6, 3), dtype=complex)
     z[0] = [1.0, 2.0, 3.0]                   # mode 1 only, three lines
-    vb = boundary_rows(basis.scales, 0.0) @ z
+    vb = boundary_rows(6, 0.0) @ z
     assert np.allclose(vb[0], vb[1])
 
 
 def test_adjoint_then_forward_matches_dense(rng):
     # The solvers take boundary data to the spectral space with the
-    # conjugated boundary rows and back with the boundary rows.  The
-    # composition must match the dense analysis and synthesis transforms
-    # restricted to the boundary, s * fft and n * ifft(s * .).
+    # conjugated boundary rows, divide by the M-norms D, and come back with
+    # the boundary rows.  The composition must match the dense analysis and
+    # synthesis transforms restricted to the boundary, fft and n * ifft.
     n, block = 5, 2
-    basis = circulant_eigenbasis(assemble_pencil(n, 0.25), 0.0)
-    s = basis.scales[:, None]
-    analysis = s * scipy.fft.fft(np.eye(n), axis=0)
-    synthesis = n * scipy.fft.ifft(s * np.eye(n), axis=0)
-    R = boundary_rows(basis.scales, 0.0)
+    D = circulant_eigenbasis(assemble_pencil(n, 0.25), 0.0)[1][:, None]
+    analysis = scipy.fft.fft(np.eye(n), axis=0)
+    synthesis = n * scipy.fft.ifft(np.eye(n), axis=0)
+    R = boundary_rows(n, 0.0)
     adjoint = np.conj(R)
     y = rng.standard_normal((2, block)) + 1j * rng.standard_normal((2, block))
-    expected = synthesis[[0, -1]] @ (analysis[:, [0, -1]] @ y)
-    got = R @ (adjoint.T @ y)
+    expected = synthesis[[0, -1]] @ (analysis[:, [0, -1]] @ y / D)
+    got = R @ (adjoint.T @ y / D)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
