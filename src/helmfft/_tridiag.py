@@ -3,7 +3,7 @@
 Both solvers run their blocks as DCT-I divides (``pipeline``), so nothing here
 is called.  ``perfbench/tracing.py`` still imports this module and wraps
 ``factor_blocks`` and ``solve_blocks`` by name; the two names stay until the
-tracer is re-based on the layers the solvers run (ROADMAP item 2).
+tracer is re-based on the layers the solvers run (ROADMAP item 1).
 """
 
 

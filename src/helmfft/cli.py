@@ -31,8 +31,9 @@ import numpy as np
 
 from .core import BoundaryKind, Grid, SingularBlock, _norm, residual, tune_allocator
 from .oracle import SizeLimit, dense_problem, dense_solve
-from .solver2d import plan2d, solve2d
-from .solver3d import plan3d, solve3d
+from .pipeline import solve
+from .solver2d import plan2d
+from .solver3d import plan3d
 
 RHS_MAGIC = b"HHFFTRHS"
 VERIFY_TOL = 1e-9
@@ -119,7 +120,7 @@ def make_rhs(config: RunConfig, grid: Grid) -> np.ndarray:
 
 
 def read_rhs_file(path: str, d: int, N: int) -> np.ndarray:
-    """Binary RHS: 16-byte header (magic, u32 d, u32 reserved), N (re, im) doubles."""
+    """Binary RHS: 16-byte header (magic, u32 d, u32 reserved), N little-endian complex128."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16 or header[:8] != RHS_MAGIC:
@@ -130,19 +131,14 @@ def read_rhs_file(path: str, d: int, N: int) -> np.ndarray:
         payload = fh.read()
     if len(payload) != 16 * N:
         raise ConfigError(f"{path}: expected {16 * N} payload bytes, found {len(payload)}")
-    pairs = np.frombuffer(payload, dtype="<f8").reshape(N, 2)
-    return (pairs[:, 0] + 1j * pairs[:, 1]).astype(np.complex128)
+    return np.frombuffer(payload, dtype="<c16").astype(np.complex128)
 
 
 def write_rhs_file(path: str, d: int, data: np.ndarray) -> None:
-    data = np.asarray(data, dtype=np.complex128).reshape(-1)
     with open(path, "wb") as fh:
         fh.write(RHS_MAGIC)
         fh.write(struct.pack("<II", d, 0))
-        pairs = np.empty((data.size, 2), dtype="<f8")
-        pairs[:, 0] = data.real
-        pairs[:, 1] = data.imag
-        fh.write(pairs.tobytes())
+        fh.write(np.asarray(data, dtype="<c16").tobytes())
 
 
 # -- execution -----------------------------------------------------------------
@@ -165,7 +161,6 @@ def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
         raise ConfigError("the right-hand side is all zero; its relative residual is undefined")
     if not np.isfinite(f).all():
         raise ConfigError("the right-hand side has non-finite entries")
-    solve = solve2d if config.d == 2 else solve3d
     best = math.inf
     u = None
     for _ in range(config.repeats):

@@ -77,8 +77,9 @@ class Grid:
 class TriCornerMatrix:
     """Symmetric tridiagonal matrix: a pencil's K or M, for the dense reference.
 
-    Only one off-diagonal is stored.  No solver builds one (they read
-    ``Pencil1D.entries``); ``apply`` stays because ``perfbench/tracing.py`` wraps it.
+    Only one off-diagonal is stored.  No solver builds one: they read
+    ``Pencil1D.entries``, and ``_tri`` alone applies a tridiagonal factor to
+    a field.  ``apply`` is a stub that ``perfbench/tracing.py`` wraps.
     """
 
     __slots__ = ("n", "diag", "off")
@@ -92,26 +93,9 @@ class TriCornerMatrix:
         self.diag.flags.writeable = False
         self.off.flags.writeable = False
 
-    def apply(self, x: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
-        """Apply the matrix along ``axis`` of ``x``, into ``out`` when given.
-
-        ``out`` must not share memory with ``x`` (ValueError).  The
-        off-diagonal products take one temporary the size of ``x``.
-        """
-        x = np.asarray(x)
-        if x.shape[axis] != self.n:
-            raise ValueError(f"axis {axis} has length {x.shape[axis]}, matrix is {self.n}")
-        if out is None:
-            out = np.empty_like(x, dtype=np.complex128)
-        elif np.may_share_memory(x, out):
-            raise ValueError("out shares memory with x")
-        xm, ym = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
-        shp = (self.n,) + (1,) * (xm.ndim - 1)
-        o = self.off.reshape((self.n - 1,) + shp[1:])
-        np.multiply(self.diag.reshape(shp), xm, out=ym)
-        ym[1:] += o * xm[:-1]
-        ym[:-1] += o * xm[1:]
-        return np.moveaxis(ym, 0, axis)
+    def apply(self, *args, **kwargs):
+        raise NotImplementedError("no solver applies a TriCornerMatrix; this name is kept "
+                                  "for perfbench's tracer (ROADMAP item 1)")
 
     def dense(self) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype=np.complex128)

@@ -233,12 +233,17 @@ def step3(plan, F, vbw, x1, cross, workers=None):
     return U
 
 
-def solve(plan, f, refine, workers):
-    """The pipeline plus ``refine`` safeguarded defect-correction passes.
+def solve(plan: SolverPlan, f: np.ndarray, refine: int = 1,
+          workers: int | None = None) -> np.ndarray:
+    """Solve the 2D or 3D system A u = f for one right-hand side.
 
-    The spectra and G are formed once, for every pass; the residuals read
-    the caller's f, so no second copy of it is kept.  Raises ValueError
-    unless ``refine`` is an integer >= 0.
+    This is ``solve2d`` and ``solve3d``.  ``refine`` counts safeguarded
+    defect-correction passes (``core.defect_correction``), each one extra
+    three-step solve plus a matrix-free residual; ValueError unless it is an
+    integer >= 0.  The spectra and G are formed once, for every pass, and
+    the residuals read the caller's f.  Holds about one field-sized scratch
+    array at once, two while a pass runs: the stop test takes only the
+    residual's norm.
     """
     if not isinstance(refine, numbers.Integral) or refine < 0:
         raise ValueError(f"refine must be an integer >= 0, got {refine!r}")

@@ -1,12 +1,10 @@
-"""Three-step fast solver for the 3D separable Helmholtz system.
+"""The 3D plan and the transformed block system of the three-step solver.
 
-Solves ``((K_1 - omega^2 M_1) ox M_2 ox M_3 + M_1 ox (K_2 ox M_3 + M_2 ox
-K_3)) u = f`` with absorbing x_1 ends and Neumann x_2 and x_3 ends.
-``plan3d`` checks its arguments and builds the ``pipeline.SolverPlan`` that
-2D shares: no arrays, with C_bb held as four numbers that give one
-persymmetric 2 x 2 pair per cross mode.  Each solve forms the O(n1 + n2 n3)
-spectra once and runs the shared pipeline (``pipeline``): an x_1 FFT, DCT-I
-over x_2 and x_3, and a diagonal divide per block.
+``plan3d`` builds the ``pipeline.SolverPlan`` that 2D shares, with absorbing
+x_1 ends and Neumann x_2 and x_3 ends; ``solve3d`` is ``pipeline.solve``, the
+same function as ``solve2d``, and ``solver2d``'s step functions take 3D plans
+too.  The pipeline (``pipeline``) runs an x_1 FFT, DCT-I over x_2 and x_3,
+and a diagonal divide per block.
 """
 
 from __future__ import annotations
@@ -18,16 +16,17 @@ from .core import BoundaryKind, Grid, checked_field, slabs
 from .oracle import solve_pencil_eigen  # noqa: F401  (perfbench traces this name)
 from .pipeline import SolverPlan
 
+solve3d = pipeline.solve
+
 
 def plan3d(grid: Grid, omega: float) -> SolverPlan:
     """Closed forms only; O(n1 + n2 + n3) memory.
 
     Raises ValueError for a non-real or non-finite omega, and SingularBlock
-    if a block of the chosen auxiliary wrap is resonant, or if omega = 0,
-    where the original problem is singular.  With omega != 0 the original
-    blocks are regular, but nearly singular at a tiny omega, which only the
-    solve finds (``spectral.boundary_green``): on (5, 4, 3), omega = 1e-16
-    plans and its solve raises SingularBlock.
+    if a block of the chosen auxiliary wrap is resonant, or an original
+    block (``spectral.choose_wrap``): at omega = 0, where the problem is
+    singular, or nearly so at a tiny omega: on (5, 4, 3), omega = 1e-14
+    raises and 1e-13 solves.
     """
     if grid.dims != 3:
         raise ValueError("plan3d needs a 3D grid")
@@ -52,12 +51,3 @@ def solve_block_system(plan: SolverPlan, which: str, rhs: np.ndarray,
         X[s] *= pipeline.inverse_divisor(shifts[s], rho, lam, 2.0 ** (1 - X.ndim))
     return pipeline.dct_cross(X, workers, scale_ends=False).reshape(-1)
 
-
-def solve3d(plan: SolverPlan, f: np.ndarray, refine: int = 1,
-            workers: int | None = None) -> np.ndarray:
-    """Solve the 3D system; refine counts safeguarded defect-correction passes.
-
-    Holds about one field-sized scratch array at once, two while a
-    refinement pass runs: the stop test takes only the residual's norm.
-    """
-    return pipeline.solve(plan, f, refine, workers)

@@ -204,16 +204,23 @@ def choose_wrap(pencil: Pencil1D, sigma: complex, cross_lams) -> tuple[float, tu
     wrap with the larger smallest |eigenvalue| is kept, the periodic one on
     a tie: twist 0 (periodic) or pi (anti-periodic).  ``gaps`` holds both
     wraps' smallest |eigenvalue|, relative to |sigma|.  Raises SingularBlock
-    if a kept block is resonant, and, where the original x_1 pencil is real
-    (Neumann ends, or omega = 0), if an original block is, over its DCT-I
-    eigenvalues.
+    if a kept block is resonant, and if an original block is: over its
+    DCT-I eigenvalues where the original x_1 pencil is real (Neumann ends,
+    or omega = 0).  With absorbing ends at omega != 0 only the block whose
+    cross eigenvalues are all 0 nears the singular Neumann one, as omega ->
+    0; where |sigma| is below PIVOT_RTOL times the largest wrap eigenvalue
+    (at theta = pi), that block runs the solve's pivot test
+    (``boundary_green``), so a plan the test would refuse is not made.
     """
     # every shift below is sigma minus an eigenvalue >= 0
     sums, largest = _cross_sums(cross_lams, np.real(sigma))
+    num, den = _symbols(pencil, np.pi * np.arange(2 * pencil.n) / pencil.n)
+    lams = num / den
     if pencil.bc == BoundaryKind.NEUMANN or pencil.omega == 0:
         _check_gaps(*_block_gaps(sums, largest, sigma - dct1_eigen(pencil)[0]), "A")
-    num, den = _symbols(pencil, np.pi * np.arange(2 * pencil.n) / pencil.n)
-    gap, scale = _block_gaps(sums, largest, sigma - num / den)
+    elif abs(sigma) < PIVOT_RTOL * abs(lams[pencil.n]):
+        boundary_green(pencil, sigma, np.zeros(1))
+    gap, scale = _block_gaps(sums, largest, sigma - lams)
     smallest = (float(gap[0::2].min()), float(gap[1::2].min()))
     k = int(smallest[1] > smallest[0])
     _check_gaps(gap[k::2], scale[k::2], "B")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,19 @@ def test_rhs_file_roundtrip(tmp_path):
     write_rhs_file(path, 2, data)
     back = read_rhs_file(path, 2, 12)
     assert np.array_equal(back, data)
+
+
+def test_rhs_file_keeps_signed_zeros_and_infinities(tmp_path):
+    # the file holds complex128 as is: a -0.0 real part keeps its sign, and
+    # (0, inf) is read back without turning into (nan, inf)
+    path = str(tmp_path / "rhs.bin")
+    data = np.array([complex(-0.0, 1.0), 2.5 - 3j, complex(0.0, np.inf)])
+    write_rhs_file(path, 2, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_rhs_file(path, 2, 3)
+    assert back.dtype == np.complex128
+    assert back.view(np.uint64).tolist() == data.view(np.uint64).tolist()
 
 
 def test_rhs_file_validation(tmp_path):
@@ -278,6 +292,17 @@ def test_exit_code_non_finite_rhs(tmp_path, capsys):
     path = str(tmp_path / "nan.bin")
     data = np.ones(20, dtype=complex)
     data[3], data[11] = np.nan, np.inf
+    write_rhs_file(path, 2, data)
+    assert cli.main(["solve", "--n1", "5", "--n2", "4", f"--rhs=file:{path}",
+                     "--repeats", "1", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "non-finite" in err
+
+
+def test_exit_code_imaginary_infinity_rhs(tmp_path, capsys):
+    path = str(tmp_path / "inf.bin")
+    data = np.ones(20, dtype=complex)
+    data[5] = complex(0.0, np.inf)
     write_rhs_file(path, 2, data)
     assert cli.main(["solve", "--n1", "5", "--n2", "4", f"--rhs=file:{path}",
                      "--repeats", "1", "--format", "json"]) == 2

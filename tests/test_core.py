@@ -26,26 +26,12 @@ def test_grid_validation():
     assert Grid((np.int64(5), np.int32(4))).n == (5, 4)
 
 
-def test_tricorner_apply_matches_dense(rng):
-    for n in (4, 6):
-        T = TriCornerMatrix(rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                            rng.standard_normal(n - 1))
-        x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-        assert np.allclose(T.apply(x, axis=0), T.dense() @ x, atol=1e-14)
-        assert np.allclose(T.apply(x.T, axis=1), (T.dense() @ x).T, atol=1e-14)
-        out = np.empty_like(x)
-        T.apply(x, axis=0, out=out)
-        assert np.allclose(out, T.dense() @ x, atol=1e-14)
-
-
-def test_tricorner_apply_rejects_out_sharing_x():
-    # applied in place, the off-diagonal products would read overwritten rows
-    T = TriCornerMatrix(np.full(6, 4.0), np.ones(5))
-    x = np.arange(6.0) + 1j
-    for out in (x, x[...]):
-        with pytest.raises(ValueError, match="shares memory"):
-            T.apply(x, out=out)
-    assert np.array_equal(x, np.arange(6.0) + 1j)
+def test_tricorner_apply_is_a_stub():
+    # core._tri alone applies a tridiagonal factor to a field; the name
+    # stays for perfbench's tracer, which wraps it without calling it
+    T = TriCornerMatrix(np.full(4, 4.0), np.ones(3))
+    with pytest.raises(NotImplementedError):
+        T.apply(np.ones(4, dtype=complex))
 
 
 def test_kron_apply_mass_on_ones():

@@ -10,7 +10,9 @@ import scipy.fft
 from helmfft import (BoundaryKind, Grid, SingularBlock, assemble_pencil, boundary_green,
                      build_operator_A, circulant_eigenbasis, dct1_eigen,
                      dense_eigensolve_pencil, dense_problem, dense_solve,
-                     kron_apply, plan2d, plan3d, solve3d, solve_block_system)
+                     dense_partial_solution, kron_apply, plan2d, plan3d, solve2d,
+                     solve3d, solve_aux_partial, solve_block_system, solve_correction,
+                     solve_final)
 from helmfft import pipeline
 from helmfft.core import dense_kron_sum
 from helmfft.cli import main as cli_main
@@ -202,6 +204,20 @@ def test_plan3d_raises_at_resonance():
     plan3d(Grid((4, 5, 6)), 1e-3)
 
 
+@pytest.mark.parametrize("omega", [1e-155, 1e-16, 1e-14])
+def test_plan3d_raises_at_tiny_omega(omega):
+    # only the block of cross mode (0, 0) nears the singular Neumann K_1
+    with pytest.raises(SingularBlock, match="cross mode 0") as info:
+        plan3d(Grid((5, 4, 3)), omega)
+    assert info.value.block == 0
+
+
+@pytest.mark.parametrize("omega", [1e-13, 1e-12])
+def test_plan3d_at_small_omega_solves(omega):
+    g = Grid((5, 4, 3))
+    assert np.isfinite(solve3d(plan3d(g, omega), rand_field(g, 5))).all()
+
+
 def test_plan3d_leaves_a_resonant_periodic_wrap():
     # only the periodic wrap is singular here, not the absorbing problem
     shape = (4, 5, 6)
@@ -246,4 +262,44 @@ def test_bad_input_raises(which):
     for call in (lambda: solve3d(plan, f), lambda: solve3d(plan, f, refine=0),
                  lambda: solve_block_system(plan, "B", f)):
         with pytest.raises(ValueError):
+            call()
+
+
+def test_solve2d_and_solve3d_are_one_function():
+    assert solve2d is solve3d is pipeline.solve
+
+
+@pytest.mark.parametrize("shape", [(9, 7, 5), (17, 9, 5)])
+def test_step_functions_compose_to_the_bare_3d_solve(shape):
+    # a 3D boundary pair holds 2 n_2 n_3 values
+    g = Grid(shape)
+    plan = plan3d(g, 2 * np.pi)
+    f = rand_field(g, 4)
+    v_b, f_hat = solve_aux_partial(plan, f)
+    assert v_b.shape == (2 * shape[1] * shape[2],) and f_hat.shape == (g.npoints,)
+    w_b = solve_correction(plan, v_b)
+    u = solve_final(plan, f_hat, v_b, w_b)
+    assert relerr(u, solve3d(plan, f, refine=0)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(9, 7, 5), (17, 9, 5)])
+def test_aux_partial_3d_matches_dense_boundary(shape):
+    g = Grid(shape)
+    plan = plan3d(g, 2 * np.pi)
+    f = rand_field(g, 6)
+    expected = dense_partial_solution(dense_problem(g, 2 * np.pi, twist=plan.twist), "B", f)
+    assert relerr(solve_aux_partial(plan, f)[0], expected) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(9, 7, 5), (17, 9, 5)])
+def test_step_functions_reject_a_2d_pair_on_a_3d_plan(shape):
+    g = Grid(shape)
+    plan = plan3d(g, 2 * np.pi)
+    f = rand_field(g, 4)
+    v_b, f_hat = solve_aux_partial(plan, f)
+    b = np.ones(2 * shape[1], dtype=complex)
+    for call in (lambda: solve_correction(plan, b),
+                 lambda: solve_final(plan, f_hat, b, v_b),
+                 lambda: solve_final(plan, f_hat, v_b, b)):
+        with pytest.raises(ValueError, match="expected"):
             call()
