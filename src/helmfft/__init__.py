@@ -20,12 +20,14 @@ from .core import (BoundaryKind, Grid, KroneckerOperator, SingularBlock,
 from .oracle import (DenseProblem, EigensolverFailure, NormalizationFailure,
                      SizeLimit, dense_eigensolve_pencil, dense_partial_solution,
                      dense_problem, dense_solve, solve_pencil_eigen)
-from .pipeline import SolverPlan
-from .solver2d import (plan2d, solve2d, solve_aux_partial, solve_correction,
+from . import pipeline
+from .pipeline import (SolverPlan, solve_aux_partial, solve_block_system, solve_correction,
                        solve_final)
-from .solver3d import plan3d, solve3d, solve_block_system
 from .spectral import (boundary_green, circulant_eigenbasis, clear_eigen_cache,
                        dct1_eigen)
+
+plan2d = plan3d = pipeline.make_plan
+solve2d = solve3d = pipeline.solve
 
 __version__ = "0.1.0"
 

@@ -29,11 +29,10 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .core import BoundaryKind, Grid, SingularBlock, _norm, residual, tune_allocator
+from .core import (BoundaryKind, Grid, SingularBlock, _norm, ldexp, residual, scale_exponent,
+                   tune_allocator)
 from .oracle import SizeLimit, dense_problem, dense_solve
-from .pipeline import solve
-from .solver2d import plan2d
-from .solver3d import plan3d
+from .pipeline import make_plan, solve
 
 RHS_MAGIC = b"HHFFTRHS"
 VERIFY_TOL = 1e-9
@@ -61,7 +60,8 @@ class RunConfig:
     n2: int = 65
     n3: int = 65
     omega: float = 2.0 * math.pi
-    bc: str = _option("abc", choices=("abc", "neumann"))        # x_1 boundary
+    bc: str = _option("abc", "x_1 ends, 2D and 3D: absorbing, or Neumann with shift omega^2",
+                      ("abc", "neumann"))
     rhs: str = _option("paper", "paper | random:<seed> | file:<path>")
     out: str | None = _option(None, "output path (default: stdout)")
     format: str = _option("csv", choices=("csv", "json"))
@@ -145,13 +145,10 @@ def write_rhs_file(path: str, d: int, data: np.ndarray) -> None:
 
 def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
     bc = config.bc_kind()
-    if config.d == 3 and bc != BoundaryKind.ABSORBING:
-        raise ConfigError("3D solves support only absorbing x_1 ends")
+    absorbing = bc == BoundaryKind.ABSORBING
     t0 = time.perf_counter()
     try:
-        plan = (plan3d(grid, config.omega) if config.d == 3 else
-                plan2d(grid, config.omega if bc == BoundaryKind.ABSORBING
-                       else complex(config.omega) ** 2, bc_x1=bc))
+        plan = make_plan(grid, config.omega if absorbing else complex(config.omega) ** 2, bc)
     except (ValueError, OverflowError) as exc:      # omega or omega^2 not finite
         raise ConfigError(f"bad omega {config.omega!r}: {exc}") from exc
     init_seconds = time.perf_counter() - t0
@@ -168,12 +165,14 @@ def _run_one(config: RunConfig, grid: Grid, workers: int) -> RunRecord:
         u = solve(plan, f, refine=config.refine, workers=workers)
         best = min(best, time.perf_counter() - t0)
 
-    res = residual(plan.operator, f, u)[0] / _norm(f)
+    e = scale_exponent(f, _norm(f))     # relative errors of 2^-e f and 2^-e u, in range
+    fs, us = (ldexp(f, -e), ldexp(u, -e)) if e else (f, u)
+    res = residual(plan.operator, fs, us)[0] / _norm(fs)
 
     oracle_error = None
     if config.mode == "verify":
-        ref = dense_solve(dense_problem(grid, config.omega, bc), "A", f).u
-        oracle_error = float(np.linalg.norm(u - ref) / np.linalg.norm(ref))
+        ref = dense_solve(dense_problem(grid, config.omega, bc), "A", fs).u
+        oracle_error = float(np.linalg.norm(us - ref) / np.linalg.norm(ref))
 
     return RunRecord(
         mode=config.mode, d=config.d,

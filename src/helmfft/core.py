@@ -64,10 +64,7 @@ class Grid:
 
     @property
     def npoints(self) -> int:
-        N = 1
-        for k in self.n:
-            N *= k
-        return N
+        return math.prod(self.n)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -266,6 +263,20 @@ def _norm(x) -> float:
                          for s in slabs(x.shape)))
 
 
+def scale_exponent(x, nrm: float) -> int:
+    """0 if ``nrm`` = ||x|| is in [2^-450, 2^450], else the exponent e of max|x| (2^-e x is)."""
+    if 2.0 ** -450 <= nrm <= 2.0 ** 450:
+        return 0
+    return math.frexp(float(np.abs(x).max()))[1]
+
+
+def ldexp(x, e: int) -> np.ndarray:
+    """2^e x as a complex copy: exact while it stays normal, and 2^e is never formed."""
+    x = np.array(x, dtype=np.complex128)
+    np.ldexp(x.view(np.float64), e, out=x.view(np.float64))
+    return x
+
+
 def residual(op: KroneckerOperator, f, u, bound: float = math.inf):
     """``(||r||, r)`` for r = f - op u, with r formed only when ||r|| > ``bound``.
 
@@ -295,8 +306,8 @@ def residual(op: KroneckerOperator, f, u, bound: float = math.inf):
     return math.sqrt(total), r
 
 
-def defect_correction(op: KroneckerOperator, f, u, solve, passes: int):
-    """Safeguarded defect correction of ``u`` towards ``op u = f``.
+def defect_correction(op: KroneckerOperator, f, u, solve, passes: int, f_norm: float):
+    """Safeguarded defect correction of ``u`` towards ``op u = f``, ||f|| = ``f_norm``.
 
     ``solve(r)`` returns an approximate solution of ``op d = r`` and may
     overwrite ``r``.  Each pass costs one solve and one residual; a pass that
@@ -309,7 +320,7 @@ def defect_correction(op: KroneckerOperator, f, u, solve, passes: int):
     """
     if passes <= 0:
         return u
-    stop = REFINE_STOP_RTOL * _norm(f)
+    stop = REFINE_STOP_RTOL * f_norm
     best, r = residual(op, f, u, stop)
     for p in range(passes):
         if r is None:                       # at roundoff level, or nothing left to use it

@@ -1,4 +1,4 @@
-"""The plan and the three-step pipeline that the 2D and the 3D solver share.
+"""The plan, the three-step pipeline and its step API, shared by 2D and 3D.
 
 The x_1 direction runs the paper's three steps: the auxiliary problem, whose
 x_1 pencil is the original one wrapped with twist 0 (periodic) or pi
@@ -45,6 +45,11 @@ loop's residual applies ``operator`` in the chunk loop of
 stencils over chunks of x_1 slabs, the x_1 pass first, with scratch of d + 1
 chunks.  It sums its norm chunk by chunk and forms r = f - A u as a field
 only when a pass will use it.
+
+The step API runs the steps one at a time on 2D and 3D plans alike:
+``solve_aux_partial``, ``solve_correction`` and ``solve_final`` take and
+return flat physical boundary pairs (2 n_2 .. n_d values), and f_hat in the
+pipeline's layout; ``solve_block_system`` runs the block divides alone.
 """
 
 from __future__ import annotations
@@ -58,8 +63,8 @@ import numpy as np
 import scipy.fft
 
 from .assembly import build_operator_A, wrap_sign
-from .core import (BoundaryKind, Grid, KroneckerOperator, checked_field,
-                   defect_correction, slabs)
+from .core import (BoundaryKind, Grid, KroneckerOperator, _norm, checked_field,
+                   defect_correction, ldexp, scale_exponent, slabs)
 from .spectral import (boundary_green, boundary_rows, choose_wrap, circulant_eigenbasis,
                        dct1_eigen, twiddle)
 
@@ -75,15 +80,19 @@ class SolverPlan:
     correction: tuple                   # C_bb: ((dk_end, dk_corner), (dm_end, dm_corner))
 
 
-def make_plan(grid: Grid, omega_or_shift, bc_x1: BoundaryKind) -> SolverPlan:
+def make_plan(grid: Grid, omega_or_shift,
+              bc_x1: BoundaryKind = BoundaryKind.ABSORBING) -> SolverPlan:
     """Choose the auxiliary wrap; closed forms only, O(n_1 + ... + n_d) work.
 
-    With absorbing x_1 ends the second argument is the real wave number
-    omega, which enters the x_1 corners, and the shift is sigma = omega^2;
-    with Neumann ends it is the complex shift sigma.  Raises ValueError for a
-    non-real or non-finite omega, one whose square over- or underflows, a
-    non-finite sigma or a ``bc_x1`` that is no ``BoundaryKind``, and
-    SingularBlock if resonant (choose_wrap).
+    This is ``plan2d`` and ``plan3d``, for 2D and 3D grids with absorbing
+    (default) or Neumann x_1 ends.  With absorbing ends the second argument
+    is the real wave number omega, which enters the x_1 corners, and sigma =
+    omega^2; with Neumann ends it is the complex shift sigma.  Raises
+    ValueError for a non-real or non-finite omega, one whose square over- or
+    underflows, a non-finite sigma or a ``bc_x1`` that is no
+    ``BoundaryKind``, and SingularBlock for a resonant auxiliary or original
+    block (``spectral.choose_wrap``): with absorbing ends at omega = 0, or
+    near it: on (5, 4) and (5, 4, 3), omega = 1e-14 raises and 1e-13 solves.
     """
     if bc_x1 == BoundaryKind.ABSORBING:
         omega = float(np.real(omega_or_shift))
@@ -243,11 +252,15 @@ def solve(plan: SolverPlan, f: np.ndarray, refine: int = 1,
     integer >= 0.  The spectra and G are formed once, for every pass, and
     the residuals read the caller's f.  Holds about one field-sized scratch
     array at once, two while a pass runs: the stop test takes only the
-    residual's norm.
+    residual's norm.  Where ||f|| is out of that test's range it solves 2^-e f
+    (``core.scale_exponent``): solve(2^k f) is 2^k solve(f) bit for bit.
     """
     if not isinstance(refine, numbers.Integral) or refine < 0:
         raise ValueError(f"refine must be an integer >= 0, got {refine!r}")
     f = checked_field(f, plan.grid.shape)
+    f_norm = _norm(f) if refine else 1.0
+    if e := scale_exponent(f, f_norm):
+        return ldexp(solve(plan, ldexp(f, -e), refine, workers), e)
     x1, cross = x1_spectra(plan), cross_planes(plan)
     G = green(plan, cross[1])
 
@@ -258,5 +271,60 @@ def solve(plan: SolverPlan, f: np.ndarray, refine: int = 1,
         return step3(plan, F, vb, x1, cross, workers)
 
     U = defect_correction(plan.operator, f.reshape(plan.grid.shape),
-                          run(field(plan, f)), run, refine)
+                          run(field(plan, f)), run, refine, f_norm)
     return U.reshape(-1)
+
+
+def _boundary(plan, v, name):
+    """Checked boundary data, flat or (2, n_2, ...), as a (2, n_2, ...) view."""
+    shape = (2,) + plan.grid.shape[1:]
+    return checked_field(v, shape, name).reshape(shape)
+
+
+def solve_aux_partial(plan: SolverPlan, f: np.ndarray,
+                      workers: int | None = None):
+    """Step 1: boundary values of the auxiliary solve plus the saved transform.
+
+    Returns (v_b, f_hat): v_b holds the boundary-plane values on x_1 in
+    {1, n_1}; f_hat is the cross directions' DCT-I (end planes doubled) of
+    f's twiddled x_1 FFT, unscaled and flat, reused verbatim by solve_final.
+    """
+    F = field(plan, checked_field(f, plan.grid.shape))
+    fhat, vb = step1(plan, F, x1_spectra(plan), cross_planes(plan), workers)
+    return boundary_values(vb, workers).reshape(-1), fhat.reshape(-1)
+
+
+def solve_correction(plan: SolverPlan, v_b, workers: int | None = None) -> np.ndarray:
+    """Step 2: boundary values of the original-operator correction."""
+    vb = boundary_modes(_boundary(plan, v_b, "v_b"), workers)
+    lam = cross_planes(plan)[1]
+    return boundary_values(step2(plan, vb, green(plan, lam), lam), workers).reshape(-1)
+
+
+def solve_final(plan: SolverPlan, f_hat: np.ndarray, v_b, w_b,
+                workers: int | None = None) -> np.ndarray:
+    """Step 3: corrected auxiliary solve and inverse transforms."""
+    F = field(plan, checked_field(f_hat, plan.grid.shape, "f_hat"))
+    vbw = _boundary(plan, v_b, "v_b") + _boundary(plan, w_b, "w_b")
+    U = step3(plan, F, boundary_modes(vbw, workers), x1_spectra(plan), cross_planes(plan),
+              workers)
+    return U.reshape(-1)
+
+
+def solve_block_system(plan: SolverPlan, which: str, rhs: np.ndarray,
+                       workers: int | None = None) -> np.ndarray:
+    """Solve the transformed auxiliary block system H_B for a spectral vector.
+
+    rhs is in x_1 spectral space, lexicographic order.  Block l is the cross
+    directions' separable problem with shift p_{B,l}, diagonal in their DCT-I
+    basis (2D plans too).  ``which`` ("B" or "H_B") stays for perfbench.
+    """
+    if which.upper().removeprefix("H_") != "B":
+        raise ValueError(f"which must be 'B', got {which!r}")
+    X = dct_cross(field(plan, checked_field(rhs, plan.grid.shape, "rhs")), workers,
+                  scale_ends=True)
+    shifts = x1_spectra(plan)[0]
+    rho, lam = cross_planes(plan)
+    for s in slabs(X.shape):
+        X[s] *= inverse_divisor(shifts[s], rho, lam, 2.0 ** (1 - X.ndim))
+    return dct_cross(X, workers, scale_ends=False).reshape(-1)

@@ -15,11 +15,10 @@ import pytest
 from helmfft import (BoundaryKind, Grid, SingularBlock, assemble_pencil,
                      build_operator_A, circulant_eigenbasis,
                      dense_eigensolve_pencil, dense_problem, dense_solve,
-                     kron_apply, plan2d, plan3d, solve2d, solve3d,
+                     kron_apply, plan2d, plan3d, solve2d, solve3d, solve_correction,
                      solve_pencil_eigen, tune_allocator)
 from helmfft.cli import main as cli_main
 from helmfft.oracle import wrapped_dense
-from helmfft.solver2d import solve_correction
 from conftest import rand_field, relerr
 
 tune_allocator()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helmfft import cli, oracle
+from helmfft.core import ldexp
 from helmfft.cli import (CSV_HEADER, ConfigError, RunConfig, RunRecord, emit,
                          fit_slope, make_rhs, read_records, read_rhs_file, run,
                          write_rhs_file)
@@ -234,6 +235,39 @@ def test_exit_code_singular_block():
     assert rc == 3
 
 
+NEUMANN_3D = ["--d", "3", "--bc", "neumann", "--n1", "7", "--n2", "5", "--n3", "4",
+              "--repeats", "1"]
+
+
+def test_verify_3d_neumann_x1(capsys):
+    assert cli.main(["verify", *NEUMANN_3D, "--omega", "2"]) == 0
+
+
+def test_exit_code_3d_neumann_x1_resonance(capsys):
+    # omega = 0 leaves the pure Neumann problem, singular on the constants
+    assert cli.main(["verify", *NEUMANN_3D, "--omega", "0"]) == 3
+    assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["solve", "verify"])
+@pytest.mark.parametrize("k", [-560, 530])
+def test_errors_of_a_scaled_rhs(tmp_path, capsys, k, mode):
+    # ||2^k f|| over- or underflows a double's sum of squares: the residual
+    # and oracle error printed are still those of the unscaled f, not 0, nan
+    # or a ZeroDivisionError
+    def errors_of(rhs):
+        assert cli.main([mode, "--n1", "17", "--n2", "9", "--rhs", rhs, "--repeats", "1",
+                         "--format", "json"]) == 0
+        rec = json.loads(capsys.readouterr().out)[0]
+        return rec["residual"], rec["oracle_error"]
+
+    cfg = RunConfig(n1=17, n2=9)
+    path = str(tmp_path / "scaled.bin")
+    write_rhs_file(path, 2, ldexp(make_rhs(cfg, cfg.grid()), k))
+    scaled, unscaled = errors_of(f"file:{path}"), errors_of("paper")
+    assert scaled == unscaled and unscaled[0] > 0
+
+
 def test_exit_code_verify_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli, "VERIFY_TOL", 1e-30)
     rc = cli.main(["verify", "--d", "2", "--n1", "5", "--n2", "5",
@@ -359,8 +393,7 @@ def test_config_file_values_checked_like_flags(tmp_path, monkeypatch, capsys, li
     # a bad file value fails before any plan is built, as the same flag would
     def no_plan(*args, **kwargs):
         raise AssertionError("a plan was built")
-    monkeypatch.setattr(cli, "plan2d", no_plan)
-    monkeypatch.setattr(cli, "plan3d", no_plan)
+    monkeypatch.setattr(cli, "make_plan", no_plan)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(line + "\n", encoding="utf-8")
     assert cli.main(["solve", "--config", str(cfg_path)]) == 2

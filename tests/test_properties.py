@@ -20,8 +20,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import helmfft.core as core
-from helmfft import (Grid, build_operator_A, kron_apply, plan2d, plan3d, solve2d,
-                     solve3d, tune_allocator)
+from helmfft import (Grid, build_operator_A, dense_problem, kron_apply, plan2d, plan3d,
+                     solve2d, solve3d, tune_allocator)
 from helmfft.cli import RunConfig, emit, fit_slope, read_records, run
 from conftest import longdouble_reference, rand_field, relerr
 
@@ -96,6 +96,19 @@ def test_default_solve_accuracy_where_the_pass_runs_2d(rhs):
     ref += lu.solve(f - A @ ref)
     err = float(np.linalg.norm(u - ref) / np.linalg.norm(ref))
     assert err <= 2e-12, f"forward error {err:.3e}"
+
+
+@pytest.mark.parametrize("omega", [1.0, 2 * np.pi])
+@pytest.mark.parametrize("shape", [(9, 7), (17, 9), (5, 4, 3), (9, 7, 5)])
+def test_longdouble_reference_matches_dense_lu(shape, omega):
+    # The reference itself, against a dense LU solve of A: within 10 kappa(A) eps
+    grid = Grid(shape)
+    plan = plan2d(grid, omega)
+    A = dense_problem(grid, omega).A
+    f = rand_field(grid, 3)
+    ref = longdouble_reference(grid, omega, f, lambda b: solve2d(plan, b, refine=0))
+    bound = 10 * np.linalg.cond(A) * np.finfo(float).eps
+    assert relerr(ref.astype(np.complex128), np.linalg.solve(A, f)) <= bound
 
 
 @pytest.mark.parametrize("omega", [1.0, 2 * np.pi])

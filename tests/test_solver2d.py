@@ -14,6 +14,7 @@ from helmfft import (BoundaryKind, Grid, SingularBlock,
                      kron_apply, plan2d, plan3d, solve2d, solve3d, solve_aux_partial,
                      solve_correction, solve_final)
 from helmfft import pipeline
+from helmfft.core import ldexp
 from helmfft.spectral import boundary_rows, twiddle
 from conftest import rand_field, reachable_arrays, relerr
 
@@ -389,6 +390,18 @@ def test_refinement_never_degrades_residual():
         u = solve2d(plan, f, refine=refine)
         res.append(np.linalg.norm(kron_apply(op, u) - f) / np.linalg.norm(f))
     assert res[1] <= res[0] and res[2] <= res[1]
+
+
+@pytest.mark.parametrize("k", [530, -530, -560, 1000, -1000])
+def test_default_solve_of_a_scaled_rhs(k):
+    # Where the stop test's sums of squares of f would over- or underflow,
+    # the solve runs on 2^-e f: the refinement pass still runs, and
+    # solve(2^k f) is 2^k solve(f) bit for bit
+    g = Grid((129, 129))
+    plan = plan2d(g, 2 * np.pi)
+    f = np.ones(g.npoints, dtype=complex)
+    f[:g.n[0]] = 0.01                       # the paper's right-hand side
+    assert np.array_equal(solve2d(plan, ldexp(f, k)), ldexp(solve2d(plan, f), k))
 
 
 def test_plan_is_reusable_and_inputs_untouched():

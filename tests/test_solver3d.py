@@ -269,6 +269,30 @@ def test_solve2d_and_solve3d_are_one_function():
     assert solve2d is solve3d is pipeline.solve
 
 
+def test_plan2d_and_plan3d_are_one_function():
+    assert plan2d is plan3d is pipeline.make_plan
+
+
+@pytest.mark.parametrize("refine", [0, 1])
+@pytest.mark.parametrize("sigma", [7.5 - 3.2j, -1.0, 2 + 1j, 30.0])
+def test_solve3d_neumann_x1_matches_dense_lu(sigma, refine):
+    g = Grid((7, 5, 4))
+    plan = plan3d(g, sigma, bc_x1=BoundaryKind.NEUMANN)
+    pencils = [assemble_pencil(n, h) for n, h in zip(g.n, g.h)]
+    A = dense_kron_sum([(p.K.dense(), p.M.dense()) for p in pencils], sigma)
+    f = rand_field(g, 4)
+    assert relerr(solve3d(plan, f, refine=refine), np.linalg.solve(A, f)) <= 1e-12
+
+
+@pytest.mark.parametrize("resonant", ["zero", "x1-mode"])
+def test_plan3d_neumann_x1_raises_at_resonance(resonant):
+    # sigma = 0 has the constants as null space; an x_1 eigenvalue is resonant too
+    g = Grid((7, 5, 4))
+    sigma = 0.0 if resonant == "zero" else dct1_eigen(assemble_pencil(7, g.h[0]))[0][1]
+    with pytest.raises(SingularBlock):
+        plan3d(g, sigma, bc_x1=BoundaryKind.NEUMANN)
+
+
 @pytest.mark.parametrize("shape", [(9, 7, 5), (17, 9, 5)])
 def test_step_functions_compose_to_the_bare_3d_solve(shape):
     # a 3D boundary pair holds 2 n_2 n_3 values
