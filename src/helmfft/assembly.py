@@ -10,8 +10,8 @@ ends and 3 - i omega h at absorbing ones (``Pencil1D.D``).  So ``Pencil1D``
 holds only n, h, the boundary kind and omega, and the operator A holds one
 pencil per direction and sigma.  Each of K and M is three numbers, its end
 entry, interior diagonal and off-diagonal (``Pencil1D.entries``, formed
-from the stencil): these are what the solver reads, and the matrices ``K``
-and ``M`` serve only the dense reference.  The auxiliary problem's x_1
+from the stencil): these are what the solver reads, and the dense ``K`` and
+``M`` built from them serve only the dense reference.  The auxiliary problem's x_1
 pencil is A's with its interior row carried to the end rows and wrap-around
 corners o times ``wrap_sign(twist)``: o for the periodic wrap (circulant),
 -o for the anti-periodic one (skew-circulant).  The twist alone fixes it,
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryKind, Grid, KroneckerOperator, TriCornerMatrix
+from .core import BoundaryKind, Grid, KroneckerOperator
 
 
 def wrap_sign(twist: float) -> float:
@@ -40,8 +40,9 @@ class Pencil1D:
     """The (stiffness, mass) pencil of one direction, held as the scalars that fix it.
 
     The solver reads K's and M's entries as numbers (``entries``); ``K`` and
-    ``M`` build the matrices on each access, in O(n), for the dense
-    reference.  ``omega`` only enters D's absorbing ends.
+    ``M`` build the dense matrices from them on each access, in O(n^2), and
+    exist only for the dense reference.  ``omega`` only enters D's absorbing
+    ends.
     """
 
     n: int
@@ -66,14 +67,15 @@ class Pencil1D:
         return (((complex(self.D_end) - 2.0) / h, 2.0 / h, -1.0 / h),
                 (2.0 * h / 6.0, 4.0 * h / 6.0, h / 6.0))
 
-    def _matrix(self, which: int) -> TriCornerMatrix:
-        end, d, o = self.entries[which]
-        diag = np.full(self.n, d, dtype=np.complex128)
-        diag[0] = diag[-1] = end
-        return TriCornerMatrix(diag, np.full(self.n - 1, o, dtype=np.complex128))
+    def _matrix(self, which: int) -> np.ndarray:
+        (end, d, o), n = self.entries[which], self.n
+        A = np.zeros((n, n), dtype=np.complex128)
+        A.flat[::n + 1], A.flat[1::n + 1], A.flat[n::n + 1] = d, o, o   # diagonal, above, below
+        A[[0, -1], [0, -1]] = end
+        return A
 
-    K = property(lambda self: self._matrix(0))
-    M = property(lambda self: self._matrix(1))
+    K = property(lambda self: self._matrix(0), doc="Dense K, in O(n^2): for the dense reference.")
+    M = property(lambda self: self._matrix(1), doc="Dense M, in O(n^2): for the dense reference.")
 
     @property
     def D_end(self) -> complex:

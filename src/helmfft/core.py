@@ -1,4 +1,4 @@
-"""Grids, boundary kinds, and the structured 1D matrices shared by all solvers.
+"""Grids, boundary kinds, and the operator A, applied matrix-free, with its residual.
 
 Field vectors are plain 1-D complex ndarrays of length N = prod(n_j), stored in
 lexicographic order with x_1 slowest and x_d fastest.  With that ordering a
@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from ._tridiag import TriCornerMatrix  # noqa: F401  (perfbench traces its apply)
 
 # Relative size below which a pivot or eigenvalue of a diagonal block counts
 # as singular.
@@ -71,38 +73,6 @@ class Grid:
         return self.n
 
 
-class TriCornerMatrix:
-    """Symmetric tridiagonal matrix: a pencil's K or M, for the dense reference.
-
-    Only one off-diagonal is stored.  No solver builds one: they read
-    ``Pencil1D.entries``, and ``_tri`` alone applies a tridiagonal factor to
-    a field.  ``apply`` is a stub that ``perfbench/tracing.py`` wraps.
-    """
-
-    __slots__ = ("n", "diag", "off")
-
-    def __init__(self, diag, off):
-        self.diag = np.asarray(diag, dtype=np.complex128)
-        self.off = np.asarray(off, dtype=np.complex128)
-        self.n = self.diag.shape[0]
-        if self.off.shape != (self.n - 1,):
-            raise ValueError(f"off-diagonal must have length {self.n - 1}, got {self.off.shape}")
-        self.diag.flags.writeable = False
-        self.off.flags.writeable = False
-
-    def apply(self, *args, **kwargs):
-        raise NotImplementedError("no solver applies a TriCornerMatrix; this name is kept "
-                                  "for perfbench's tracer (ROADMAP item 1)")
-
-    def dense(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n), dtype=np.complex128)
-        np.fill_diagonal(A, self.diag)
-        idx = np.arange(self.n - 1)
-        A[idx, idx + 1] = self.off
-        A[idx + 1, idx] = self.off
-        return A
-
-
 @dataclass(frozen=True)
 class KroneckerOperator:
     """(K_1 - sigma M_1) ox M_2 ox ... + sum_{k>1} M_1 ox ... ox K_k ox ... ox M_d.
@@ -124,7 +94,7 @@ class KroneckerOperator:
 
     def dense(self) -> np.ndarray:
         """Explicit N x N matrix, for small verification problems only."""
-        return dense_kron_sum([(p.K.dense(), p.M.dense()) for p in self.pencils], self.sigma)
+        return dense_kron_sum([(p.K, p.M) for p in self.pencils], self.sigma)
 
 
 def dense_kron_sum(factors, sigma) -> np.ndarray:

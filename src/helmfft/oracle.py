@@ -1,12 +1,14 @@
 """Brute-force dense reference: explicit Kronecker assembly plus LAPACK solves.
 
 Everything here is deliberately independent of the fast path (transforms,
-block factorizations, the boundary recurrence): matrices are expanded
-entrywise from the separable definitions and solved with dense
-partially-pivoted LU, and pencils are diagonalized densely.  Only here is
-the auxiliary B built: A's x_1 factors, wrapped (``wrapped_dense``), in A's
-dense Kronecker sum.  Used to generate and check expected values throughout
-the test suite.  Hard size caps keep accidental O(N^3) blowups out of CI.
+closed-form spectra, the boundary recurrence): each pencil's dense K and M,
+built from the entries the solver reads (``Pencil1D.K``, ``.M``), are
+expanded into Kronecker products and solved with dense partially-pivoted
+LU, and pencils are diagonalized by a generic dense eigensolve
+(``dense_eigensolve_pencil``).  Only here is the auxiliary B built: A's x_1
+factors, wrapped (``wrapped_dense``), in A's dense Kronecker sum.  Used to
+generate and check expected values throughout the test suite.  Hard size
+caps keep accidental O(N^3) blowups out of CI.
 """
 
 from __future__ import annotations
@@ -23,19 +25,10 @@ from .core import BoundaryKind, Grid, dense_kron_sum
 
 DENSE_SIZE_CAP = 20_000
 EIG_SIZE_CAP = 512
-NORMALIZATION_TOL = 1e-12
 
 
 class SizeLimit(RuntimeError):
     """Problem too large for the dense reference path."""
-
-
-class EigensolverFailure(RuntimeError):
-    """Dense eigensolver did not converge."""
-
-
-class NormalizationFailure(RuntimeError):
-    """An eigenvector has a quasi-null T-norm and cannot be M-normalized."""
 
 
 @dataclass(frozen=True)
@@ -52,7 +45,7 @@ class DenseProblem:
         A = build_operator_A(self.grid, self.omega, self.bc_x1)
         p1, *cross = A.pencils
         return dense_kron_sum([wrapped_dense(p1, self.twist),
-                               *((p.K.dense(), p.M.dense()) for p in cross)], A.sigma)
+                               *((p.K, p.M) for p in cross)], A.sigma)
 
 
 def wrapped_dense(pencil: Pencil1D, twist: float):
@@ -62,7 +55,7 @@ def wrapped_dense(pencil: Pencil1D, twist: float):
     corners get o for twist 0 (circulant) or -o for pi (skew-circulant).
     """
     sign = wrap_sign(twist)
-    KM = pencil.K.dense(), pencil.M.dense()
+    KM = pencil.K, pencil.M
     for W in KM:
         W[0, 0] = W[-1, -1] = W[1, 1]
         W[[0, -1], [-1, 0]] += sign * W[0, 1]
@@ -117,8 +110,8 @@ def dense_partial_solution(problem: DenseProblem, which: str, f: np.ndarray) -> 
 def dense_eigensolve_pencil(K: np.ndarray, M: np.ndarray):
     """Generalized eigenpairs of (K, M) by the generic dense method (n <= 512).
 
-    Reference for the closed forms and the normalized pencil solver; no
-    normalization convention is imposed here.
+    Reference for the closed forms (``spectral``); no normalization
+    convention is imposed here.
     """
     K = np.asarray(K, dtype=np.complex128)
     M = np.asarray(M, dtype=np.complex128)
@@ -130,40 +123,3 @@ def dense_eigensolve_pencil(K: np.ndarray, M: np.ndarray):
         raise np.linalg.LinAlgError("generalized eigensolve did not converge")
     order = np.lexsort((lam.imag, lam.real))
     return lam[order], V[:, order]
-
-
-class PencilEigen(NamedTuple):
-    lambdas: np.ndarray     # ascending by real, then imaginary part
-    vectors: np.ndarray     # columns, normalized so that V^T M V = I
-
-
-def solve_pencil_eigen(pencil: Pencil1D) -> PencilEigen:
-    """Full eigendecomposition K V = M V Lambda of a Neumann or absorbing pencil.
-
-    The generalized problem is reduced to a standard one through a Cholesky
-    factor of the real SPD mass matrix, solved densely, and the
-    eigenvectors are rescaled so that V^T M V = I (plain transpose; the pencil
-    is complex symmetric, not Hermitian).
-    """
-    Md = pencil.M.dense().real
-    Kd = pencil.K.dense()
-    try:
-        L = np.linalg.cholesky(Md)
-        A1 = scipy.linalg.solve_triangular(L, Kd, lower=True)
-        S = scipy.linalg.solve_triangular(L, A1.T, lower=True).T
-        theta, Y = np.linalg.eig(S)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-
-    order = np.lexsort((theta.imag, theta.real))
-    theta = theta[order]
-    Y = Y[:, order]
-    tnorm = np.einsum("il,il->l", Y, Y)
-    bad = np.abs(tnorm) < NORMALIZATION_TOL
-    if bad.any():
-        l = int(np.argmax(bad))
-        raise NormalizationFailure(
-            f"eigenvector {l} has T-norm {abs(tnorm[l]):.2e} below {NORMALIZATION_TOL}")
-    scales = 1.0 / np.sqrt(tnorm.astype(np.complex128))
-    V = scipy.linalg.solve_triangular(L.T, Y, lower=False) * scales[None, :]
-    return PencilEigen(lambdas=theta.astype(np.complex128), vectors=V)

@@ -253,12 +253,13 @@ def solve(plan: SolverPlan, f: np.ndarray, refine: int = 1,
     the residuals read the caller's f.  Holds about one field-sized scratch
     array at once, two while a pass runs: the stop test takes only the
     residual's norm.  Where ||f|| is out of that test's range it solves 2^-e f
-    (``core.scale_exponent``): solve(2^k f) is 2^k solve(f) bit for bit.
+    (``core.scale_exponent``), at every ``refine``: solve(2^k f) is 2^k
+    solve(f) bit for bit.
     """
     if not isinstance(refine, numbers.Integral) or refine < 0:
         raise ValueError(f"refine must be an integer >= 0, got {refine!r}")
     f = checked_field(f, plan.grid.shape)
-    f_norm = _norm(f) if refine else 1.0
+    f_norm = _norm(f)
     if e := scale_exponent(f, f_norm):
         return ldexp(solve(plan, ldexp(f, -e), refine, workers), e)
     x1, cross = x1_spectra(plan), cross_planes(plan)

@@ -1,4 +1,3 @@
-"""``perfbench/tracing.py`` wraps ``solve_pencil_eigen`` as bound here, though no
-solve calls it (the solver is ``pipeline``); kept until ROADMAP item 1."""
+"""``perfbench/tracing.py`` wraps ``solve_pencil_eigen`` as bound here (``_tridiag``)."""
 
-from .oracle import solve_pencil_eigen  # noqa: F401  (perfbench traces this name)
+from ._tridiag import solve_pencil_eigen  # noqa: F401

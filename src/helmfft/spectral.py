@@ -1,7 +1,9 @@
 """Closed forms for the 1D pencils, read from their entries (``Pencil1D.entries``):
 circulant and DCT-I eigendata, each the interior rows' symbol (``_symbols``)
 at its own angles, the choice of the auxiliary x_1 wrap, and the boundary
-Green's function of the original x_1 pencil by a pivot recurrence.
+Green's function of the original x_1 pencil by a pivot recurrence.  No
+matrix is formed; the tests hold these against the dense reference
+(``oracle``, on ``Pencil1D.K`` and ``.M``).
 
 The auxiliary x_1 pencil is the original one with its interior row carried
 to the ends and wrapped with twist phi (0: periodic, pi: anti-periodic), so
@@ -225,7 +227,3 @@ def choose_wrap(pencil: Pencil1D, sigma: complex, cross_lams) -> tuple[float, tu
     k = int(smallest[1] > smallest[0])
     _check_gaps(gap[k::2], scale[k::2], "B")
     return k * np.pi, tuple(g / abs(sigma) for g in smallest)
-
-
-def clear_eigen_cache() -> None:
-    """No-op: no plan keeps an eigen cache.  Kept because perfbench calls it."""

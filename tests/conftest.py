@@ -62,7 +62,7 @@ def longdouble_reference(grid: Grid, omega: float, f, solve, tol: float = 2e-17)
 
     A has absorbing x_1 ends and Neumann cross ends.  Its K, M and sigma =
     omega^2 are formed here in long double from n, h = 1 / (n - 1) and omega,
-    sharing no code with ``Pencil1D`` or ``TriCornerMatrix``.  ``solve(r)``,
+    sharing no code with ``Pencil1D`` or its dense K and M.  ``solve(r)``,
     any solver of A d = r in double, only drives the refinement: its fixed
     point is A^-1 f whatever ``solve`` is.  The steps must fall below ``tol``
     relative to the iterate within six steps (AssertionError otherwise).

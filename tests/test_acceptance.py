@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from helmfft import (BoundaryKind, Grid, SingularBlock, assemble_pencil,
-                     build_operator_A, circulant_eigenbasis,
+                     build_operator_A, circulant_eigenbasis, dct1_eigen,
                      dense_eigensolve_pencil, dense_problem, dense_solve,
                      kron_apply, plan2d, plan3d, solve2d, solve3d, solve_correction,
-                     solve_pencil_eigen, tune_allocator)
+                     tune_allocator)
 from helmfft.cli import main as cli_main
 from helmfft.oracle import wrapped_dense
 from conftest import rand_field, relerr
@@ -176,19 +176,33 @@ def test_criterion_6_direction_balance():
 
 
 def test_criterion_7_spectral_invariants():
+    # the bases the solver divides in: the DCT-I cosines V_jk = cos(j k pi /
+    # (n-1)) of a pencil with Neumann ends, and the DFT columns V_jl =
+    # e^{i theta_l j} of both x_1 wraps, theta_l = (2 pi l + twist)/n.  Each
+    # has V^H M V = diag(D) and V^H K V = diag(lambda D) with the solver's
+    # closed-form lambda and D; errors are those of V / sqrt(D), K's relative
+    # to max(1, max |lambda|)
     t0 = time.perf_counter()
     worst_m = worst_k = 0.0
     for n in range(3, 65):
         h = 1.0 / (n - 1)
+        j = np.arange(n)
         for bc in (BoundaryKind.ABSORBING, BoundaryKind.NEUMANN):
             for omega in (0.0, 1.0, 2 * np.pi):
                 p = assemble_pencil(n, h, omega, bc)
-                basis = solve_pencil_eigen(p)
-                V = basis.vectors
-                worst_m = max(worst_m, np.abs(V.T @ p.M.dense() @ V - np.eye(n)).max())
-                lam_max = max(1.0, np.abs(basis.lambdas).max())
-                worst_k = max(worst_k, np.abs(
-                    V.T @ p.K.dense() @ V - np.diag(basis.lambdas)).max() / lam_max)
+                cases = []
+                if bc == BoundaryKind.NEUMANN or omega == 0.0:
+                    cases.append((np.cos(np.outer(j, np.pi * j / (n - 1))), p.K, p.M,
+                                  *dct1_eigen(p)))
+                for twist in (0.0, np.pi):
+                    cases.append((np.exp(1j * np.outer(j, (2 * np.pi * j + twist) / n)),
+                                  *wrapped_dense(p, twist), *circulant_eigenbasis(p, twist)))
+                for V, K, M, lam, D in cases:
+                    Vh, norms = V.conj().T, np.sqrt(np.outer(D, D))
+                    worst_m = max(worst_m, np.abs((Vh @ M @ V - np.diag(D)) / norms).max())
+                    lam_max = max(1.0, np.abs(lam).max())
+                    worst_k = max(worst_k, np.abs(
+                        (Vh @ K @ V - np.diag(lam * D)) / norms).max() / lam_max)
 
     worst_c = 0.0
     for n in range(3, 17):
@@ -200,7 +214,8 @@ def test_criterion_7_spectral_invariants():
 
     ok = worst_m <= 1e-10 and worst_k <= 1e-10 and worst_c <= 1e-10
     _report(7, "spectral invariants", ok,
-            f"max |V^T M V - I| {worst_m:.2e}, |V^T K V - L| {worst_k:.2e}, "
+            f"DCT-I and wrap DFT bases: max |V^H M V - D| {worst_m:.2e}, "
+            f"|V^H K V - L D| {worst_k:.2e}, "
             f"circulant vs dense {worst_c:.2e}, all <= 1e-10, "
             f"{time.perf_counter()-t0:.0f}s")
 
@@ -234,8 +249,8 @@ def test_criterion_9_degenerate_handling():
     grid = Grid((n, n))
     p1 = assemble_pencil(n, grid.h[0])
     p2 = assemble_pencil(n, grid.h[1])
-    lam1, _ = dense_eigensolve_pencil(p1.K.dense(), p1.M.dense())
-    lam2, _ = dense_eigensolve_pencil(p2.K.dense(), p2.M.dense())
+    lam1, _ = dense_eigensolve_pencil(p1.K, p1.M)
+    lam2, _ = dense_eigensolve_pencil(p2.K, p2.M)
     sigma = float((lam1[1] + lam2[0]).real)
 
     raised = False

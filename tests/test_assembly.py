@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import helmfft.core as core
 from helmfft import (BoundaryKind, Grid, assemble_pencil, build_operator_A,
                      dense_problem, kron_apply, plan2d, plan3d, solve2d, solve3d)
 from helmfft.assembly import Pencil1D
@@ -11,8 +10,8 @@ from helmfft import pipeline
 
 def test_neumann_pencil_n3():
     p = assemble_pencil(3, 0.5)
-    assert np.allclose(p.K.dense(), [[2, -2, 0], [-2, 4, -2], [0, -2, 2]])
-    assert np.allclose(p.M.dense(),
+    assert np.allclose(p.K, [[2, -2, 0], [-2, 4, -2], [0, -2, 2]])
+    assert np.allclose(p.M,
                        [[1 / 6, 1 / 12, 0], [1 / 12, 1 / 3, 1 / 12], [0, 1 / 12, 1 / 6]])
 
 
@@ -20,19 +19,20 @@ def test_absorbing_corner_entries():
     omega = 2 * np.pi
     p = assemble_pencil(3, 0.5, omega, BoundaryKind.ABSORBING)
     expected = (1 - 1j * omega * 0.5) / 0.5      # = 2 - 2 pi i
-    assert p.K.diag[0] == pytest.approx(expected)
-    assert p.K.diag[-1] == pytest.approx(2 - 2j * np.pi)
+    K = p.K
+    assert K[0, 0] == pytest.approx(expected)
+    assert K[-1, -1] == pytest.approx(2 - 2j * np.pi)
     # everything else as Neumann
     ref = assemble_pencil(3, 0.5)
-    assert np.allclose(p.K.off, ref.K.off)
-    assert p.K.diag[1] == ref.K.diag[1]
-    assert np.allclose(p.M.dense(), ref.M.dense())
+    assert np.allclose(np.diag(K, 1), np.diag(ref.K, 1))
+    assert K[1, 1] == ref.K[1, 1]
+    assert np.allclose(p.M, ref.M)
 
 
 @pytest.mark.parametrize("n", [4, 7, 12])
 def test_neumann_stiffness_rows_sum_to_zero(n):
     p = assemble_pencil(n, 0.31)
-    assert np.allclose(p.K.dense().sum(axis=1), 0.0, atol=1e-13)
+    assert np.allclose(p.K.sum(axis=1), 0.0, atol=1e-13)
 
 
 def test_periodic_pencil_values():
@@ -63,7 +63,7 @@ def test_pencil_from_integer_stencils(pencil, twist):
     # ends, or the corners of the oracle's wrap, where D is 6 throughout)
     # taken from M
     if twist is None:
-        K, M, D = pencil.K.dense(), pencil.M.dense(), pencil.D
+        K, M, D = pencil.K, pencil.M, pencil.D
     else:
         (K, M), D = wrapped_dense(pencil, twist), np.full(pencil.n, 6.0)
     T = M * 6 / pencil.h
@@ -80,8 +80,10 @@ def test_pencil_entries_are_the_matrices_entries(n, bc, omega):
     h = 1 / (n - 1)
     p = assemble_pencil(n, h, omega, bc)
     for (end, d, o), T in zip(p.entries, (p.K, p.M)):
-        assert T.diag[0] == T.diag[-1] == end
-        assert np.all(T.diag[1:-1] == d) and np.all(T.off == o)
+        diag = np.diag(T)
+        assert diag[0] == diag[-1] == end
+        assert np.all(diag[1:-1] == d) and np.all(np.diag(T, 1) == o)
+        assert np.array_equal(T, T.T) and np.count_nonzero(np.triu(T, 2)) == 0
     k_end = (1 - 1j * omega * h) / h if bc == BoundaryKind.ABSORBING else 1 / h
     assert p.entries[0][0] == k_end
     assert (p.entries[0][0] * h + 2.0) == pytest.approx(p.D[0], rel=1e-15)
@@ -90,13 +92,13 @@ def test_pencil_entries_are_the_matrices_entries(n, bc, omega):
 def test_plans_and_solves_build_no_tri_matrix(monkeypatch, rng):
     # the solver reads each pencil's entries as numbers; K and M serve only
     # the dense reference
-    built, init = [], core.TriCornerMatrix.__init__
+    built, matrix = [], Pencil1D._matrix
 
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
+    def counting_matrix(self, which):
+        built.append(which)
+        return matrix(self, which)
 
-    monkeypatch.setattr(core.TriCornerMatrix, "__init__", counting_init)
+    monkeypatch.setattr(Pencil1D, "_matrix", counting_matrix)
     g2, g3 = Grid((17, 9)), Grid((9, 7, 5))
     plans = [plan2d(g2, 2 * np.pi), plan2d(g2, 3.5 - 1j, bc_x1=BoundaryKind.NEUMANN),
              plan3d(g3, 2 * np.pi)]
@@ -133,7 +135,7 @@ def test_pencil_fields_are_scalars():
 
 def test_assembled_matrices_symmetric():
     p = assemble_pencil(6, 0.2, 2 * np.pi, BoundaryKind.ABSORBING)
-    for D in (p.K.dense(), p.M.dense(), *wrapped_dense(p, 0.0), *wrapped_dense(p, np.pi)):
+    for D in (p.K, p.M, *wrapped_dense(p, 0.0), *wrapped_dense(p, np.pi)):
         assert np.array_equal(D, D.T)
 
 
@@ -252,11 +254,11 @@ def test_correction_matches_dense_b_minus_a(shape, omega):
             out = np.kron(out, f)
         return out
 
-    M = kron(*(p.M.dense() for p in cross))
-    K = sum(kron(*(q.K.dense() if q is p else q.M.dense() for q in cross)) for p in cross)
+    M = kron(*(p.M for p in cross))
+    K = sum(kron(*(q.K if q is p else q.M for q in cross)) for p in cross)
     dk, dm = (np.array([[end, corner], [corner, end]]) for end, corner in plan.correction)
     for got, B, A in zip((dk, dm), wrapped_dense(p1, twist), (p1.K, p1.M)):
-        full = B - A.dense()
+        full = B - A
         assert np.array_equal(full[np.ix_([0, -1], [0, -1])], got)
         full[np.ix_([0, -1], [0, -1])] = 0.0
         assert np.abs(full).max() == 0.0

@@ -228,7 +228,7 @@ def test_exit_code_singular_block():
     from helmfft import assemble_pencil, dense_eigensolve_pencil
     g_h = 0.25
     p = assemble_pencil(5, g_h)
-    lam, _ = dense_eigensolve_pencil(p.K.dense(), p.M.dense())
+    lam, _ = dense_eigensolve_pencil(p.K, p.M)
     omega = math.sqrt(float(lam[1].real + lam[0].real))
     rc = cli.main(["solve", "--d", "2", "--n1", "5", "--n2", "5",
                    "--bc", "neumann", "--omega", repr(omega), "--repeats", "1"])

@@ -25,7 +25,7 @@ def test_plan_circulant_eigenvalues_match_dense():
     plan = plan3d(g, 2 * np.pi)
     p1, *cross = plan.operator.pencils
     pairs = ((wrapped_dense(p1, plan.twist), circulant_eigenbasis(p1, plan.twist)[0]),
-             *(((p.K.dense(), p.M.dense()), dct1_eigen(p)[0]) for p in cross))
+             *(((p.K, p.M), dct1_eigen(p)[0]) for p in cross))
     for (K, M), lam in pairs:
         ref, _ = dense_eigensolve_pencil(K, M)
         got = np.sort_complex(lam)
@@ -37,12 +37,12 @@ def test_plan_circulant_eigenvalues_match_dense():
 def test_dct1_closed_form_matches_dense(n):
     p = assemble_pencil(n, 1.0 / (n - 1))
     lam, D = dct1_eigen(p)
-    ref, _ = dense_eigensolve_pencil(p.K.dense(), p.M.dense())
+    ref, _ = dense_eigensolve_pencil(p.K, p.M)
     scale = max(1.0, lam.max())
     assert np.abs(np.sort(ref.real) - np.sort(lam)).max() <= 1e-10 * scale
     assert np.abs(ref.imag).max() <= 1e-10 * scale
     V = np.cos(np.outer(np.arange(n), np.pi * np.arange(n) / (n - 1)))
-    M, K = p.M.dense().real, p.K.dense().real
+    M, K = p.M.real, p.K.real
     assert np.abs(V.T @ M @ V - np.diag(D)).max() <= 1e-12 * D.max()
     assert np.abs(V.T @ K @ V - np.diag(D * lam)).max() <= 1e-10 * scale
     # V^T x is the DCT-I of x with its interior entries halved
@@ -102,8 +102,8 @@ def test_block_system_matches_dense_blocks(which, rng):
         g = plan.grid
         p1, *cross = plan.operator.pencils
         lam1 = circulant_eigenbasis(p1, plan.twist)[0]
-        K = dense_kron_sum([(p.K.dense(), p.M.dense()) for p in cross], 0.0)
-        M = functools.reduce(np.kron, [p.M.dense() for p in cross])
+        K = dense_kron_sum([(p.K, p.M) for p in cross], 0.0)
+        M = functools.reduce(np.kron, [p.M for p in cross])
         rhs = rand_field(g, 9)
         got = solve_block_system(plan, which, rhs).reshape(g.n[0], -1)
         R = rhs.reshape(g.n[0], -1)
@@ -279,7 +279,7 @@ def test_solve3d_neumann_x1_matches_dense_lu(sigma, refine):
     g = Grid((7, 5, 4))
     plan = plan3d(g, sigma, bc_x1=BoundaryKind.NEUMANN)
     pencils = [assemble_pencil(n, h) for n, h in zip(g.n, g.h)]
-    A = dense_kron_sum([(p.K.dense(), p.M.dense()) for p in pencils], sigma)
+    A = dense_kron_sum([(p.K, p.M) for p in pencils], sigma)
     f = rand_field(g, 4)
     assert relerr(solve3d(plan, f, refine=refine), np.linalg.solve(A, f)) <= 1e-12
 

@@ -1,15 +1,13 @@
 import functools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg
 
-from helmfft import (BoundaryKind, Grid, NormalizationFailure, SingularBlock,
-                     TriCornerMatrix, assemble_pencil, boundary_green,
+from helmfft import (BoundaryKind, Grid, SingularBlock, assemble_pencil, boundary_green,
                      circulant_eigenbasis, dct1_eigen, dense_eigensolve_pencil,
-                     dense_problem, solve_pencil_eigen)
+                     dense_problem)
 from helmfft.oracle import wrapped_dense
 from helmfft.spectral import (_FLUSH_BELOW, _FLUSH_STEPS, boundary_rows, choose_wrap,
                               twiddle)
@@ -112,58 +110,18 @@ def test_periodic_pencil_rejects_other_twists():
         dense_problem(Grid((5, 4)), 2 * np.pi, twist=np.pi / 2).B
 
 
-@pytest.mark.parametrize("bc", [BoundaryKind.ABSORBING, BoundaryKind.NEUMANN])
-@pytest.mark.parametrize("omega", [0.0, 1.0, 2 * np.pi])
-@pytest.mark.parametrize("n", [4, 9, 33, 64])
-def test_pencil_eigen_normalization(bc, omega, n):
-    p = assemble_pencil(n, 1 / (n - 1), omega, bc)
-    basis = solve_pencil_eigen(p)
-    V = basis.vectors
-    G = V.T @ p.M.dense() @ V
-    H = V.T @ p.K.dense() @ V
-    lam_max = np.abs(basis.lambdas).max()
-    assert np.abs(G - np.eye(n)).max() <= 1e-10
-    assert np.abs(H - np.diag(basis.lambdas)).max() <= 1e-10 * lam_max
-
-
-def test_neumann_pencil_has_constant_kernel():
-    basis = solve_pencil_eigen(assemble_pencil(7, 1 / 6))
-    k = int(np.argmin(np.abs(basis.lambdas)))
-    assert abs(basis.lambdas[k]) <= 1e-12
-    v = basis.vectors[:, k]
-    assert np.abs(v - v.mean()).max() <= 1e-8 * np.abs(v).max()
-
-
 def test_pencil_eigen_two_point_hand_case():
     # K = [[1-iw, -1], [-1, 1-iw]], M = (1/6)[[2, 1], [1, 2]] on h = 1:
     # eigenvectors are [1, 1] and [1, -1]; the symmetric mode has
     # eigenvalue -2 i omega (= -4 pi i at omega = 2 pi).
     omega = 2 * np.pi
-    K = TriCornerMatrix([1 - 1j * omega, 1 - 1j * omega], [-1.0])
-    M = TriCornerMatrix([2 / 6, 2 / 6], [1 / 6])
-    p = SimpleNamespace(K=K, M=M, bc=BoundaryKind.ABSORBING)
-    basis = solve_pencil_eigen(p)
-    k = int(np.argmin(np.abs(basis.lambdas - (-2j * omega))))
-    assert basis.lambdas[k] == pytest.approx(-4j * np.pi, rel=1e-12)
-    v = basis.vectors[:, k]
+    K = np.array([[1 - 1j * omega, -1.0], [-1.0, 1 - 1j * omega]])
+    M = np.array([[2 / 6, 1 / 6], [1 / 6, 2 / 6]])
+    lambdas, vectors = dense_eigensolve_pencil(K, M)
+    k = int(np.argmin(np.abs(lambdas - (-2j * omega))))
+    assert lambdas[k] == pytest.approx(-4j * np.pi, rel=1e-12)
+    v = vectors[:, k]
     assert v[0] == pytest.approx(v[1], rel=1e-12)
-
-
-def test_pencil_eigen_reconstruction():
-    p = assemble_pencil(5, 0.25, 2 * np.pi, BoundaryKind.ABSORBING)
-    basis = solve_pencil_eigen(p)
-    V = basis.vectors
-    K_rec = p.M.dense() @ V @ np.diag(basis.lambdas) @ np.linalg.inv(V)
-    assert np.linalg.norm(K_rec - p.K.dense()) <= 1e-9 * np.linalg.norm(p.K.dense())
-
-
-def test_normalization_failure_on_defective_pencil():
-    # [[1, i], [i, -1]] is nilpotent: double eigenvalue 0 with T-null eigenvector.
-    K = TriCornerMatrix([1.0, -1.0, 5.0], [1j, 0.0])
-    M = TriCornerMatrix([1.0, 1.0, 1.0], [0.0, 0.0])
-    p = SimpleNamespace(K=K, M=M, bc=BoundaryKind.NEUMANN)
-    with pytest.raises(NormalizationFailure):
-        solve_pencil_eigen(p)
 
 
 # -- boundary-restricted products --------------------------------------------
@@ -196,11 +154,12 @@ def test_adjoint_then_forward_matches_dense(rng):
 
 def _banded_corners(pencil, sigma, lam):
     """Corner blocks of T(lam)^-1 by a pivoted banded solve per mode."""
+    (Kd, Ko), (Md, Mo) = ((np.diag(T), np.diag(T, 1)) for T in (pencil.K, pencil.M))
     out = []
     for c in np.asarray(lam) - sigma:
         ab = np.zeros((3, pencil.n), dtype=complex)
-        ab[0, 1:] = ab[2, :-1] = pencil.K.off + c * pencil.M.off
-        ab[1] = pencil.K.diag + c * pencil.M.diag
+        ab[0, 1:] = ab[2, :-1] = Ko + c * Mo
+        ab[1] = Kd + c * Md
         e = np.zeros((pencil.n, 2), dtype=complex)
         e[0, 0] = e[-1, 1] = 1.0
         out.append(scipy.linalg.solve_banded((1, 1), ab, e)[[0, -1]])
@@ -257,15 +216,15 @@ def test_boundary_green_shape_follows_modes():
 
 def _green_by_rows(pencil, sigma, lam):
     """boundary_green's recurrence, reading every row from the pencil."""
-    K, M = pencil.K, pencil.M
+    (Kd, Ko), (Md, Mo) = ((np.diag(T), np.diag(T, 1)) for T in (pencil.K, pencil.M))
     c = np.asarray(lam, dtype=np.complex128) - sigma
-    p = K.diag[0] + c * M.diag[0]
+    p = Kd[0] + c * Md[0]
     prod = np.ones_like(p)
     for k in range(1, pencil.n):
-        neg_off = c * -M.off[k - 1] - K.off[k - 1]
+        neg_off = c * -Mo[k - 1] - Ko[k - 1]
         r = neg_off / p
         prod *= r
-        p = (c * M.diag[k] + K.diag[k]) - neg_off * r
+        p = (c * Md[k] + Kd[k]) - neg_off * r
         if k % _FLUSH_STEPS == 0:
             for part in (p.imag, prod.real, prod.imag):
                 part[np.abs(part) < _FLUSH_BELOW] = 0.0
