@@ -380,7 +380,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:           # OSError: an RHS or --out path
         print(f"helmfft: config error: {exc}", file=sys.stderr)
         return 2
-    except SingularBlock as exc:
+    except (SingularBlock, OverflowError) as exc:     # OverflowError: u beyond double range
         print(f"helmfft: solver error: {exc}", file=sys.stderr)
         return 3
 

@@ -10,12 +10,14 @@ real matrices, so there is a single code path.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,36 +112,84 @@ def dense_kron_sum(factors, sigma) -> np.ndarray:
                                 one) for k in range(len(factors)))
 
 
-# Scalars of scratch per chunk of x_1 slabs (at least one slab each): the
-# pipeline's divisor, or two of the chunk buffers of kron_apply and the
-# residual (``_chunks``; d + 1 buffers, which stay in L2).  Step 1 sums the
-# boundary pair chunk by chunk, so a new value changes the last bits of every
-# solve.
-SLAB_SCRATCH = 1 << 16
+# Bytes of chunk scratch that one slab loop of a solve may hold: the three
+# chunk buffers of ``_chunks`` (the residual and kron_apply), the divisor and
+# product chunks of the pipeline's step 1, or the one chunk of its step 3,
+# which holds the boundary update and then the divisor.  A loop takes whole
+# x_1 slabs, at least one per chunk, so where a slab alone is over budget its
+# chunks are single slabs.  Step 1 and the residual norm sum chunk by chunk,
+# so a new value changes the last bits of every solve.
+SLAB_SCRATCH = 1 << 18
 
 
-def slabs(shape, buffers: int = 1) -> list[slice]:
-    """Chunks of the x_1 slabs of ``shape`` for ``buffers`` slab buffers in SLAB_SCRATCH."""
-    step = max(1, SLAB_SCRATCH // (buffers * int(np.prod(shape[1:]))))
+def slabs(shape, point_bytes: int = 16) -> list[slice]:
+    """Chunks of the x_1 slabs of ``shape``, at ``point_bytes`` per point in SLAB_SCRATCH."""
+    step = max(1, SLAB_SCRATCH // (point_bytes * math.prod(shape[1:])))
     return [slice(a, min(a + step, shape[0])) for a in range(0, shape[0], step)]
+
+
+@contextlib.contextmanager
+def unbuffered():
+    """Run numpy's ufuncs with their smallest buffer, 16 elements, in a slab loop that never casts.
+
+    An operand that broadcasts over a chunk's slabs (a column along x_1 or a
+    cross plane) needs no buffer, but numpy copies it into one of up to 8192
+    elements to run the rows of several slabs as one inner loop: up to 0.25
+    MB of scratch per call, and at 1025^2 up to three times slower than
+    running each row in place.  A cast would run 16 elements at a time, so
+    the loop's operands share one dtype.
+    """
+    size = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(size)
+
+
+class _Buffer(NamedTuple):
+    """A contiguous complex chunk buffer with its flat complex and flat float64 views."""
+
+    z: np.ndarray
+    flat: np.ndarray
+    real: np.ndarray
+
+    @classmethod
+    def of(cls, z):
+        flat = z.reshape(-1)
+        return cls(z, flat, flat.view(np.float64))
 
 
 def _tri(x, axis: int, out, rows: slice = slice(None)) -> None:
     """``out`` = rows ``rows`` of T x along ``axis``, T = tridiag(1, 4, 1) with 2 at the ends.
 
-    Each row adds its left neighbour, then its right one.
+    Each row adds its left neighbour, then its right one.  Along x_1 (axis
+    0) ``x`` is a field in any layout and ``out`` a chunk of ``rows``.  Along
+    a cross axis both are ``_Buffer``s: the neighbours are the flat arrays
+    shifted by the axis's stride, which numpy adds without buffering, and
+    the two end rows, where the shift runs across a line, are formed again.
     """
-    n = x.shape[axis]
-    a, b, _ = rows.indices(n)
-    x, y = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
-    np.multiply(x[a:b], 4.0, out=y)
-    if a == 0:
-        np.multiply(x[0], 2.0, out=y[0])
-    if b == n:
-        np.multiply(x[n - 1], 2.0, out=y[-1])
-    lo, hi = max(a, 1), min(b, n - 1)
-    y[lo - a:] += x[lo - 1:b - 1]
-    y[:hi - a] += x[a + 1:hi + 1]
+    if axis == 0:
+        n = x.shape[0]
+        a, b, _ = rows.indices(n)
+        np.multiply(x[a:b], 4.0, out=out)
+        if a == 0:
+            np.multiply(x[0], 2.0, out=out[0])
+        if b == n:
+            np.multiply(x[n - 1], 2.0, out=out[-1])
+        lo, hi = max(a, 1), min(b, n - 1)
+        out[lo - a:] += x[lo - 1:b - 1]
+        out[:hi - a] += x[a + 1:hi + 1]
+        return
+    n = x.z.shape[axis]
+    step = x.flat.size // math.prod(x.z.shape[:axis + 1])
+    np.multiply(x.real, 4.0, out=out.real)
+    out.flat[step:] += x.flat[:-step]
+    out.flat[:-step] += x.flat[step:]
+    at = (slice(None),) * axis
+    ends = at + (slice(None, None, n - 1),)
+    np.multiply(x.z[ends], 2.0, out=out.z[ends])
+    out.z[at + (0,)] += x.z[at + (1,)]
+    out.z[at + (n - 1,)] += x.z[at + (n - 2,)]
 
 
 def _chunks(op: KroneckerOperator, X: np.ndarray):
@@ -156,43 +206,65 @@ def _chunks(op: KroneckerOperator, X: np.ndarray):
     multiplies only its own D_k and T parts and sigma stays a term of its
     own: rounding the entries of K_1 - sigma M_1 first shifts sigma by about
     eps 12/h_1^2, which left 3e-12 to 9e-11 of forward error after a
-    refinement pass at 257^2 and 1025^2.  ``R`` is a chunk buffer, which the
-    caller may overwrite and the next chunk reuses.
+    refinement pass at 257^2 and 1025^2.
+
+    The scratch is three chunk buffers, in 2D and 3D alike, and no pass
+    takes a temporary: T V goes to the free buffer, then T Q to V's.  D_k
+    is 6 inside, so it and the real scalars multiply the buffers' float
+    views, and its two end rows take D_k's end entry over 6 (1/2 at Neumann
+    ends, exactly).  Each buffer's views are made once per chunk length, so
+    a chunk costs its ufunc calls and little else.  ``R`` is a chunk buffer,
+    which the caller may overwrite and the next chunk reuses.
     """
     shape, d = op.grid.shape, op.grid.dims
     w = [6.0 / (p.h * p.h) for p in op.pencils]
-    D = [p.D.reshape((-1,) + (1,) * (d - 1 - k)) for k, p in enumerate(op.pencils)]
     scale = math.prod(p.h / 6.0 for p in op.pencils)
-    chunks = slabs(shape, 2)
-    buffers = np.empty((d + 1, chunks[0].stop) + shape[1:], dtype=np.complex128)
+    d_end = [p.D_end for p in op.pencils]
+    ends = [(slice(None),) * k + (slice(None, None, n - 1),) for k, n in enumerate(shape)]
+    sigma = op.sigma.real if op.sigma.imag == 0 else op.sigma
+    chunks = slabs(shape, 3 * 16)
+    buffers = np.empty((3, chunks[0].stop) + shape[1:], dtype=np.complex128)
+    views = {}
     for s in chunks:
-        Q, V, *B = buffers[:, :s.stop - s.start]
-        _tri(X, 0, Q, s)
-        np.multiply(D[0][s], X[s], out=V)
-        V -= Q
-        V *= w[0]
-        for c in (*w[1:], op.sigma):
-            V -= np.multiply(c, Q, out=B[0])
+        if (size := s.stop - s.start) not in views:     # full chunks, and a shorter last one
+            views[size] = [_Buffer.of(z) for z in buffers[:, :size]]
+        Q, V, B = views[size]
+        _tri(X, 0, Q.z, s)
+        np.multiply(X[s], 6.0, out=V.z)
+        if s.start == 0:
+            np.multiply(d_end[0], X[0], out=V.z[0])
+        if s.stop == shape[0]:
+            np.multiply(d_end[0], X[-1], out=V.z[-1])
+        np.subtract(V.real, Q.real, out=V.real)
+        np.multiply(V.real, w[0], out=V.real)
+        for c in (*w[1:], sigma):
+            if isinstance(c, complex):
+                np.multiply(c, Q.z, out=B.z)
+            else:
+                np.multiply(Q.real, c, out=B.real)
+            np.subtract(V.real, B.real, out=V.real)
         for k in range(1, d):
-            _tri(V, k, B[0])
+            _tri(V, k, B)
             if k < d - 1:
-                _tri(Q, k, B[1])
-            Q *= D[k]
-            Q *= w[k]
-            B[0] += Q
-            V, Q, B = B[0], B[-1], [V, Q]   # after the last pass, Q is stale
-        V *= scale
-        yield s, V
+                _tri(Q, k, V)
+            np.multiply(Q.real, 6.0, out=Q.real)
+            Q.z[ends[k]] *= d_end[k] / 6.0
+            np.multiply(Q.real, w[k], out=Q.real)
+            np.add(B.real, Q.real, out=B.real)
+            V, Q, B = B, V, Q                       # after the last pass, Q is stale
+        np.multiply(V.real, scale, out=V.real)
+        yield s, V.z
 
 
 def kron_apply(op: KroneckerOperator, x: np.ndarray, out=None) -> np.ndarray:
     """Evaluate ``op x`` in 2(d - 1) one-dimensional passes of integer stencils.
 
     The passes run over chunks of x_1 slabs in ``_chunks``, whose finished
-    chunks are copied out, so the scratch is d + 1 chunks, none of field
-    size.  ``x`` is a finite field (``checked_field``), in any memory layout
-    (a transposed view included).  The result has the shape of ``x`` and
-    goes to ``out`` when given: complex128, sharing no memory with ``x``.
+    chunks are copied out, so the scratch is its three chunk buffers, within
+    SLAB_SCRATCH but for one-slab chunks of larger slabs.  ``x`` is a finite
+    field (``checked_field``), in any memory layout (a transposed view
+    included).  The result has the shape of ``x`` and goes to ``out`` when
+    given: complex128, sharing no memory with ``x``.
     """
     shape = op.grid.shape
     x = checked_field(np.asarray(x, dtype=np.complex128), shape, "x")
@@ -241,9 +313,16 @@ def scale_exponent(x, nrm: float) -> int:
 
 
 def ldexp(x, e: int) -> np.ndarray:
-    """2^e x as a complex copy: exact while it stays normal, and 2^e is never formed."""
+    """2^e x as a complex copy: exact while it stays normal, and 2^e is never formed.
+
+    OverflowError where an entry of 2^e x is beyond double precision.
+    """
     x = np.array(x, dtype=np.complex128)
-    np.ldexp(x.view(np.float64), e, out=x.view(np.float64))
+    try:
+        with np.errstate(over="raise"):
+            np.ldexp(x.view(np.float64), e, out=x.view(np.float64))
+    except FloatingPointError:
+        raise OverflowError(f"2^{e} times the field overflows double precision") from None
     return x
 
 
@@ -251,7 +330,8 @@ def residual(op: KroneckerOperator, f, u, bound: float = math.inf):
     """``(||r||, r)`` for r = f - op u, with r formed only when ||r|| > ``bound``.
 
     ``op u`` streams from the chunk loop of ``kron_apply``, and each chunk of
-    r adds its sum of squares to the norm.  Once that running sum exceeds
+    r, formed in that loop's buffer, adds its sum of squares to the norm: no
+    scratch beyond the loop's.  Once that running sum exceeds
     ``bound``, r is formed as an array in the grid's shape: the rest of it
     goes straight there, and the chunks already passed, each independent of
     the others, are recomputed.  Otherwise r is None and no
@@ -286,10 +366,15 @@ def defect_correction(op: KroneckerOperator, f, u, solve, passes: int, f_norm: f
     further pass will use it (``residual``); the stop test and the last pass
     take only its norm.  So besides ``f`` and ``u``, one field is live while
     a pass runs (its residual, then the trial iterate) and none otherwise;
-    the chunk loop adds only slab-sized buffers.
+    the chunk loop adds only its three chunk buffers.
+
+    Raises OverflowError when the iterate returned has a non-finite entry.
+    A finite residual norm vouches for its iterate, so u itself is read,
+    a chunk at a time, only where none is finite: at ``passes`` = 0, or when
+    the stop test's norm is not finite.
     """
     if passes <= 0:
-        return u
+        return _checked_result(u)
     stop = REFINE_STOP_RTOL * f_norm
     best, r = residual(op, f, u, stop)
     for p in range(passes):
@@ -303,17 +388,33 @@ def defect_correction(op: KroneckerOperator, f, u, solve, passes: int, f_norm: f
             break
         u, best = trial, nrm
         del trial
+    return u if math.isfinite(best) else _checked_result(u)
+
+
+def _checked_result(u):
+    if not _all_finite(u):
+        raise OverflowError("the solution has non-finite entries: it overflows double precision")
     return u
+
+
+def shaped(x, shape, name: str = "f") -> np.ndarray:
+    """``x`` as an array in ``shape``, after checking that it is flat or in ``shape``."""
+    x = np.asarray(x)
+    if x.shape not in ((math.prod(shape),), tuple(shape)):
+        raise ValueError(f"{name} has shape {x.shape}, expected ({math.prod(shape)},) or {shape}")
+    return x.reshape(shape)
+
+
+def _all_finite(X) -> bool:
+    """Whether every entry of ``X`` is finite, tested a chunk of ``slabs`` at a time."""
+    return all(np.isfinite(X[s]).all() for s in slabs(X.shape))
 
 
 def checked_field(x, shape, name: str = "f") -> np.ndarray:
     """``x`` as an array, after checking that it is finite and flat or in ``shape``."""
-    x = np.asarray(x)
-    if x.shape not in ((math.prod(shape),), tuple(shape)):
-        raise ValueError(f"{name} has shape {x.shape}, expected ({math.prod(shape)},) or {shape}")
-    if not all(np.isfinite(x.reshape(shape)[s]).all() for s in slabs(shape)):
+    if not _all_finite(shaped(x, shape, name)):
         raise ValueError(f"{name} has non-finite entries")
-    return x
+    return np.asarray(x)
 
 
 ALLOCATOR_THRESHOLD = 1 << 30      # glibc's mmap and trim thresholds after tune_allocator

@@ -24,6 +24,9 @@ Block l with coefficient c = Lambda_{1,l} - sigma is then a divide by D_l rho
 w = 2 D / E = h (n-1) (2 + cos theta) / 3 and lam the sum of the cross
 eigenvalues.  No pass scales the field, and the divisors are formed a few
 x_1 slabs at a time from the 1D arrays; none of field size is stored.
+The chunk loops of steps 1 and 3 hold their divisor and product chunks
+within ``core.SLAB_SCRATCH`` (256 KiB), as the residual's does, and make no
+BLAS call and no hidden temporary (``core.unbuffered``).
 C_bb = B_bb - A_bb is (dk - sigma dm) ox M_cross + dm ox K_cross, dk and dm
 the 2 x 2 corner blocks of the x_1 pencil difference.  The wrap carries the
 interior row of T = K_1, M_1 to the ends and adds corners +-T_12, so each
@@ -42,7 +45,7 @@ x_1 boundary rows (the DFT columns' end entries; step 3 takes their
 conjugate per slab), and ``cross_planes`` rho and lam.  The refinement
 loop's residual applies ``operator`` in the chunk loop of
 ``core.kron_apply``: 2(d - 1) one-dimensional passes of the pencils' integer
-stencils over chunks of x_1 slabs, the x_1 pass first, with scratch of d + 1
+stencils over chunks of x_1 slabs, the x_1 pass first, with scratch of three
 chunks.  It sums its norm chunk by chunk and forms r = f - A u as a field
 only when a pass will use it.
 
@@ -57,6 +60,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import math
 import numbers
 
 import numpy as np
@@ -64,7 +68,7 @@ import scipy.fft
 
 from .assembly import build_operator_A, wrap_sign
 from .core import (BoundaryKind, Grid, KroneckerOperator, _norm, checked_field,
-                   defect_correction, ldexp, scale_exponent, slabs)
+                   defect_correction, ldexp, scale_exponent, shaped, slabs, unbuffered)
 from .spectral import (boundary_green, boundary_rows, choose_wrap, circulant_eigenbasis,
                        dct1_eigen, twiddle)
 
@@ -164,15 +168,44 @@ def boundary_values(vb, workers=None):
     return X
 
 
-def inverse_divisor(shifts, rho, lam, scale=1.0):
-    """scale / (rho (lam - p_l)) over a slab's shifts; shape (k,) + lam.shape.
+def inverse_divisor(shifts, rho, lam, scale, out):
+    """``out`` = scale / (rho (lam - p_l)) over a chunk's shifts p_l; shape (k,) + lam.shape.
 
-    Real where the shifts are (a real sigma): then no complex division runs,
-    and the caller's complex data takes a cheaper complex-by-real product.
+    ``shifts`` and ``scale`` are columns along x_1, and a ``rho`` of None
+    stands for 1.  Real where the shifts are (a real sigma): then no complex
+    division runs, and ``_times`` applies it to complex data as a real
+    product.
     """
-    d = lam - shifts.reshape((-1,) + (1,) * lam.ndim)
-    d *= rho
-    return np.divide(scale, d, out=d)
+    np.subtract(lam, shifts, out=out)
+    if rho is not None:
+        out *= rho
+    return np.divide(scale, out, out=out)
+
+
+def _times(x, q, out):
+    """``out`` = x q for C-contiguous complex x and out and a real or complex q of their shape.
+
+    A real q multiplies the real and then the imaginary parts as flat
+    strided arrays, so numpy neither casts q nor buffers.
+    """
+    if q.dtype.kind == "c":
+        return np.multiply(x, q, out=out)
+    x, q, y = x.reshape(-1), q.reshape(-1), out.reshape(-1)
+    np.multiply(x.real, q, out=y.real)
+    np.multiply(x.imag, q, out=y.imag)
+    return out
+
+
+def _slab_chunks(X, *dtypes):
+    """Chunks of X's x_1 slabs, and a chunk buffer of each dtype, together within SLAB_SCRATCH."""
+    chunks = slabs(X.shape, sum(np.dtype(t).itemsize for t in dtypes))
+    shape = (chunks[0].stop,) + X.shape[1:]
+    return (chunks, *(np.empty(shape, dtype=t) for t in dtypes))
+
+
+def _in_dtype(dtype, *arrays):
+    """``arrays`` in the divisor's ``dtype``: a slab loop's operands share one (``unbuffered``)."""
+    return [np.asarray(a, dtype=dtype) for a in arrays]
 
 
 def _along_x1(a, ndim):
@@ -180,14 +213,45 @@ def _along_x1(a, ndim):
 
 
 def _pair(p, q, x):
-    """The persymmetric 2 x 2 block [[p, q], [q, p]] per cross mode on the pair x."""
-    return p * x + q * x[::-1]
+    """The persymmetric 2 x 2 block [[p, q], [q, p]] per cross mode on the pair x, in place.
+
+    Two cross planes of scratch; no product broadcasts over the pair.
+    """
+    t, u = np.multiply(q, x[1]), np.multiply(q, x[0])
+    np.multiply(p, x[0], out=x[0])
+    x[0] += t
+    np.multiply(p, x[1], out=x[1])
+    x[1] += u
+    return x
 
 
 def _boundary_corr(plan, vb, lam):
-    """C_bb per cross mode, over rho: the pair (dk - sigma dm) + lam dm on vb."""
-    p, q = ((dk - plan.operator.sigma * dm) + lam * dm for dk, dm in zip(*plan.correction))
-    return _pair(p, q, vb)
+    """C_bb per cross mode, over rho: the pair (dk - sigma dm) + lam dm on vb, in a new pair.
+
+    Each coefficient plane is formed where its product goes, lam times dm on
+    float views, so one cross plane is the only other scratch.
+    """
+    (pa, pb), (qa, qb) = ((dk - plan.operator.sigma * dm, dm) for dk, dm in zip(*plan.correction))
+
+    def plane(a, b, out):
+        """out = a + lam b, for complex numbers a and b."""
+        lam_, flat = lam.reshape(-1), out.reshape(-1)
+        np.multiply(lam_, b.real, out=flat.real)
+        np.multiply(lam_, b.imag, out=flat.imag)
+        out += a
+        return out
+
+    out, t = np.empty(vb.shape, dtype=np.complex128), np.empty(vb.shape[1:], dtype=np.complex128)
+    np.multiply(plane(qa, qb, out[0]), vb[1], out=out[0])
+    np.multiply(plane(qa, qb, out[1]), vb[0], out=out[1])
+    out[0] += np.multiply(plane(pa, pb, t), vb[0], out=t)
+    out[1] += np.multiply(plane(pa, pb, t), vb[1], out=t)
+    return out
+
+
+def _slab_sum(P, out):
+    """The sum over x_1 of the chunk P: P[0] itself for a single slab, else in ``out``."""
+    return P[0] if len(P) == 1 else np.add.reduce(P, axis=0, out=out)
 
 
 def step1(plan, F, x1, cross, workers=None):
@@ -195,7 +259,11 @@ def step1(plan, F, x1, cross, workers=None):
 
     x1 is ``x1_spectra(plan)`` and cross ``cross_planes(plan)``.  Returns
     (f_hat, v_b): f_hat is F transformed, which step 3 consumes; v_b is in
-    the pipeline's cross basis.
+    the pipeline's cross basis.  v_b sums the boundary rows times P_l = F_l /
+    divisor_l over x_1, and 1/rho, the same for every l, comes once at the
+    end.  Per chunk of slabs, P goes to a reused buffer, whose sum over the
+    chunk is row 0's part (all ones); P times row 1 in place, summed again,
+    is row 1's.  No product is a GEMM, so no BLAS call runs.
     """
     (shifts, inv_D, rows), (rho, lam) = x1, cross
     pre = twiddle(plan.grid.n[0], plan.twist, -1)
@@ -204,9 +272,19 @@ def step1(plan, F, x1, cross, workers=None):
     F = scipy.fft.fft(F, axis=0, overwrite_x=True, workers=workers)
     F = dct_cross(F, workers, scale_ends=True)
     vb = np.zeros((2,) + F.shape[1:], dtype=np.complex128)
-    for s in slabs(F.shape):
-        scale = _along_x1(inv_D[s], F.ndim)
-        vb += np.tensordot(rows[:, s], F[s] * inverse_divisor(shifts[s], rho, lam, scale), axes=1)
+    chunks, q, buf = _slab_chunks(F, shifts.dtype, np.complex128)
+    total = np.empty(F.shape[1:], dtype=np.complex128) if len(chunks) < F.shape[0] else None
+    lam, inv_D = _in_dtype(q.dtype, lam, inv_D)
+    shifts, inv_D, row1 = (_along_x1(a, F.ndim) for a in (shifts, inv_D, rows[1]))
+    with unbuffered():
+        for s in chunks:
+            k = s.stop - s.start
+            P = _times(F[s], inverse_divisor(shifts[s], None, lam, inv_D[s], q[:k]), buf[:k])
+            vb[0] += _slab_sum(P, total)
+            P *= row1[s]
+            vb[1] += _slab_sum(P, total)
+    for part in (vb[0].real, vb[0].imag, vb[1].real, vb[1].imag):
+        np.divide(part, rho, out=part)
     return F, vb
 
 
@@ -223,17 +301,29 @@ def step3(plan, F, vbw, x1, cross, workers=None):
     """Corrected auxiliary solve and inverse transforms; consumes f_hat F.
 
     vbw is v_b + w_b in the pipeline's cross basis; x1 and cross are as in
-    ``step1``.  Returns the solution.
+    ``step1``.  Returns the solution.  Per chunk of slabs, F_l takes the
+    rank-2 update conj(boundary rows_l) c: conj(row 1) times c_1 from a
+    reused buffer, then c_0 as a broadcast add (row 0 is all ones); the
+    divisor then multiplies F in place.  No BLAS call runs.
     """
     (shifts, inv_D, rows), (rho, lam) = x1, cross
-    c = _boundary_corr(plan, vbw, lam)
-    c *= rho
+    c0, c1 = _boundary_corr(plan, vbw, lam)
+    for part in (c0.real, c0.imag, c1.real, c1.imag):
+        np.multiply(part, rho, out=part)
     # the x_1 M-norms, ifft's n_1 and the back transforms' 1 / 2^(d-1), folded
-    scale = inv_D * (plan.grid.n[0] / 2.0 ** (F.ndim - 1))
-    for s in slabs(F.shape):
-        Fs = F[s]
-        Fs += np.tensordot(np.conj(rows[:, s]).T, c, axes=1)
-        Fs *= inverse_divisor(shifts[s], rho, lam, _along_x1(scale[s], F.ndim))
+    scale = _along_x1(inv_D * (plan.grid.n[0] / 2.0 ** (F.ndim - 1)), F.ndim)
+    chunks, buf = _slab_chunks(F, np.complex128)
+    # the divisor chunk takes the buffer's memory once the update has used it
+    q = buf.reshape(-1).view(shifts.dtype)[:buf.size].reshape(buf.shape)
+    lam, rho, scale = _in_dtype(q.dtype, lam, rho, scale)
+    shifts, row1 = _along_x1(shifts, F.ndim), _along_x1(np.conj(rows[1]), F.ndim)
+    with unbuffered():
+        for s in chunks:
+            k, Fs = s.stop - s.start, F[s]
+            Fs += np.multiply(row1[s], c1, out=buf[:k])
+            Fs += c0
+            _times(Fs, inverse_divisor(shifts[s], rho, lam, scale[s], q[:k]), Fs)
+    del c0, c1, q, buf                  # not held through the back transforms
     F = dct_cross(F, workers, scale_ends=False)
     U = scipy.fft.ifft(F, axis=0, overwrite_x=True, workers=workers)
     post = twiddle(plan.grid.n[0], plan.twist, 1)
@@ -250,16 +340,25 @@ def solve(plan: SolverPlan, f: np.ndarray, refine: int = 1,
     defect-correction passes (``core.defect_correction``), each one extra
     three-step solve plus a matrix-free residual; ValueError unless it is an
     integer >= 0.  The spectra and G are formed once, for every pass, and
-    the residuals read the caller's f.  Holds about one field-sized scratch
-    array at once, two while a pass runs: the stop test takes only the
-    residual's norm.  Where ||f|| is out of that test's range it solves 2^-e f
-    (``core.scale_exponent``), at every ``refine``: solve(2^k f) is 2^k
-    solve(f) bit for bit.
+    the residuals read the caller's f.  Besides the solution field it holds
+    the O(n) spectra and boundary pairs and one slab loop's chunk scratch
+    (``core.SLAB_SCRATCH``), and one more field while a pass runs: the stop
+    test takes only the residual's norm.
+
+    f is read once for ||f||'s sum of squares, a chunk at a time: a finite
+    sum vouches for every entry, and only a sum that is not finite runs the
+    slab-wise finiteness test, which raises ValueError on a non-finite entry.
+    Where ||f|| is out of the stop test's range, an overflowed sum of finite
+    entries included, it solves 2^-e f (``core.scale_exponent``), at every
+    ``refine``: solve(2^k f) is 2^k solve(f) bit for bit.  A solution with
+    an entry beyond double precision raises OverflowError.
     """
     if not isinstance(refine, numbers.Integral) or refine < 0:
         raise ValueError(f"refine must be an integer >= 0, got {refine!r}")
-    f = checked_field(f, plan.grid.shape)
+    f = shaped(f, plan.grid.shape)
     f_norm = _norm(f)
+    if not math.isfinite(f_norm):
+        checked_field(f, plan.grid.shape)
     if e := scale_exponent(f, f_norm):
         return ldexp(solve(plan, ldexp(f, -e), refine, workers), e)
     x1, cross = x1_spectra(plan), cross_planes(plan)
@@ -271,8 +370,7 @@ def solve(plan: SolverPlan, f: np.ndarray, refine: int = 1,
         vb += step2(plan, vb, G, cross[1])
         return step3(plan, F, vb, x1, cross, workers)
 
-    U = defect_correction(plan.operator, f.reshape(plan.grid.shape),
-                          run(field(plan, f)), run, refine, f_norm)
+    U = defect_correction(plan.operator, f, run(field(plan, f)), run, refine, f_norm)
     return U.reshape(-1)
 
 
@@ -326,6 +424,10 @@ def solve_block_system(plan: SolverPlan, which: str, rhs: np.ndarray,
                   scale_ends=True)
     shifts = x1_spectra(plan)[0]
     rho, lam = cross_planes(plan)
-    for s in slabs(X.shape):
-        X[s] *= inverse_divisor(shifts[s], rho, lam, 2.0 ** (1 - X.ndim))
+    chunks, q = _slab_chunks(X, shifts.dtype)
+    shifts, (rho, lam) = _along_x1(shifts, X.ndim), _in_dtype(q.dtype, rho, lam)
+    with unbuffered():
+        for s in chunks:
+            k = s.stop - s.start
+            _times(X[s], inverse_divisor(shifts[s], rho, lam, 2.0 ** (1 - X.ndim), q[:k]), X[s])
     return dct_cross(X, workers, scale_ends=False).reshape(-1)

@@ -333,6 +333,18 @@ def test_exit_code_non_finite_rhs(tmp_path, capsys):
     assert out == "" and "non-finite" in err
 
 
+@pytest.mark.parametrize("refine", ["0", "1"])
+def test_exit_code_overflowing_solution(tmp_path, capsys, refine):
+    # the paper's f at 129^2 times 2^1016: its solution is beyond double range
+    path = str(tmp_path / "big.bin")
+    f = make_rhs(RunConfig(mode="solve", d=2, n1=129, n2=129), cli.Grid((129, 129)))
+    write_rhs_file(path, 2, ldexp(f, 1016))
+    assert cli.main(["solve", "--n1", "129", "--n2", "129", f"--rhs=file:{path}",
+                     "--refine", refine, "--repeats", "1", "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "solver error" in err and "overflow" in err
+
+
 def test_exit_code_imaginary_infinity_rhs(tmp_path, capsys):
     path = str(tmp_path / "inf.bin")
     data = np.ones(20, dtype=complex)

@@ -128,8 +128,9 @@ def test_kron_apply_rejects_bad_field():
 
 
 def _slab_planes(monkeypatch, grid, planes):
-    # SLAB_SCRATCH for chunks of ``planes`` x_1 slabs (``_chunks`` takes slabs(shape, 2))
-    monkeypatch.setattr(core, "SLAB_SCRATCH", 2 * planes * (grid.npoints // grid.n[0]))
+    # SLAB_SCRATCH (bytes) for chunks of ``planes`` x_1 slabs: ``_chunks``
+    # holds three complex chunk buffers, 48 bytes per grid point
+    monkeypatch.setattr(core, "SLAB_SCRATCH", 48 * planes * (grid.npoints // grid.n[0]))
 
 
 def _kron_apply_scratch(shape, monkeypatch):
@@ -160,8 +161,8 @@ def test_kron_apply_out_scratch_is_one_field(shape, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(257, 129), (33, 17, 65)])
 def test_kron_apply_out_needs_no_field_scratch(shape, monkeypatch):
-    # the chunk loop's d + 1 chunk buffers, one slab each: Q, V and one more
-    # in 2D, two in 3D; no pass takes a temporary
+    # the chunk loop's three chunk buffers, one slab each, in 2D and 3D; no
+    # pass takes a temporary
     scratch, x = _kron_apply_scratch(shape, monkeypatch)
     assert scratch <= 6 * x[0].nbytes + 256 * 1024
 
@@ -228,9 +229,9 @@ def _two_pass_reference(op, x):
 
 BITWISE_OPERATORS = {
     **SLAB_OPERATORS,
-    # by default two chunks (254 and 3 planes) and, in 3D, three (3 planes each)
-    "A-2d-two-chunks": lambda: build_operator_A(Grid((257, 129)), 2 * np.pi),
-    "A-3d-three-chunks": lambda: build_operator_A(Grid((9, 65, 129)), 2 * np.pi),
+    # by default two chunks (42 and 3 planes) and, in 3D, three (3 planes each)
+    "A-2d-two-chunks": lambda: build_operator_A(Grid((45, 129)), 2 * np.pi),
+    "A-3d-three-chunks": lambda: build_operator_A(Grid((9, 33, 55)), 2 * np.pi),
 }
 
 
@@ -329,7 +330,7 @@ def test_kron_apply_makes_2d_minus_2_passes(shape, monkeypatch):
 
     monkeypatch.setattr(core, "_tri", counted)
     g = Grid(shape)
-    monkeypatch.setattr(core, "SLAB_SCRATCH", 2 * g.npoints)
+    monkeypatch.setattr(core, "SLAB_SCRATCH", 48 * g.npoints)
     op = build_operator_A(g, 2 * np.pi)
     x = rand_field(g, 7)
     y = kron_apply(op, x)

@@ -20,8 +20,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import helmfft.core as core
-from helmfft import (Grid, build_operator_A, dense_problem, kron_apply, plan2d, plan3d,
-                     solve2d, solve3d, tune_allocator)
+from helmfft import (BoundaryKind, Grid, build_operator_A, dense_problem, kron_apply, pipeline,
+                     plan2d, plan3d, solve2d, solve3d, tune_allocator)
 from helmfft.cli import RunConfig, emit, fit_slope, read_records, run
 from conftest import longdouble_reference, rand_field, relerr
 
@@ -282,19 +282,68 @@ def test_default_solve_scratch_where_the_pass_runs_is_two_fields(monkeypatch):
     assert _solve_scratch(plan, f) <= 2 * f.nbytes + 256 * 1024
 
 
+def test_default_solve_scratch_at_the_default_budget_2d():
+    # SLAB_SCRATCH as shipped: the chunk loops of steps 1 and 3 and of the
+    # residual hold at most 0.75 MB beyond the solution field at 513^2
+    grid = Grid((513, 513))
+    plan = plan2d(grid, 2 * np.pi)
+    f = kron_apply(plan.operator, rand_field(grid, 6))
+    assert _solve_scratch(plan, f) <= f.nbytes + 0.75e6
+
+
+def test_default_solve_scratch_at_the_default_budget_3d():
+    # At 65^3, beyond the solution field: the spectra and G, live through
+    # the solve; in step 3, v_b + w_b and the correction pair, 4 slabs; and
+    # one chunk loop's SLAB_SCRATCH
+    grid = Grid((65, 65, 65))
+    plan = plan3d(grid, 2 * np.pi)
+    f = kron_apply(plan.operator, rand_field(grid, 6))
+    x1, cross = pipeline.x1_spectra(plan), pipeline.cross_planes(plan)
+    live = sum(a.nbytes for a in (*x1, *cross, *pipeline.green(plan, cross[1])))
+    slab = f.nbytes // grid.n[0]
+    assert _solve_scratch(plan, f) <= f.nbytes + live + 4 * slab + core.SLAB_SCRATCH
+
+
+CHUNK_PLANS = {
+    "257^2": lambda: plan2d(Grid((257, 257)), 2 * np.pi),
+    "33x17x65": lambda: plan3d(Grid((33, 17, 65)), 2 * np.pi),
+    "neumann-3d": lambda: plan3d(Grid((17, 9, 13)), 7.5 - 3.2j, bc_x1=BoundaryKind.NEUMANN),
+}
+
+
+@pytest.mark.parametrize("name", CHUNK_PLANS)
+def test_solves_agree_across_chunk_budgets(name, monkeypatch):
+    # One-slab chunks, and chunks of 5 slabs in the residual, 10 in step 1
+    # (7 with a complex sigma) and 15 in step 3, which split n_1 unevenly:
+    # the chunking moves only the rounding of step 1's sums and of ||r||
+    plan = CHUNK_PLANS[name]()
+    grid = plan.grid
+    f = rand_field(grid, 9)
+    solve = solve2d if grid.dims == 2 else solve3d
+    default = [solve(plan, f, refine=refine) for refine in (0, 1)]
+    for budget in (1, 5 * 48 * (grid.npoints // grid.n[0])):
+        monkeypatch.setattr(core, "SLAB_SCRATCH", budget)
+        for refine, u in zip((0, 1), default):
+            assert relerr(solve(plan, f, refine=refine), u) <= 1e-13
+        if name == "257^2":
+            # the default solve's forward error pin holds for one-slab chunks too
+            ref = longdouble_reference(grid, 2 * np.pi, f, lambda b: solve2d(plan, b, refine=0))
+            assert relerr(solve2d(plan, f).astype(np.clongdouble), ref) <= 3e-13
+
+
 def test_default_solve_where_the_pass_runs_applies_a_twice(monkeypatch):
     # One residual for the stop test, one for the pass, plus the chunks ahead
     # of the one where the stop test's running norm first passes its bound,
     # which are recomputed to form r; each chunk runs two passes in 2D.
     n = 129
     grid = Grid((n, n))
-    monkeypatch.setattr(core, "SLAB_SCRATCH", 2 * 8 * n)       # chunks of 8 planes
+    monkeypatch.setattr(core, "SLAB_SCRATCH", 48 * 8 * n)      # chunks of 8 planes
     plan = plan2d(grid, 1.0)
     f = np.ones(grid.npoints, dtype=complex)
     f[:n] = 0.01
     u0 = solve2d(plan, f, refine=0)
     r0 = (f - kron_apply(plan.operator, u0)).reshape(grid.shape)
-    chunks = core.slabs(grid.shape, 2)
+    chunks = core.slabs(grid.shape, 48)
     running = np.cumsum([np.sum(np.abs(r0[s]) ** 2) for s in chunks])
     stop = core.REFINE_STOP_RTOL * np.linalg.norm(f)
     first = int(np.argmax(running > stop ** 2))

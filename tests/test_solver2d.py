@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
@@ -14,6 +15,7 @@ from helmfft import (BoundaryKind, Grid, SingularBlock,
                      kron_apply, plan2d, plan3d, solve2d, solve3d, solve_aux_partial,
                      solve_correction, solve_final)
 from helmfft import pipeline
+import helmfft.core as core
 from helmfft.core import ldexp
 from helmfft.spectral import boundary_rows, twiddle
 from conftest import rand_field, reachable_arrays, relerr
@@ -406,6 +408,55 @@ def test_default_solve_of_a_scaled_rhs(k):
         u = solve2d(plan, ldexp(f, k), refine=refine)
         assert np.isfinite(u).all()
         assert np.array_equal(u, ldexp(solve2d(plan, f, refine=refine), k))
+
+
+@pytest.mark.parametrize("refine", [0, 1])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, -np.inf)])
+def test_solve_rejects_a_non_finite_f(value, refine):
+    # ||f||'s sum of squares is then not finite, and the slab-wise test
+    # finds the entry
+    g = Grid((33, 17))
+    f = rand_field(g, 3)
+    f[200] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        solve2d(plan2d(g, 2 * np.pi), f, refine=refine)
+
+
+@pytest.mark.parametrize("refine", [0, 1])
+def test_solve_where_the_sum_of_squares_of_f_overflows(refine):
+    # |f| about 1e200: the sum of squares overflows on finite entries, so the
+    # solve runs on 2^-e f, e the exponent of max|f|
+    g = Grid((129, 129))
+    plan = plan2d(g, 2 * np.pi)
+    f = 1e200 * rand_field(g, 4)
+    assert core._norm(f) == np.inf
+    e = math.frexp(float(np.abs(f).max()))[1]
+    u = solve2d(plan, f, refine=refine)
+    assert np.isfinite(u).all()
+    assert np.array_equal(u, ldexp(solve2d(plan, ldexp(f, -e), refine=refine), e))
+
+
+@pytest.mark.parametrize("refine", [0, 1])
+def test_a_solution_beyond_double_range_raises(refine):
+    # the paper's f at 129^2, whose solution peaks at |u| = 867, times 2^1016
+    g = Grid((129, 129))
+    f = np.ones(g.npoints, dtype=complex)
+    f[:g.n[0]] = 0.01
+    with pytest.raises(OverflowError):
+        solve2d(plan2d(g, 2 * np.pi), ldexp(f, 1016), refine=refine)
+
+
+@pytest.mark.parametrize("passes", [0, 1])
+def test_defect_correction_raises_on_a_non_finite_iterate(passes):
+    # without a finite residual norm to vouch for it, u itself is tested
+    g = Grid((9, 7))
+    op = plan2d(g, 2 * np.pi).operator
+    f = rand_field(g, 5).reshape(g.shape)
+    u = np.ones(g.shape, dtype=complex)
+    assert core.defect_correction(op, f, u.copy(), np.zeros_like, passes, 1.0) is not None
+    u[4, 3] = np.inf
+    with pytest.raises(OverflowError), np.errstate(invalid="ignore"):
+        core.defect_correction(op, f, u, np.zeros_like, passes, 1.0)
 
 
 def test_plan_is_reusable_and_inputs_untouched():
